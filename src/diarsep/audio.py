@@ -37,8 +37,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     """Read a mono 16-bit PCM RIFF/WAVE file.
 
     Samples are scaled by 1/32768, so the int16 range maps into [-1, 1).
-    Raises ValueError with a distinct message for malformed headers,
-    multichannel audio, and non-PCM16 encodings.
+    Raises ValueError with a distinct message for malformed headers, an
+    odd-sized data chunk, multichannel audio, and non-PCM16 encodings.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -72,7 +72,9 @@ def read_wav(path: str | Path) -> AudioBuffer:
             f"with {bits}-bit samples"
         )
 
-    pcm = np.frombuffer(data[: len(data) - (len(data) % 2)], dtype="<i2")
+    if len(data) % 2:
+        raise ValueError(f"{path}: malformed WAV, odd data size {len(data)} for 16-bit samples")
+    pcm = np.frombuffer(data, dtype="<i2")
     return AudioBuffer(pcm.astype(np.float32) / 32768.0, sample_rate)
 
 

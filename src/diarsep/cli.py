@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 input/validation error, 2 usage error. Results go to
 stdout, diagnostics to stderr. An optional ``--config FILE`` (key=value lines)
-sets flag defaults; explicit flags override the file.
+sets flag defaults; explicit flags override the file. A key must name an
+option of some subcommand, so one file can serve several subcommands, but a
+misspelt key is an error rather than silently ignored.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from . import __version__
 from .annotation import Annotation, emit_rttm, parse_rttm, parse_uem
 from .audio import AudioBuffer, read_wav, write_wav
 from .der import compute_der
-from .diarize import ChunkSegmentation, diarize_file
+from .diarize import ChunkSegmentation, check_hop, diarize_file
 from .features import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
 from .fusion import normalize_weights, weighted_sum
 from .powerset import build_space, decode_class, decode_frames, encode_label
@@ -124,6 +126,7 @@ def _cmd_separate_oracle(args) -> int:
 
 
 def _chunks_from_stack(stack: FeatureStack, num_speakers: int, window: float, hop: float):
+    check_hop(window, hop)
     space = build_space(num_speakers)
     duration = stack.n_frames / stack.frame_rate
     if duration > window + 1e-9:
@@ -417,6 +420,15 @@ def main(argv=None) -> int:
     try:
         if known.config:
             overrides = _load_config(known.config)
+            options = {
+                action.dest
+                for p in (parser, *registry.values())
+                for action in p._actions
+                if action.option_strings and action.dest != "help"
+            }
+            unknown = sorted(set(overrides) - options)
+            if unknown:
+                raise ValueError(f"{known.config}: unknown config key(s): {', '.join(unknown)}")
             parser.set_defaults(**overrides)
             for p in registry.values():
                 p.set_defaults(**overrides)

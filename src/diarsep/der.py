@@ -1,7 +1,7 @@
 """Diarization error rate: interval-sweep scoring under an optimal speaker mapping."""
 
-import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -31,81 +31,90 @@ class DerReport:
     mapping: dict[str, str]
 
 
-def _merged_timelines(annotation: Annotation) -> dict[str, list[Interval]]:
-    """Per-speaker union of segments as sorted disjoint [start, end) intervals."""
-    per_speaker: dict[str, list[Interval]] = {}
-    for seg in annotation.segments:
-        per_speaker.setdefault(seg.speaker, []).append((seg.onset, seg.onset + seg.duration))
-    merged = {}
-    for speaker, intervals in per_speaker.items():
-        intervals.sort()
-        out = [intervals[0]]
-        for start, end in intervals[1:]:
-            if start <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], end))
-            else:
-                out.append((start, end))
-        merged[speaker] = out
-    return merged
+class _Sweep(NamedTuple):
+    """Elementary intervals of one recording: rows are intervals, columns speakers."""
+
+    ref_speakers: list[str]
+    hyp_speakers: list[str]
+    ref_active: np.ndarray  # (intervals, ref speakers) bool
+    hyp_active: np.ndarray  # (intervals, hyp speakers) bool
+    length: np.ndarray  # interval durations in seconds
+    in_region: np.ndarray  # inside the evaluation regions (all True without regions)
+    scored: np.ndarray  # in_region and outside every collar zone
 
 
-def _crop(intervals: list[Interval], regions: list[Interval] | None) -> list[Interval]:
-    if regions is None:
-        return intervals
-    out = []
-    for start, end in intervals:
-        for r_start, r_end in regions:
-            lo, hi = max(start, r_start), min(end, r_end)
-            if hi > lo:
-                out.append((lo, hi))
-    out.sort()
-    return out
-
-
-def _overlap_seconds(a: list[Interval], b: list[Interval]) -> float:
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def _merge_regions(regions: list[Interval]) -> list[Interval]:
-    regions = sorted(regions)
-    out = [regions[0]]
-    for start, end in regions[1:]:
-        if start <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], end))
-        else:
-            out.append((start, end))
-    return out
-
-
-def co_activity_matrix(
+def _sweep(
     ref: Annotation,
     hyp: Annotation,
+    collar: float = 0.0,
     eval_regions: list[Interval] | None = None,
-) -> tuple[list[str], list[str], np.ndarray]:
-    """Ref x hyp matrix of co-active seconds, speakers sorted by label."""
-    if eval_regions:
-        eval_regions = _merge_regions(list(eval_regions))
-    ref_tl = _merged_timelines(ref)
-    hyp_tl = _merged_timelines(hyp)
-    ref_speakers = sorted(ref_tl)
-    hyp_speakers = sorted(hyp_tl)
-    matrix = np.zeros((len(ref_speakers), len(hyp_speakers)))
-    for i, r in enumerate(ref_speakers):
-        r_ints = _crop(ref_tl[r], eval_regions)
-        for j, h in enumerate(hyp_speakers):
-            matrix[i, j] = _overlap_seconds(r_ints, _crop(hyp_tl[h], eval_regions))
-    return ref_speakers, hyp_speakers, matrix
+) -> _Sweep:
+    """Split the timeline at the sorted unique edges of all segments, collar
+    zones (+- collar around every reference segment boundary) and evaluation
+    regions, and mark what is active in each elementary interval.
+
+    Each [start, end) span adds +1 at its start edge and -1 at its end edge;
+    a cumulative sum over the edges then counts the spans covering every
+    interval, so overlapping or touching spans need no merging.
+    """
+
+    def spans(annotation):
+        speakers = annotation.speakers()
+        index = {s: i for i, s in enumerate(speakers)}
+        onsets = np.array([seg.onset for seg in annotation.segments])
+        offsets = np.array([seg.onset + seg.duration for seg in annotation.segments])
+        labels = np.array([index[seg.speaker] for seg in annotation.segments], dtype=np.intp)
+        return speakers, onsets, offsets, labels
+
+    ref_speakers, ref_on, ref_off, ref_label = spans(ref)
+    hyp_speakers, hyp_on, hyp_off, hyp_label = spans(hyp)
+    boundaries = np.concatenate([ref_on, ref_off]) if collar > 0 else np.empty(0)
+    zone_on, zone_off = boundaries - collar, boundaries + collar
+    regions = np.array(eval_regions or [], dtype=float).reshape(-1, 2)
+    # a region that ends before it starts covers nothing rather than a negative span
+    region_on, region_off = regions[:, 0], np.maximum(regions[:, 0], regions[:, 1])
+    edges = np.unique(
+        np.concatenate([ref_on, ref_off, hyp_on, hyp_off, zone_on, zone_off, region_on, region_off])
+    )
+
+    def covered(onsets, offsets, labels=None, width=1):
+        column = 0 if labels is None else labels
+        counts = np.zeros((len(edges), width), dtype=np.int32)
+        np.add.at(counts, (np.searchsorted(edges, onsets), column), 1)
+        np.add.at(counts, (np.searchsorted(edges, offsets), column), -1)
+        return np.cumsum(counts, axis=0, out=counts)[:-1] > 0
+
+    in_region = covered(region_on, region_off)[:, 0]
+    if eval_regions is None:
+        in_region[:] = True
+    return _Sweep(
+        ref_speakers,
+        hyp_speakers,
+        covered(ref_on, ref_off, ref_label, len(ref_speakers)),
+        covered(hyp_on, hyp_off, hyp_label, len(hyp_speakers)),
+        np.diff(edges),
+        in_region,
+        in_region & ~covered(zone_on, zone_off)[:, 0],
+    )
+
+
+def _assign(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
+    """Ref and hyp speaker indices of the optimal one-to-one map, and the map.
+
+    Solved as an optimal assignment on the ref x hyp matrix of region-cropped,
+    uncollared co-active seconds; pairs with zero matched time are dropped.
+    """
+    weighted = sweep.ref_active * (sweep.length * sweep.in_region)[:, None]
+    # summed over the active (interval, hyp speaker) cells only, so no dense
+    # float copy of the hyp mask is made when the hypothesis has many labels
+    interval, hyp_index = np.nonzero(sweep.hyp_active)
+    matrix = np.zeros((len(sweep.ref_speakers), len(sweep.hyp_speakers)))
+    np.add.at(matrix.T, hyp_index, weighted[interval])
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    keep = matrix[rows, cols] > 0.0
+    rows, cols = rows[keep], cols[keep]
+    mapping = {sweep.ref_speakers[i]: sweep.hyp_speakers[j] for i, j in zip(rows, cols)}
+    return rows, cols, mapping
 
 
 def optimal_mapping(
@@ -115,23 +124,10 @@ def optimal_mapping(
 ) -> dict[str, str]:
     """One-to-one ref -> hyp speaker map maximizing total co-active time.
 
-    Solved as an optimal assignment on the co-activity matrix; pairs with zero
-    matched time are dropped, so the map is partial.
+    Co-activity is cropped to the evaluation regions but not collared. Pairs
+    with zero matched time are dropped, so the map is partial.
     """
-    ref_speakers, hyp_speakers, matrix = co_activity_matrix(ref, hyp, eval_regions)
-    if not ref_speakers or not hyp_speakers:
-        return {}
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
-    return {
-        ref_speakers[i]: hyp_speakers[j]
-        for i, j in zip(rows, cols)
-        if matrix[i, j] > 0.0
-    }
-
-
-def _covers(timeline: list[Interval], starts: list[float], point: float) -> bool:
-    idx = bisect.bisect_right(starts, point) - 1
-    return idx >= 0 and point < timeline[idx][1]
+    return _assign(_sweep(ref, hyp, eval_regions=eval_regions))[2]
 
 
 def compute_der(
@@ -142,10 +138,10 @@ def compute_der(
 ) -> DerReport:
     """Score false alarm, missed detection and speaker confusion time.
 
-    The sweep walks elementary intervals between the sorted boundaries of all
-    activity, collar exclusion zones (+- collar around every reference segment
-    boundary) and evaluation regions. Per interval of length d with N_ref /
-    N_hyp active speakers and N_correct optimally mapped co-active pairs:
+    One sweep over elementary intervals (see ``_sweep``) gives both the
+    speaker mapping, from region-cropped but uncollared co-activity, and the
+    scores. Per scored interval of length d with N_ref / N_hyp active speakers
+    and N_correct optimally mapped co-active pairs:
 
         missed      += d * max(0, N_ref - N_hyp)
         false_alarm += d * max(0, N_hyp - N_ref)
@@ -157,53 +153,19 @@ def compute_der(
     """
     if collar < 0:
         raise ValueError(f"collar must be >= 0, got {collar}")
-    if eval_regions is not None:
-        eval_regions = _merge_regions(list(eval_regions)) if eval_regions else []
 
-    mapping = optimal_mapping(ref, hyp, eval_regions)
-    ref_tl = _merged_timelines(ref)
-    hyp_tl = _merged_timelines(hyp)
-    ref_starts = {s: [iv[0] for iv in tl] for s, tl in ref_tl.items()}
-    hyp_starts = {s: [iv[0] for iv in tl] for s, tl in hyp_tl.items()}
-
-    exclusions: list[Interval] = []
-    if collar > 0:
-        for seg in ref.segments:
-            exclusions.append((seg.onset - collar, seg.onset + collar))
-            end = seg.onset + seg.duration
-            exclusions.append((end - collar, end + collar))
-        exclusions = _merge_regions(exclusions)
-    excl_starts = [iv[0] for iv in exclusions]
-
-    boundaries: set[float] = set()
-    for tl in list(ref_tl.values()) + list(hyp_tl.values()):
-        for start, end in tl:
-            boundaries.update((start, end))
-    for start, end in exclusions:
-        boundaries.update((start, end))
-    if eval_regions is not None:
-        for start, end in eval_regions:
-            boundaries.update((start, end))
-    edges = sorted(boundaries)
-
-    eval_starts = [iv[0] for iv in eval_regions] if eval_regions is not None else None
-
-    false_alarm = missed = confusion = total_speech = 0.0
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        if eval_regions is not None and not _covers(eval_regions, eval_starts, mid):
-            continue
-        if exclusions and _covers(exclusions, excl_starts, mid):
-            continue
-        d = b - a
-        active_ref = {s for s, tl in ref_tl.items() if _covers(tl, ref_starts[s], mid)}
-        active_hyp = {s for s, tl in hyp_tl.items() if _covers(tl, hyp_starts[s], mid)}
-        n_ref, n_hyp = len(active_ref), len(active_hyp)
-        n_correct = sum(1 for r in active_ref if mapping.get(r) in active_hyp)
-        missed += d * max(0, n_ref - n_hyp)
-        false_alarm += d * max(0, n_hyp - n_ref)
-        confusion += d * (min(n_ref, n_hyp) - n_correct)
-        total_speech += d * n_ref
+    sweep = _sweep(ref, hyp, collar, eval_regions)
+    rows, cols, mapping = _assign(sweep)
+    ref_active = sweep.ref_active[sweep.scored]
+    hyp_active = sweep.hyp_active[sweep.scored]
+    d = sweep.length[sweep.scored]
+    n_ref = ref_active.sum(axis=1)
+    n_hyp = hyp_active.sum(axis=1)
+    n_correct = (ref_active[:, rows] & hyp_active[:, cols]).sum(axis=1)
+    missed = float(d @ np.maximum(n_ref - n_hyp, 0))
+    false_alarm = float(d @ np.maximum(n_hyp - n_ref, 0))
+    confusion = float(d @ (np.minimum(n_ref, n_hyp) - n_correct))
+    total_speech = float(d @ n_ref)
 
     if total_speech == 0.0:
         if false_alarm > 0.0:

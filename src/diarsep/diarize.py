@@ -58,14 +58,19 @@ class Embedding(NamedTuple):
     source: tuple[int, int]  # (chunk index, local slot)
 
 
+def check_hop(window: float, hop: float) -> None:
+    """Raise ValueError unless 0 < hop <= window, so chunks tile without gaps."""
+    if not 0 < hop <= window:
+        raise ValueError(f"hop must satisfy 0 < hop <= window, got hop={hop} window={window}")
+
+
 def slide_chunks(total_duration: float, window: float = DEFAULT_WINDOW, hop: float = DEFAULT_HOP):
     """Chunk onsets/durations covering [0, total_duration].
 
     A file no longer than one window yields a single chunk; otherwise onsets
     advance by ``hop`` and trailing chunks shrink to fit.
     """
-    if hop <= 0 or hop > window:
-        raise ValueError(f"hop must satisfy 0 < hop <= window, got hop={hop} window={window}")
+    check_hop(window, hop)
     if total_duration < 0:
         raise ValueError(f"total_duration must be >= 0, got {total_duration}")
     if total_duration == 0:

@@ -119,6 +119,13 @@ def test_rejects_malformed_header(tmp_path):
         read_wav(truncated)
 
 
+def test_rejects_odd_data_size(tmp_path):
+    path = tmp_path / "odd.wav"
+    path.write_bytes(make_wav_bytes(struct.pack("<hhb", 1, 2, 3)) + b"\x00")  # pad byte
+    with pytest.raises(ValueError, match="odd data size 5"):
+        read_wav(path)
+
+
 def test_write_unwritable_path(tmp_path):
     with pytest.raises(OSError):
         write_wav(AudioBuffer(np.zeros(4, np.float32), 8000), tmp_path / "no_such_dir" / "f.wav")

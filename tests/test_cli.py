@@ -319,6 +319,34 @@ def test_config_file_sets_defaults_flags_override(tmp_path, capsys):
     assert overridden == strict
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    ref.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    hyp = tmp_path / "hyp.rttm"
+    hyp.write_text("SPEAKER rec 1 0.150 9.850 <NA> <NA> A <NA> <NA>\n")
+
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("colar=0.25\n")
+    code, out, err = run(capsys, "--config", str(typo), "score-der", str(ref), str(hyp))
+    assert code == 1 and out == ""
+    assert "colar" in err
+
+    # keys of other subcommands stay accepted, so one file serves several
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("collar=0.25\nhop=2.5\nstopband-db=60\n")
+    code, out, _ = run(capsys, "--config", str(shared), "score-der", str(ref), str(hyp), "--aggregate")
+    assert code == 0 and "DER 0.000%" in out
+
+
+def test_diarize_rejects_bad_hop(tmp_path, capsys):
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    base = ("diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec")
+    for extra in (("--hop", "0"), ("--hop", "-5"), ("--hop", "20", "--window", "10")):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 1 and out == ""
+        assert "0 < hop <= window" in err
+
+
 def test_stdout_deterministic_across_runs(tmp_path, capsys):
     scores_path, feats_path = diarize_fixtures(tmp_path)
     ref = tmp_path / "ref.rttm"

@@ -148,24 +148,32 @@ def test_label_renaming_invariance():
 
 def test_grid_oracle_equivalence():
     rng = np.random.default_rng(16)
+    # regions come from their own stream, so the pairs match the region-free draw
+    region_rng = np.random.default_rng(116)
     for i in range(30):
         ref = random_annotation(rng)
         hyp = perturbed_hypothesis(rng, ref) if i % 2 else random_annotation(rng)
         collar = 0.0 if i % 3 else 0.25
-        fa, md, sc, speech, der_pct, _ = grid_der(ref, hyp, collar=collar)
-        try:
-            report = compute_der(ref, hyp, collar=collar)
-        except ValueError:
-            # the collar excluded all reference speech; the grid must agree
-            assert speech <= 0.2e-3 * 2 * len(ref.segments)
-            continue
-        n_boundaries = 2 * (len(ref.segments) + len(hyp.segments))
-        tol = 0.2e-3 * n_boundaries
-        assert report.false_alarm == pytest.approx(fa, abs=tol)
-        assert report.missed == pytest.approx(md, abs=tol)
-        assert report.confusion == pytest.approx(sc, abs=tol)
-        assert report.total_speech == pytest.approx(speech, abs=tol)
-        assert report.der_pct == pytest.approx(der_pct, abs=0.1)
+        # 1-3 millisecond-aligned regions, unsorted and possibly overlapping
+        regions = []
+        for _ in range(int(region_rng.integers(1, 4))):
+            onset = round(float(region_rng.uniform(0.0, 50.0)), 3)
+            regions.append((onset, round(onset + float(region_rng.uniform(1.0, 30.0)), 3)))
+        for eval_regions in (None, regions):
+            fa, md, sc, speech, der_pct, _ = grid_der(ref, hyp, collar=collar, regions=eval_regions)
+            n_boundaries = 2 * (len(ref.segments) + len(hyp.segments) + len(eval_regions or ()))
+            tol = 0.2e-3 * n_boundaries
+            try:
+                report = compute_der(ref, hyp, collar=collar, eval_regions=eval_regions)
+            except ValueError:
+                # collar and regions excluded all reference speech; the grid must agree
+                assert speech <= 0.2e-3 * 2 * (len(ref.segments) + len(eval_regions or ()))
+                continue
+            assert report.false_alarm == pytest.approx(fa, abs=tol)
+            assert report.missed == pytest.approx(md, abs=tol)
+            assert report.confusion == pytest.approx(sc, abs=tol)
+            assert report.total_speech == pytest.approx(speech, abs=tol)
+            assert report.der_pct == pytest.approx(der_pct, abs=0.1)
 
 
 def test_eval_regions_restrict_scoring():
@@ -208,6 +216,10 @@ def test_empty_annotation_cases():
     report = compute_der(Annotation("u", ((0.0, 4.0, "A"),)), empty)
     assert report.missed == pytest.approx(4.0)
     assert report.der_pct == pytest.approx(100.0)
+    # an empty region list scores nothing and maps nothing
+    pair = Annotation("u", ((0.0, 4.0, "A"),)), Annotation("u", ((0.0, 4.0, "B"),))
+    assert optimal_mapping(*pair, []) == {}
+    assert compute_der(*pair, eval_regions=[]) == compute_der(empty, empty)
 
 
 def test_overlap_scoring():
