@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 input/validation error, 2 usage error. Results go to
 stdout, diagnostics to stderr. An optional ``--config FILE`` (key=value lines)
 sets flag defaults; explicit flags override the file. A key must name an
-option of some subcommand, so one file can serve several subcommands, but a
-misspelt key is an error rather than silently ignored.
+option of some subcommand, so one file can serve several, and its value is
+checked like that flag; a misspelt key or a bad value is an error.
 """
 
 import argparse
@@ -385,7 +385,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, registry
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> dict[str, str]:
     overrides = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -394,20 +394,43 @@ def _load_config(path: str) -> dict:
         if "=" not in stripped:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, _, value = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        for cast in (int, float):
-            try:
-                overrides[key] = cast(value)
-                break
-            except ValueError:
-                continue
-        else:
-            if value.lower() in ("true", "false"):
-                overrides[key] = value.lower() == "true"
-            else:
-                overrides[key] = value
+        overrides[key.strip().replace("-", "_")] = value.strip()
     return overrides
+
+
+def _config_value(parser: argparse.ArgumentParser, actions: list[argparse.Action], text: str):
+    """Convert ``text`` as ``parser`` converts the flags in ``actions`` (one dest).
+
+    A switch takes true/false (store_true) or one of its flags' constants.
+    """
+    if actions[0].nargs != 0:
+        try:
+            return parser._get_values(actions[0], [text])
+        except argparse.ArgumentError as exc:
+            raise ValueError(exc.message) from None
+    switch = actions[0].const is True  # store_true
+    values = {"true": True, "false": False} if switch else {a.const: a.const for a in actions}
+    choice = text.lower() if switch else text
+    if choice not in values:
+        raise ValueError(f"invalid value {text!r} (choose from {', '.join(values)})")
+    return values[choice]
+
+
+def _apply_config(path: str, parsers: list[argparse.ArgumentParser]) -> None:
+    """Set flag defaults from a config file; each parser with a key's option checks its value."""
+    overrides = _load_config(path)
+    flags = [[a for a in p._actions if a.option_strings and a.dest != "help"] for p in parsers]
+    unknown = sorted(set(overrides) - {a.dest for actions in flags for a in actions})
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    for p, actions in zip(parsers, flags):
+        for key, text in overrides.items():
+            named = [a for a in actions if a.dest == key]
+            if named:
+                try:
+                    p.set_defaults(**{key: _config_value(p, named, text)})
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {key}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -419,19 +442,7 @@ def main(argv=None) -> int:
     parser, registry = _build_parser()
     try:
         if known.config:
-            overrides = _load_config(known.config)
-            options = {
-                action.dest
-                for p in (parser, *registry.values())
-                for action in p._actions
-                if action.option_strings and action.dest != "help"
-            }
-            unknown = sorted(set(overrides) - options)
-            if unknown:
-                raise ValueError(f"{known.config}: unknown config key(s): {', '.join(unknown)}")
-            parser.set_defaults(**overrides)
-            for p in registry.values():
-                p.set_defaults(**overrides)
+            _apply_config(known.config, [parser, *registry.values()])
         args = parser.parse_args(rest)
     except SystemExit as exc:  # argparse usage errors (2) and --help (0)
         return int(exc.code or 0)

@@ -151,8 +151,8 @@ def compute_der(
     Raises ValueError when no reference speech is scored but hypothesis
     activity is; two empty annotations score 0.
     """
-    if collar < 0:
-        raise ValueError(f"collar must be >= 0, got {collar}")
+    if not 0 <= collar < np.inf:  # also false for nan
+        raise ValueError(f"collar must be finite and >= 0, got {collar}")
 
     sweep = _sweep(ref, hyp, collar, eval_regions)
     rows, cols, mapping = _assign(sweep)

@@ -114,47 +114,31 @@ def single_speaker_segments(
 def ahc_cluster(embeddings, threshold: float) -> list[int]:
     """Average-linkage agglomerative clustering on cosine distance.
 
-    Merges the closest cluster pair (ties: lexicographically smallest index
-    pair) while the minimum linkage stays within ``threshold``; labels are
-    0-based in order of first member appearance.
+    Merges cluster pairs while their linkage stays within ``threshold`` (a cut
+    of scipy's average-linkage tree; with exactly equal linkages, which pair
+    merges first is up to scipy's NN-chain order); labels are 0-based in order
+    of first member appearance.
     """
+    # imported here, not at module level: only diarize clusters
+    from scipy.cluster.hierarchy import fcluster, linkage
+
+    if math.isnan(threshold):
+        raise ValueError("AHC threshold must be a number, got nan")
     vectors = np.asarray([np.asarray(e, dtype=np.float64).reshape(-1) for e in embeddings])
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need at least one embedding")
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm embedding")
+    if vectors.shape[0] == 1:
+        return [0]
     unit = vectors / norms[:, None]
-    distances = 1.0 - unit @ unit.T
-
-    clusters: list[list[int]] = [[i] for i in range(vectors.shape[0])]
-    while len(clusters) > 1:
-        best = None
-        best_linkage = math.inf
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                linkage = float(np.mean(distances[np.ix_(clusters[i], clusters[j])]))
-                if linkage < best_linkage:
-                    best_linkage = linkage
-                    best = (i, j)
-        if best_linkage > threshold:
-            break
-        i, j = best
-        clusters[i].extend(clusters[j])
-        del clusters[j]
-
-    member_cluster = {}
-    for pos, members in enumerate(clusters):
-        for m in members:
-            member_cluster[m] = pos
-    labels = []
+    # rounding leaves duplicates near -1e-16, and fcluster rejects negative heights
+    distances = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    tree = linkage(distances[np.triu_indices(len(unit), 1)], method="average")
+    clusters = fcluster(tree, threshold, criterion="distance").tolist()
     relabel: dict[int, int] = {}
-    for idx in range(vectors.shape[0]):
-        pos = member_cluster[idx]
-        if pos not in relabel:
-            relabel[pos] = len(relabel)
-        labels.append(relabel[pos])
-    return labels
+    return [relabel.setdefault(c, len(relabel)) for c in clusters]
 
 
 def stitch(

@@ -1,6 +1,7 @@
-"""Independent brute-force oracles shared by the DER and acceptance tests."""
+"""Independent brute-force oracles shared by the DER, AHC and acceptance tests."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -115,3 +116,51 @@ def grid_der(ref: Annotation, hyp: Annotation, collar=0.0, regions=None, step=0.
     speech = float(n_ref.sum()) * step
     der_pct = 100.0 * (false_alarm + missed + confusion) / speech if speech else 0.0
     return false_alarm, missed, confusion, speech, der_pct, matched_frames * step
+
+
+def ahc_oracle(embeddings, threshold: float) -> list[int]:
+    """Greedy average-linkage agglomerative clustering on cosine distance.
+
+    The O(n^4) reference for ``diarsep.ahc_cluster``: every merge recomputes
+    every pairwise block mean. Merges the closest cluster pair (ties:
+    lexicographically smallest index pair) while the minimum linkage stays
+    within ``threshold``; labels are 0-based in order of first member
+    appearance.
+    """
+    vectors = np.asarray([np.asarray(e, dtype=np.float64).reshape(-1) for e in embeddings])
+    if vectors.ndim != 2 or vectors.shape[0] < 1:
+        raise ValueError("need at least one embedding")
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms == 0):
+        raise ValueError("zero-norm embedding")
+    unit = vectors / norms[:, None]
+    distances = 1.0 - unit @ unit.T
+
+    clusters: list[list[int]] = [[i] for i in range(vectors.shape[0])]
+    while len(clusters) > 1:
+        best = None
+        best_linkage = math.inf
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                linkage = float(np.mean(distances[np.ix_(clusters[i], clusters[j])]))
+                if linkage < best_linkage:
+                    best_linkage = linkage
+                    best = (i, j)
+        if best_linkage > threshold:
+            break
+        i, j = best
+        clusters[i].extend(clusters[j])
+        del clusters[j]
+
+    member_cluster = {}
+    for pos, members in enumerate(clusters):
+        for m in members:
+            member_cluster[m] = pos
+    labels = []
+    relabel: dict[int, int] = {}
+    for idx in range(vectors.shape[0]):
+        pos = member_cluster[idx]
+        if pos not in relabel:
+            relabel[pos] = len(relabel)
+        labels.append(relabel[pos])
+    return labels

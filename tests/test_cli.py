@@ -338,6 +338,54 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 0 and "DER 0.000%" in out
 
 
+def test_config_file_rejects_bad_values(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    ref.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    hyp = tmp_path / "hyp.rttm"
+    hyp.write_text(
+        "SPEAKER rec 1 0.300 9.700 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER rec 1 12.000 0.300 <NA> <NA> A <NA> <NA>\n"
+    )
+    _, uncollared, _ = run(capsys, "score-der", str(ref), str(hyp), "--aggregate")
+    assert "DER 6.000%" in uncollared
+
+    # format=xml used to print text; collar=true used to score with a 1 s collar
+    for line, key in (("format=xml", "format"), ("collar=true", "collar")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "--config", str(cfg), "score-der", str(ref), str(hyp))
+        assert code == 1 and out == ""
+        assert key in err
+
+    # a switch takes a true/false literal, checked whichever subcommand runs
+    cfg = tmp_path / "switch.cfg"
+    cfg.write_text("no_pit=true\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "score-der", str(ref), str(hyp), "--aggregate")
+    assert code == 0 and out == uncollared
+    cfg.write_text("no_pit=maybe\n")
+    code, out, err = run(capsys, "--config", str(cfg), "score-der", str(ref), str(hyp))
+    assert code == 1 and out == "" and "no_pit" in err
+
+
+def test_diarize_rejects_nan_threshold(tmp_path, capsys):
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    code, out, err = run(
+        capsys, "diarize", str(scores_path), "--features", str(feats_path),
+        "--ahc-threshold", "nan",
+    )
+    assert code == 1 and out == ""
+    assert "nan" in err
+
+
+def test_score_der_rejects_non_finite_collar(tmp_path, capsys):
+    rttm = tmp_path / "a.rttm"
+    rttm.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    for collar in ("nan", "inf"):
+        code, out, err = run(capsys, "score-der", str(rttm), str(rttm), "--collar", collar)
+        assert code == 1 and out == ""
+        assert "collar must be finite" in err
+
+
 def test_diarize_rejects_bad_hop(tmp_path, capsys):
     scores_path, feats_path = diarize_fixtures(tmp_path)
     base = ("diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec")

@@ -196,6 +196,13 @@ def test_collar_excludes_boundary_neighborhoods():
     assert collared.total_speech == pytest.approx(9.0)
 
 
+def test_non_finite_collar_rejected():
+    ref = Annotation("u", ((0.0, 10.0, "A"),))
+    for collar in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="collar must be finite and >= 0"):
+            compute_der(ref, ref, collar=collar)
+
+
 def test_removing_hypothesis_segment_never_decreases_missed():
     rng = np.random.default_rng(18)
     for _ in range(10):

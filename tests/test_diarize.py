@@ -13,6 +13,7 @@ from diarsep import (
     slide_chunks,
     stitch,
 )
+from oracles import ahc_oracle
 
 
 def test_slide_single_window():
@@ -131,6 +132,48 @@ def test_ahc_average_linkage_hand_case():
 def test_ahc_zero_norm_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
         ahc_cluster([np.zeros(3)], threshold=0.5)
+
+
+def test_ahc_linkage_equal_to_threshold_merges():
+    e1 = np.array([1.0, 0.0])
+    e2 = np.array([0.0, 1.0])  # cosine distance exactly 1
+    assert ahc_cluster([e1, e2], threshold=1.0) == [0, 0]
+    assert ahc_cluster([e1, e2], threshold=np.nextafter(1.0, 0.0)) == [0, 1]
+
+
+def test_ahc_nan_threshold_rejected():
+    vectors = [np.array([1.0, 0.0]), np.array([0.9, 0.1]), np.array([0.0, 1.0])]
+    with pytest.raises(ValueError, match="nan"):
+        ahc_cluster(vectors, threshold=float("nan"))
+
+
+def test_ahc_matches_oracle():
+    """Tree cut == greedy loop on clustered embeddings, with and without duplicates.
+
+    A case where an oracle merge height lies within 1e-9 of the threshold may
+    differ, because the two paths round the same linkage differently; it is
+    skipped, and at least 200 cases must match.
+    """
+    rng = np.random.default_rng(3)
+    thresholds = [0.0, *np.round(np.arange(0.1, 1.0, 0.1), 1), 2.0]
+    checked = 0
+    for case in range(220):
+        # the oracle is O(n^4): mostly small cases, every eighth up to n = 25
+        n = int(rng.integers(1, 26 if case % 8 == 0 else 13))
+        dim = int(rng.integers(2, 17))
+        centers = rng.standard_normal((int(rng.integers(1, 6)), dim))
+        vectors = centers[rng.integers(0, len(centers), n)]
+        vectors = vectors + rng.uniform(0.05, 1.0) * rng.standard_normal((n, dim))
+        if case % 3 == 0:  # exact duplicate rows: zero-distance ties
+            copies = int(rng.integers(1, n + 1))
+            vectors[rng.integers(0, n, copies)] = vectors[rng.integers(0, n, copies)]
+        threshold = float(thresholds[case % len(thresholds)])
+        if ahc_cluster(vectors, threshold) != ahc_oracle(vectors, threshold):
+            # only allowed where some oracle merge height lies within 1e-9 of the threshold
+            assert ahc_oracle(vectors, threshold - 1e-9) != ahc_oracle(vectors, threshold + 1e-9), case
+            continue
+        checked += 1
+    assert checked >= 200
 
 
 def test_stitch_single_chunk_identity():
