@@ -6,6 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# KSDATAFORMAT_SUBTYPE_PCM, 00000001-0000-0010-8000-00aa00389b71, in file byte order
+PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
+
 
 @dataclass(frozen=True)
 class AudioBuffer:
@@ -37,6 +42,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     """Read a mono 16-bit PCM RIFF/WAVE file.
 
     Samples are scaled by 1/32768, so the int16 range maps into [-1, 1).
+    WAVE_FORMAT_EXTENSIBLE counts as PCM when its fmt chunk has the full 40
+    bytes and its SubFormat GUID is KSDATAFORMAT_SUBTYPE_PCM.
     Raises ValueError with a distinct message for malformed headers, an
     odd-sized data chunk, multichannel audio, and non-PCM16 encodings.
     """
@@ -57,6 +64,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
             if size < 16:
                 raise ValueError(f"{path}: malformed WAV, fmt chunk too short")
             fmt = struct.unpack_from("<HHIIHH", body)
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE and body[24:40] == PCM_SUBFORMAT:
+                fmt = (WAVE_FORMAT_PCM,) + fmt[1:]
         elif chunk_id == b"data":
             data = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -66,7 +75,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if n_channels != 1:
         raise ValueError(f"{path}: expected mono audio, got {n_channels} channels")
-    if audio_format != 1 or bits != 16:
+    if audio_format != WAVE_FORMAT_PCM or bits != 16:
         raise ValueError(
             f"{path}: expected 16-bit PCM encoding, got format {audio_format} "
             f"with {bits}-bit samples"

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .annotation import Annotation
 
@@ -104,6 +103,9 @@ def _assign(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
     Solved as an optimal assignment on the ref x hyp matrix of region-cropped,
     uncollared co-active seconds; pairs with zero matched time are dropped.
     """
+    # imported here, not at module level: only DER scoring solves assignments
+    from scipy.optimize import linear_sum_assignment
+
     weighted = sweep.ref_active * (sweep.length * sweep.in_region)[:, None]
     # summed over the active (interval, hyp speaker) cells only, so no dense
     # float copy of the hyp mask is made when the hypothesis has many labels

@@ -64,6 +64,11 @@ def check_hop(window: float, hop: float) -> None:
         raise ValueError(f"hop must satisfy 0 < hop <= window, got hop={hop} window={window}")
 
 
+def _check_threshold(threshold: float) -> None:
+    if math.isnan(threshold):
+        raise ValueError("AHC threshold must be a number, got nan")
+
+
 def slide_chunks(total_duration: float, window: float = DEFAULT_WINDOW, hop: float = DEFAULT_HOP):
     """Chunk onsets/durations covering [0, total_duration].
 
@@ -119,11 +124,10 @@ def ahc_cluster(embeddings, threshold: float) -> list[int]:
     merges first is up to scipy's NN-chain order); labels are 0-based in order
     of first member appearance.
     """
+    _check_threshold(threshold)
     # imported here, not at module level: only diarize clusters
     from scipy.cluster.hierarchy import fcluster, linkage
 
-    if math.isnan(threshold):
-        raise ValueError("AHC threshold must be a number, got nan")
     vectors = np.asarray([np.asarray(e, dtype=np.float64).reshape(-1) for e in embeddings])
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need at least one embedding")
@@ -261,7 +265,9 @@ def diarize_file(
     Embeddings come either from a provided (chunk, slot) -> vector map or from
     mean-pooling the per-chunk feature matrices. Deterministic for fixed
     inputs; chunk labels are spk0, spk1, ... in order of first appearance.
+    A NaN ``ahc_threshold`` is rejected even when nothing is left to cluster.
     """
+    _check_threshold(ahc_threshold)
     if not chunks:
         return Annotation(uri, ())
     rates = {chunk.frame_rate for chunk in chunks}

@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin, kaiser_beta, upfirdn
 
 from .audio import AudioBuffer
 
@@ -47,11 +46,12 @@ def design_kaiser_sinc(
     """Design the Kaiser-windowed sinc filter for one conversion direction.
 
     The sinc prototype cutoff is 0.5 * (1 - transition_frac) * min(fs_in, fs_out)
-    Hz, the Kaiser shape follows beta = 0.1102 * (A - 8.7) for A > 50 dB, and
+    Hz, the Kaiser shape follows beta = 0.1102 * (A - 8.7) for A > 50 dB and
+    beta = 0.5842 * (A - 21)^0.4 + 0.07886 * (A - 21) for 40 <= A <= 50 dB, and
     the tap count is ceil((A - 7.95) / (2.285 * dw)) rounded up to odd with
-    dw = transition_frac * pi at the lower rate. Taps are scaled by the
-    interpolation ratio (2 when upsampling, 1 otherwise) so the DC gain
-    matches the ratio.
+    dw = transition_frac * pi at the lower rate. The windowed sinc is scaled
+    to unit DC gain, then by the interpolation ratio (2 when upsampling, 1
+    otherwise) so the DC gain matches the ratio.
     """
     if fs_in not in SUPPORTED_RATES or fs_out not in SUPPORTED_RATES:
         raise ValueError(f"unsupported rate pair ({fs_in}, {fs_out}); rates must be in {SUPPORTED_RATES}")
@@ -62,16 +62,20 @@ def design_kaiser_sinc(
 
     lower = min(fs_in, fs_out)
     higher = max(fs_in, fs_out)
-    beta = kaiser_beta(stopband_db)
+    if stopband_db > 50:
+        beta = 0.1102 * (stopband_db - 8.7)
+    else:
+        beta = 0.5842 * (stopband_db - 21) ** 0.4 + 0.07886 * (stopband_db - 21)
     delta_omega = transition_frac * math.pi
     n_taps = math.ceil((stopband_db - 7.95) / (2.285 * delta_omega))
     if n_taps % 2 == 0:
         n_taps += 1
     cutoff_hz = 0.5 * (1.0 - transition_frac) * lower
 
-    taps = firwin(n_taps, cutoff_hz, window=("kaiser", beta), fs=higher)
+    m = np.arange(n_taps) - (n_taps - 1) / 2
+    taps = np.sinc(2.0 * cutoff_hz / higher * m) * np.kaiser(n_taps, beta)
     ratio = 2.0 if fs_out > fs_in else 1.0
-    taps = taps * ratio
+    taps = taps / taps.sum() * ratio
     taps = 0.5 * (taps + taps[::-1])  # force bit-exact symmetry
     return FirFilter(taps.astype(np.float32), cutoff_hz / higher, float(stopband_db))
 
@@ -95,21 +99,23 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
         fir = design_kaiser_sinc(fs_in, fs_out)
 
     h = fir.taps.astype(np.float64)
-    x = audio.samples.astype(np.float64)
-    n = x.size
     delay = (h.size - 1) // 2
-
+    # Polyphase: each output sample is one np.convolve phase of the even or
+    # the odd taps; the phase and offset follow from the group delay.
     if fs_out > fs_in:
-        n_out = 2 * n
-        y = upfirdn(h, x, up=2, down=1)[delay : delay + n_out]
+        # output 2i + r = convolve(x, h[p::2])[i + s] with delay + r = 2s + p
+        x = audio.samples.astype(np.float64)
+        y = np.empty(2 * x.size)
+        for r in (0, 1):
+            s, p = divmod(delay + r, 2)
+            y[r::2] = np.convolve(x, h[p::2])[s : s + x.size]
     else:
-        n_out = (n + 1) // 2  # round(n / 2), halves up
-        if delay % 2:
-            # shift by one input sample so the compensated index lands on the
-            # decimated phase
-            x = np.concatenate([[0.0], x])
-            delay += 1
-        y = upfirdn(h, x, up=1, down=2)[delay // 2 : delay // 2 + n_out]
-    if y.size < n_out:
-        y = np.pad(y, (0, n_out - y.size))
+        # output i = sum over p of convolve(x[q::2], h[p::2])[i + s] with
+        # delay - p = 2s + q; the odd input phase is empty for a 1-sample input
+        y = np.zeros((len(audio) + 1) // 2)  # round(n / 2), halves up
+        for p in (0, 1):
+            s, q = divmod(delay - p, 2)
+            x = audio.samples[q::2].astype(np.float64)
+            if x.size:
+                y += np.convolve(x, h[p::2])[s : s + y.size]
     return AudioBuffer(y.astype(np.float32), fs_out)

@@ -4,7 +4,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .audio import AudioBuffer
 
@@ -131,6 +130,9 @@ def pit(refs, ests, metric: str = "si_sdr", method: str = "auto") -> tuple[tuple
                 best_score = score
                 best_perm = perm
     elif method == "hungarian":
+        # imported here, not at module level: only the assignment path of PIT needs it
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(selectable, maximize=True)
         best_perm = tuple(int(c) for c in cols[np.argsort(rows)])
     else:

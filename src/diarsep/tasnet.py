@@ -8,7 +8,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .audio import AudioBuffer
 from .features import FeatureMatrix, FeatureStack
@@ -133,6 +132,9 @@ def mirrored_dct_basis(kernel_len: int, stride: int | None = None, nonlinearity:
     synthesis^T @ relu(analysis @ x) reconstructs x exactly; handy for
     deterministic oracle-mask experiments.
     """
+    # imported here, not at module level: only this basis needs a DCT
+    from scipy.fft import dct
+
     q = dct(np.eye(kernel_len), norm="ortho", axis=0)
     bank = np.vstack([q, -q])
     return EncoderBasis(bank, bank, kernel_len if stride is None else stride, nonlinearity)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from diarsep import Annotation
+from diarsep import Annotation, AudioBuffer, FirFilter
 
 
 def random_annotation(rng, uri="u", max_speakers=5, max_segments=20, max_time=60.0):
@@ -164,3 +164,38 @@ def ahc_oracle(embeddings, threshold: float) -> list[int]:
             relabel[pos] = len(relabel)
         labels.append(relabel[pos])
     return labels
+
+
+def resample_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuffer:
+    """Reference 1:2 / 2:1 resampler: scipy's upfirdn on the full tap set.
+
+    Same contract as ``diarsep.resample`` (group-delay compensated, output
+    length round(len * fs_out / fs_in) with halves up), computed by the
+    direct upsample-filter-downsample routine the two-phase np.convolve
+    implementation replaced.
+    """
+    from scipy.signal import upfirdn  # only the oracle needs scipy.signal
+
+    fs_in = audio.sample_rate
+    if len(audio) == 0:
+        return AudioBuffer(np.zeros(0, dtype=np.float32), fs_out)
+
+    h = fir.taps.astype(np.float64)
+    x = audio.samples.astype(np.float64)
+    n = x.size
+    delay = (h.size - 1) // 2
+
+    if fs_out > fs_in:
+        n_out = 2 * n
+        y = upfirdn(h, x, up=2, down=1)[delay : delay + n_out]
+    else:
+        n_out = (n + 1) // 2  # round(n / 2), halves up
+        if delay % 2:
+            # shift by one input sample so the compensated index lands on the
+            # decimated phase
+            x = np.concatenate([[0.0], x])
+            delay += 1
+        y = upfirdn(h, x, up=1, down=2)[delay // 2 : delay // 2 + n_out]
+    if y.size < n_out:
+        y = np.pad(y, (0, n_out - y.size))
+    return AudioBuffer(y.astype(np.float32), fs_out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diarsep import AudioBuffer, read_wav, write_wav
+from diarsep.audio import PCM_SUBFORMAT
 
 
 def make_wav_bytes(pcm_bytes, n_channels=1, rate=8000, audio_format=1, bits=16):
@@ -24,6 +25,18 @@ def make_wav_bytes(pcm_bytes, n_channels=1, rate=8000, audio_format=1, bits=16):
         len(pcm_bytes),
     )
     return header + pcm_bytes
+
+
+def make_extensible_wav_bytes(pcm_bytes, subformat=PCM_SUBFORMAT, fmt_size=40, rate=16000):
+    """Mono 16-bit WAVE_FORMAT_EXTENSIBLE file; fmt_size < 40 truncates the extension."""
+    fmt = struct.pack("<HHIIHHHHI16s", 0xFFFE, 1, rate, rate * 2, 2, 16, 22, 16, 0x4, subformat)
+    fmt = fmt[:fmt_size]
+    return (
+        struct.pack("<4sI4s4sI", b"RIFF", 4 + 8 + len(fmt) + 8 + len(pcm_bytes), b"WAVE", b"fmt ", len(fmt))
+        + fmt
+        + struct.pack("<4sI", b"data", len(pcm_bytes))
+        + pcm_bytes
+    )
 
 
 def test_read_silence(tmp_path):
@@ -105,6 +118,26 @@ def test_rejects_non_pcm16(tmp_path):
     path8.write_bytes(make_wav_bytes(b"\x80", bits=8))
     with pytest.raises(ValueError, match="16-bit PCM"):
         read_wav(path8)
+
+
+def test_reads_extensible_pcm16(tmp_path):
+    path = tmp_path / "ext.wav"
+    path.write_bytes(make_extensible_wav_bytes(struct.pack("<hhh", 16384, -32768, 0)))
+    buf = read_wav(path)
+    assert buf.sample_rate == 16000
+    assert np.array_equal(buf.samples, np.array([0.5, -1.0, 0.0], np.float32))
+
+
+def test_rejects_extensible_other_subformat_or_short_fmt(tmp_path):
+    path = tmp_path / "ext.wav"
+    ieee_float = b"\x03\x00" + PCM_SUBFORMAT[2:]
+    path.write_bytes(make_extensible_wav_bytes(struct.pack("<h", 1), subformat=ieee_float))
+    with pytest.raises(ValueError, match="16-bit PCM"):
+        read_wav(path)
+    for fmt_size in (16, 18, 24, 38):
+        path.write_bytes(make_extensible_wav_bytes(struct.pack("<h", 1), fmt_size=fmt_size))
+        with pytest.raises(ValueError, match="16-bit PCM"):
+            read_wav(path)
 
 
 def test_rejects_malformed_header(tmp_path):

@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import diarsep
 from diarsep import (
     AudioBuffer,
     FeatureStack,
@@ -176,6 +181,29 @@ def test_resample_command(tmp_path, capsys):
     assert "8000 Hz -> 8000 samples @ 16000 Hz" in out
     assert read_wav(dst).sample_rate == 16000
     assert len(read_wav(dst)) == 8000
+
+
+def test_resample_command_imports_no_scipy(tmp_path):
+    # a fresh interpreter, since this one has scipy loaded by other tests
+    src = tmp_path / "in.wav"
+    write_sine(src, 1000, rate=8000, seconds=0.1)
+    script = (
+        "import sys\n"
+        "import diarsep, diarsep.cli\n"
+        f"code = diarsep.cli.main(['resample', {str(src)!r}, {str(tmp_path / 'out.wav')!r}, '--rate', '16000'])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_powerset_command(capsys):
@@ -369,12 +397,17 @@ def test_config_file_rejects_bad_values(tmp_path, capsys):
 
 def test_diarize_rejects_nan_threshold(tmp_path, capsys):
     scores_path, feats_path = diarize_fixtures(tmp_path)
-    code, out, err = run(
-        capsys, "diarize", str(scores_path), "--features", str(feats_path),
-        "--ahc-threshold", "nan",
-    )
-    assert code == 1 and out == ""
-    assert "nan" in err
+    # all-silent scores: nothing to cluster, and still an error
+    silent_path = tmp_path / "silent.sslf"
+    write_feature_stack(FeatureStack(np.zeros((2, 500, 3), np.float32), 50.0), silent_path)
+    assert run(capsys, "diarize", str(silent_path), "--features", str(feats_path)) == (0, "", "")
+    for scores in (scores_path, silent_path):
+        code, out, err = run(
+            capsys, "diarize", str(scores), "--features", str(feats_path),
+            "--ahc-threshold", "nan",
+        )
+        assert code == 1 and out == ""
+        assert "nan" in err
 
 
 def test_score_der_rejects_non_finite_collar(tmp_path, capsys):

@@ -333,6 +333,14 @@ def test_diarize_empty_chunks():
     assert diarize_file([silent], [feats], uri="u").segments == ()
 
 
+def test_diarize_nan_threshold_rejected_without_embeddings():
+    silent = make_chunk(0.0, np.zeros((500, 2), np.int8))
+    feats = FeatureMatrix(np.ones((500, 4), np.float32), 50.0)
+    for chunks, features in (([], None), ([silent], [feats])):
+        with pytest.raises(ValueError, match="nan"):
+            diarize_file(chunks, features, uri="u", ahc_threshold=float("nan"))
+
+
 def test_pooled_embeddings_overlap_only_slot_falls_back():
     # slot 1 is never alone: embeddings still produced from its active frames
     activity = np.zeros((500, 2), np.int8)

@@ -3,6 +3,7 @@ import pytest
 from scipy.signal import firwin
 
 from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample
+from oracles import resample_oracle
 
 
 def snr_db(ref, est):
@@ -147,3 +148,19 @@ def test_tone_frequency_preserved():
     down = resample(up, 8000)
     peak_back = np.argmax(np.abs(np.fft.rfft(down.samples)))
     assert peak_back * 8000 / len(down) == 700.0
+
+
+def test_resample_matches_upfirdn_oracle():
+    rng = np.random.default_rng(5)
+    lengths = list(range(8)) + [100, 101, 1001, 4001]
+    for stopband_db in (40.0, 45.0, 60.0, 80.0, 100.0):
+        for transition_frac in (0.02, 0.05, 0.2):
+            for fs_in, fs_out in ((8000, 16000), (16000, 8000)):
+                fir = design_kaiser_sinc(fs_in, fs_out, stopband_db, transition_frac)
+                for n in lengths:
+                    buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
+                    got = resample(buf, fs_out, fir)
+                    want = resample_oracle(buf, fs_out, fir)
+                    assert got.sample_rate == want.sample_rate == fs_out
+                    assert len(got) == len(want)
+                    np.testing.assert_allclose(got.samples, want.samples, rtol=0, atol=1e-6)
