@@ -100,6 +100,9 @@ def _cmd_separate_oracle(args) -> int:
     rates = {s.sample_rate for s in sources}
     if len(rates) != 1:
         raise ValueError(f"sources disagree on sample rate: {sorted(rates)}")
+    lengths = {len(s) for s in sources}
+    if len(lengths) != 1:
+        raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")
     mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), rates.pop())
 
     if args.basis:
@@ -262,6 +265,9 @@ def _cmd_score_der(args) -> int:
 
 
 def _cmd_score_sdr(args) -> int:
+    # "not > 0" also catches NaN, which min/max in _fmt_db would pass through unnoticed
+    if args.cap_db is not None and not args.cap_db > 0:
+        raise ValueError(f"--cap-db must be positive (inf for no cap), got {args.cap_db}")
     refs = [read_wav(p) for p in args.refs]
     ests = [read_wav(p) for p in args.ests]
     mixture = read_wav(args.mix)
@@ -378,7 +384,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--mix", required=True, help="mixture WAV (improvement baseline)")
     p.add_argument("--metric", choices=("sdr", "si-sdr"), default="sdr", help="pairwise metric")
     p.add_argument("--no-pit", action="store_true", help="score in file order, no permutation search")
-    p.add_argument("--cap-db", type=float, default=None, help="cap reported values at +-CAP dB")
+    p.add_argument("--cap-db", type=float, default=None, help="cap reported values at +-CAP dB (CAP > 0)")
     p.add_argument("--format", choices=("text", "csv"), default="text", help="output format")
     p.set_defaults(func=_cmd_score_sdr)
 

@@ -40,8 +40,10 @@ def sdr(ref, est) -> float:
 
     A zero residual yields +inf; an all-zero reference is an error.
     """
-    s = _signal(ref)
-    s_hat = _signal(est)
+    return _sdr(_signal(ref), _signal(est))
+
+
+def _sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
     _check_pair(s, s_hat)
     ref_energy = float(np.dot(s, s))
     if ref_energy == 0.0:
@@ -59,8 +61,10 @@ def si_sdr(ref, est) -> float:
     s_t = (<s_hat, s> / ||s||^2) * s; returns 10*log10(||s_t||^2 / ||s_hat - s_t||^2).
     An estimate orthogonal to the reference yields -inf, a zero residual +inf.
     """
-    s = _signal(ref)
-    s_hat = _signal(est)
+    return _si_sdr(_signal(ref), _signal(est))
+
+
+def _si_sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
     _check_pair(s, s_hat)
     ref_energy = float(np.dot(s, s))
     if ref_energy == 0.0:
@@ -77,7 +81,8 @@ def si_sdr(ref, est) -> float:
     return 10.0 * np.log10(target_energy / res_energy)
 
 
-_METRIC_FNS = {"sdr": sdr, "si_sdr": si_sdr}
+# metric name -> function of two float64 signals
+_METRIC_FNS = {"sdr": _sdr, "si_sdr": _si_sdr}
 
 
 def _metric_fn(metric: str):
@@ -85,6 +90,27 @@ def _metric_fn(metric: str):
         return _METRIC_FNS[_METRIC_ALIASES[metric]]
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}; expected 'sdr' or 'si_sdr'") from None
+
+
+def _score_matrix(refs, ests, metric: str, full: bool = True):
+    """Returns (metric fn, float64 references, scores) with scores[i, j] = metric(refs[i], ests[j]).
+
+    Every signal is converted to float64 once. With ``full`` False only the
+    diagonal is scored and the other entries are NaN.
+    """
+    if len(refs) != len(ests):
+        raise ValueError(f"count mismatch: {len(refs)} references vs {len(ests)} estimates")
+    if not refs:
+        raise ValueError("need at least one source")
+    fn = _metric_fn(metric)
+    refs = [_signal(r) for r in refs]
+    ests = [_signal(e) for e in ests]
+    n = len(refs)
+    scores = np.full((n, n), np.nan)
+    for i in range(n):
+        for j in range(n) if full else (i,):
+            scores[i, j] = fn(refs[i], ests[j])
+    return fn, refs, scores
 
 
 def _finite(matrix: np.ndarray) -> np.ndarray:
@@ -110,15 +136,14 @@ def pit(refs, ests, metric: str = "si_sdr", method: str = "auto") -> tuple[tuple
     deterministic but unspecified among equal optima). Returns
     (permutation, mean score) where ests[permutation[i]] matches refs[i].
     """
-    if len(refs) != len(ests):
-        raise ValueError(f"count mismatch: {len(refs)} references vs {len(ests)} estimates")
-    if not refs:
-        raise ValueError("need at least one source")
-    fn = _metric_fn(metric)
-    n = len(refs)
-    matrix = np.array([[fn(r, e) for e in ests] for r in refs])
-    selectable = _finite(matrix)
+    scores = _score_matrix(refs, ests, metric)[2]
+    perm = _best_permutation(scores, method)
+    return perm, _mean_db(scores[np.arange(len(perm)), perm])
 
+
+def _best_permutation(scores: np.ndarray, method: str) -> tuple[int, ...]:
+    n = len(scores)
+    selectable = _finite(scores)
     if method == "auto":
         method = "exhaustive" if n <= EXHAUSTIVE_MAX_SOURCES else "hungarian"
     if method == "exhaustive":
@@ -137,8 +162,7 @@ def pit(refs, ests, metric: str = "si_sdr", method: str = "auto") -> tuple[tuple
         best_perm = tuple(int(c) for c in cols[np.argsort(rows)])
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    return tuple(best_perm), _mean_db(matrix[np.arange(n), best_perm])
+    return tuple(best_perm)
 
 
 def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = True) -> SepReport:
@@ -149,16 +173,12 @@ def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = Tr
     metric(ref_i, est_perm(i)) - metric(ref_i, mixture); matching infinities
     cancel to 0.
     """
-    if len(refs) != len(ests):
-        raise ValueError(f"count mismatch: {len(refs)} references vs {len(ests)} estimates")
-    if not refs:
-        raise ValueError("need at least one source")
-    fn = _metric_fn(metric)
-    n = len(refs)
-    perm = pit(refs, ests, metric)[0] if permute else tuple(range(n))
-
-    per_sdr = [fn(refs[i], ests[perm[i]]) for i in range(n)]
-    baseline = [fn(refs[i], mixture) for i in range(n)]
+    fn, signals, scores = _score_matrix(refs, ests, metric, full=permute)
+    n = len(signals)
+    perm = _best_permutation(scores, "auto") if permute else tuple(range(n))
+    per_sdr = [float(scores[i, perm[i]]) for i in range(n)]
+    mix = _signal(mixture)
+    baseline = [fn(signals[i], mix) for i in range(n)]
     per_sdri = [0.0 if a == b and np.isinf(a) else a - b for a, b in zip(per_sdr, baseline)]
     return SepReport(
         tuple(per_sdr),

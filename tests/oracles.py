@@ -1,11 +1,14 @@
-"""Independent brute-force oracles shared by the DER, AHC and acceptance tests."""
+"""Independent brute-force oracles shared by the DER, AHC, resampling, TasNet and acceptance tests."""
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from diarsep import Annotation, AudioBuffer, FirFilter
+from diarsep import Annotation, AudioBuffer, EncoderBasis, FeatureMatrix, FirFilter
+from diarsep.tasnet import DEFAULT_EPS, apply_masks
 
 
 def random_annotation(rng, uri="u", max_speakers=5, max_segments=20, max_time=60.0):
@@ -199,3 +202,49 @@ def resample_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuf
     if y.size < n_out:
         y = np.pad(y, (0, n_out - y.size))
     return AudioBuffer(y.astype(np.float32), fs_out)
+
+
+def encode_oracle(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
+    """Reference TasNet encoder: one float64 matmul over every frame at once.
+
+    Same contract as ``diarsep.tasnet.encode``, which computes the same
+    per-element arithmetic in blocks of frames.
+    """
+    x = audio.samples
+    if x.size < basis.kernel_len:
+        raise ValueError(f"audio ({x.size} samples) shorter than one kernel ({basis.kernel_len})")
+    frames = sliding_window_view(x, basis.kernel_len)[:: basis.stride]
+    latent = frames.astype(np.float64) @ basis.analysis.T.astype(np.float64)
+    if basis.nonlinearity == "relu":
+        latent = np.maximum(latent, 0.0)
+    return FeatureMatrix(latent.astype(np.float32), audio.sample_rate / basis.stride)
+
+
+def decode_oracle(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
+    """Reference TasNet decoder: whole-array float64 synthesis, then overlap-add."""
+    frames = latent.data.astype(np.float64) @ basis.synthesis.astype(np.float64)
+    n_frames = latent.n_frames
+    out = np.zeros((n_frames - 1) * basis.stride + basis.kernel_len, dtype=np.float64)
+    for k in range(basis.kernel_len):
+        out[k : k + n_frames * basis.stride : basis.stride] += frames[:, k]
+    sample_rate = round(latent.frame_rate * basis.stride)
+    return AudioBuffer(out.astype(np.float32), sample_rate)
+
+
+def oracle_masks_oracle(sources: list[AudioBuffer], basis: EncoderBasis, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """Reference ratio masks from whole-array float64 copies of every source encoding."""
+    if not sources:
+        raise ValueError("need at least one source")
+    lengths = {len(s) for s in sources}
+    if len(lengths) != 1:
+        raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")
+    relu_basis = replace(basis, nonlinearity="relu")
+    encodings = np.stack([encode_oracle(s, relu_basis).data.astype(np.float64) for s in sources])
+    denom = encodings.sum(axis=0) + eps
+    return np.clip(encodings / denom, 0.0, 1.0).astype(np.float32)
+
+
+def separate_oracle(mixture: AudioBuffer, masks, basis: EncoderBasis) -> list[AudioBuffer]:
+    """Reference separation: encode the whole mixture, mask it, decode each source."""
+    latent = encode_oracle(mixture, basis)
+    return [decode_oracle(masked, basis) for masked in apply_masks(latent, masks)]

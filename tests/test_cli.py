@@ -172,6 +172,36 @@ def test_score_sdr_cap_and_csv_and_no_pit(tmp_path, capsys):
     assert "permutation: 0,1" in out
 
 
+def test_score_sdr_rejects_bad_cap(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    r1 = rng.uniform(-0.4, 0.4, 2000).astype(np.float32)
+    r2 = rng.uniform(-0.4, 0.4, 2000).astype(np.float32)
+    files = {}
+    for name, data in (("r1", r1), ("r2", r2), ("e1", r1 + 0.1 * r2), ("mix", r1 + r2)):
+        files[name] = tmp_path / f"{name}.wav"
+        write_wav(AudioBuffer(data, 8000), files[name])
+    base = [
+        "score-sdr",
+        "--refs", str(files["r1"]), str(files["r2"]),
+        "--ests", str(files["e1"]), str(files["r2"]),
+        "--mix", str(files["mix"]),
+    ]
+    for cap in ("-5", "0", "nan"):
+        code, out, err = run(capsys, *base, "--cap-db", cap)
+        assert (code, out) == (1, "")
+        assert "--cap-db must be positive" in err
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(f"cap_db={cap}\n")
+        code, out, err = run(capsys, "--config", str(cfg), *base)
+        assert (code, out) == (1, "")
+        assert "--cap-db must be positive" in err
+
+    code, uncapped, _ = run(capsys, *base)
+    assert code == 0 and "+inf" in uncapped
+    code, out, _ = run(capsys, *base, "--cap-db", "inf")
+    assert (code, out) == (0, uncapped)
+
+
 def test_resample_command(tmp_path, capsys):
     src = tmp_path / "in.wav"
     dst = tmp_path / "out.wav"
@@ -276,6 +306,24 @@ def test_separate_oracle_command(tmp_path, capsys):
         "--seed", "7",
     )
     assert code == 0
+
+
+def test_separate_oracle_rejects_unequal_lengths(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    paths = []
+    for i, n in enumerate((1600, 1700)):
+        paths.append(tmp_path / f"s{i}.wav")
+        write_wav(AudioBuffer(rng.uniform(-0.4, 0.4, n).astype(np.float32), 8000), paths[-1])
+    code, out, err = run(
+        capsys,
+        "separate-oracle",
+        "--sources", *map(str, paths),
+        "--output-dir", str(tmp_path / "est"),
+        "--seed", "7",
+    )
+    assert (code, out) == (1, "")
+    assert "sources must have equal lengths, got [1600, 1700]" in err
+    assert not (tmp_path / "est").exists()
 
 
 def diarize_fixtures(tmp_path):

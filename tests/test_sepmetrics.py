@@ -181,3 +181,20 @@ def test_report_permutation_is_bijection():
     report = sdr_improvement(refs, ests, mixture)
     assert sorted(report.permutation) == [0, 1, 2, 3]
     assert report.mean_sdr == pytest.approx(np.mean(report.per_source_sdr))
+
+
+def test_sdr_improvement_equals_pairwise_metric_with_and_without_pit():
+    rng = np.random.default_rng(12)
+    refs = [AudioBuffer(rng.uniform(-0.4, 0.4, 256).astype(np.float32), 8000) for _ in range(3)]
+    mixture = AudioBuffer(np.sum([r.samples for r in refs], axis=0), 8000)
+    ests = [AudioBuffer(refs[i].samples + 0.2 * mixture.samples, 8000) for i in (2, 0, 1)]
+    for metric, fn in (("sdr", sdr), ("si_sdr", si_sdr)):
+        for permute in (True, False):
+            report = sdr_improvement(refs, ests, mixture, metric=metric, permute=permute)
+            perm = pit(refs, ests, metric)[0] if permute else (0, 1, 2)
+            assert report.permutation == perm
+            assert report.per_source_sdr == tuple(fn(refs[i], ests[perm[i]]) for i in range(3))
+            assert report.per_source_sdri == tuple(
+                fn(refs[i], ests[perm[i]]) - fn(refs[i], mixture) for i in range(3)
+            )
+        assert sdr_improvement(refs, ests, mixture, metric=metric).permutation == (1, 2, 0)

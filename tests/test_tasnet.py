@@ -1,9 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.fft import dct
 
 from diarsep import AudioBuffer, EncoderBasis, mirrored_dct_basis, oracle_masks, random_basis, si_sdr
-from diarsep.tasnet import apply_masks, basis_from_stack, basis_to_stack, decode, encode, separate_with_masks
+from diarsep.tasnet import (
+    BLOCK_FRAMES,
+    _frame_blocks,
+    apply_masks,
+    basis_from_stack,
+    basis_to_stack,
+    decode,
+    encode,
+    separate_with_masks,
+)
+from oracles import decode_oracle, encode_oracle, oracle_masks_oracle, separate_oracle
 
 
 def ortho_basis(kernel_len, nonlinearity="linear"):
@@ -210,3 +222,93 @@ def test_random_basis_is_seed_deterministic():
     c = random_basis(8, 16, 8, seed=100)
     assert np.array_equal(a.analysis, b.analysis)
     assert not np.array_equal(a.analysis, c.analysis)
+
+
+BLOCKWISE_BASES = {
+    "random": lambda nl: random_basis(128, 16, 8, seed=13, nonlinearity=nl),
+    "stride-5": lambda nl: random_basis(24, 16, 5, seed=14, nonlinearity=nl),
+    "mirrored-dct": lambda nl: mirrored_dct_basis(8, 4, nonlinearity=nl),
+}
+
+
+@pytest.mark.parametrize("n_frames", [1, BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 2 * BLOCK_FRAMES + 3])
+@pytest.mark.parametrize("kind", sorted(BLOCKWISE_BASES))
+@pytest.mark.parametrize("nonlinearity", ["relu", "linear"])
+def test_blockwise_equals_whole_array_oracles(n_frames, kind, nonlinearity):
+    basis = BLOCKWISE_BASES[kind](nonlinearity)
+    rng = np.random.default_rng(n_frames)
+    # a few spare samples, fewer than one hop, so the frame count is floored
+    n = (n_frames - 1) * basis.stride + basis.kernel_len + int(rng.integers(basis.stride))
+    for n_sources in (1, 2, 3):
+        sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(n_sources)]
+        mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), 8000)
+
+        latent = encode(mixture, basis)
+        expected = encode_oracle(mixture, basis)
+        assert latent.n_frames == n_frames
+        assert np.array_equal(latent.data, expected.data)
+        assert latent.frame_rate == expected.frame_rate
+        assert np.array_equal(decode(latent, basis).samples, decode_oracle(expected, basis).samples)
+
+        masks = oracle_masks(sources, basis)
+        assert np.array_equal(masks, oracle_masks_oracle(sources, basis))
+        # masks outside [0, 1] as well, as a masks file may hold
+        for m in (masks, rng.uniform(-0.5, 1.5, masks.shape).astype(np.float32)):
+            estimates = separate_with_masks(mixture, m, basis)
+            stepwise = [decode(part, basis) for part in apply_masks(encode(mixture, basis), m)]
+            for est, ref, step in zip(estimates, separate_oracle(mixture, m, basis), stepwise, strict=True):
+                assert est.sample_rate == ref.sample_rate == step.sample_rate == 8000
+                assert np.array_equal(est.samples, ref.samples)
+                assert np.array_equal(est.samples, step.samples)
+
+
+@pytest.mark.parametrize("n_frames", [1, 5, BLOCK_FRAMES, BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES - 1])
+def test_frame_blocks_share_one_row_count(n_frames):
+    """Every block has min(T, BLOCK_FRAMES) rows, so each float64 matmul takes the BLAS
+    path of the whole-array product. A 1-row tail (gemv) rounds differently in float64,
+    which the float32 outputs compared by the equality test almost never reveal."""
+    blocks = list(_frame_blocks(n_frames))
+    assert {b.stop - b.start for b in blocks} == {min(n_frames, BLOCK_FRAMES)}
+    covered = np.zeros(n_frames, dtype=bool)
+    for b in blocks:
+        covered[b] = True
+    assert covered.all()
+    assert blocks[-1].stop == n_frames
+
+
+def test_separate_with_masks_checks_masks():
+    basis = random_basis(4, 8, 4, seed=15)
+    mixture = AudioBuffer(np.zeros(64, np.float32), 8000)
+    n_frames = encode(mixture, basis).n_frames
+    with pytest.raises(ValueError, match="masks must be"):
+        separate_with_masks(mixture, np.ones((2, n_frames + 1, 4), np.float32), basis)
+    mixture = AudioBuffer(np.ones(64, np.float32), 8000)
+    with pytest.raises(ValueError, match="finite"):
+        separate_with_masks(mixture, np.full((1, n_frames, 4), np.nan, np.float32), basis)
+
+
+def test_separation_transient_memory_does_not_grow_with_length():
+    """Peak traced bytes beyond the returned masks and estimates, 2 s vs 8 s at 16 kHz.
+
+    tracemalloc sees numpy's buffers. Whole-array float64 latents add about
+    73 MB from 2 s to 8 s; blockwise evaluation holds blocks of frames plus the
+    (S, T, kernel_len) float64 synthesis frames, and stays within a few MB.
+    """
+    basis = random_basis(128, 16, 8, seed=0)
+
+    def transient_bytes(seconds):
+        rng = np.random.default_rng(seconds)
+        sources = [
+            AudioBuffer(rng.uniform(-0.3, 0.3, seconds * 16000).astype(np.float32), 16000) for _ in range(2)
+        ]
+        mixture = AudioBuffer(sources[0].samples + sources[1].samples, 16000)
+        tracemalloc.start()
+        try:
+            masks = oracle_masks(sources, basis)
+            estimates = separate_with_masks(mixture, masks, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - masks.nbytes - sum(e.samples.nbytes for e in estimates)
+
+    assert transient_bytes(8) - transient_bytes(2) <= 20e6
