@@ -92,8 +92,8 @@ def _latent_blocks(x: np.ndarray, basis: EncoderBasis):
         yield block, latent
 
 
-def _check_finite(latent: np.ndarray) -> None:
-    if not np.all(np.isfinite(latent)):
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
         raise ValueError("matrix data must be finite")
 
 
