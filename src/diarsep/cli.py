@@ -100,27 +100,23 @@ def _cmd_separate_oracle(args) -> int:
     rates = {s.sample_rate for s in sources}
     if len(rates) != 1:
         raise ValueError(f"sources disagree on sample rate: {sorted(rates)}")
-    lengths = {len(s) for s in sources}
-    if len(lengths) != 1:
-        raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")
-    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), rates.pop())
 
     if args.basis:
         basis = basis_from_stack(read_feature_stack(args.basis), args.stride, args.nonlinearity)
     else:
         basis = random_basis(args.filters, args.kernel, args.stride, args.seed, args.nonlinearity)
 
-    masks = oracle_masks(sources, basis)
+    masks = oracle_masks(sources, basis)  # also checks that the sources share one length
+    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), rates.pop())
     estimates = separate_with_masks(mixture, masks, basis)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (src, est) in enumerate(zip(sources, estimates)):
-        trimmed = est.samples[: len(src)]
-        if trimmed.size < len(src):
-            trimmed = np.pad(trimmed, (0, len(src) - trimmed.size))
+        # decoding yields (T - 1) * stride + kernel_len <= len(src) samples
+        padded = np.pad(est.samples, (0, len(src) - len(est)))
         path = out_dir / f"est{i}.wav"
-        write_wav(AudioBuffer(trimmed, est.sample_rate), path)
-        quality = si_sdr(src.samples, trimmed)
+        write_wav(AudioBuffer(padded, est.sample_rate), path)
+        quality = si_sdr(src.samples, padded)
         print(f"source {i}: si_sdr={_fmt_db(quality)} dB -> {path}")
     if args.save_masks:
         write_feature_stack(FeatureStack(masks, mixture.sample_rate / basis.stride), args.save_masks)

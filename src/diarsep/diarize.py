@@ -98,6 +98,12 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
+def _solo_runs(chunk: ChunkSegmentation) -> list[list[tuple[int, int]]]:
+    """Per local slot, the maximal frame runs where that slot is the only active speaker."""
+    solo = chunk.activity.sum(axis=1) == 1
+    return [_runs((chunk.activity[:, slot] == 1) & solo) for slot in range(chunk.n_slots)]
+
+
 def single_speaker_segments(
     chunk: ChunkSegmentation, min_duration: float = DEFAULT_MIN_SEG
 ) -> list[tuple[float, float, int]]:
@@ -106,10 +112,9 @@ def single_speaker_segments(
     Returns (onset_s, duration_s, slot) tuples, slot-major then time-ordered,
     keeping runs of at least ``min_duration`` seconds.
     """
-    solo = chunk.activity.sum(axis=1) == 1
     out = []
-    for slot in range(chunk.n_slots):
-        for start, end in _runs((chunk.activity[:, slot] == 1) & solo):
+    for slot, runs in enumerate(_solo_runs(chunk)):
+        for start, end in runs:
             duration = (end - start) / chunk.frame_rate
             if duration >= min_duration:
                 out.append((chunk.onset + start / chunk.frame_rate, duration, slot))
@@ -156,8 +161,8 @@ def stitch(
 
     Per global speaker, every chunk covering a frame votes with its local
     activity (0 when the speaker has no slot there); frames with mean vote
-    >= 0.5 are active. Maximal active runs become segments and sub-frame gaps
-    merge. Every active (chunk, slot) pair must appear in ``assignment``.
+    >= 0.5 are active. Maximal active runs become segments. Every active
+    (chunk, slot) pair must appear in ``assignment``.
     """
     n_frames = max(1, math.ceil(total_duration * frame_rate - 1e-9))
     starts = []
@@ -189,18 +194,12 @@ def stitch(
             votes[label][start : start + chunk.n_frames] += column
 
     segments = []
-    min_gap = 1.0 / frame_rate - 1e-9
     for label in labels:
         # integer comparison: mean >= 0.5 without float ties
         active = (2 * votes[label] >= coverage) & (coverage > 0)
-        spans: list[list[float]] = []
         for f0, f1 in _runs(active):
             onset, end = f0 / frame_rate, f1 / frame_rate
-            if spans and onset - spans[-1][1] < min_gap:
-                spans[-1][1] = end
-            else:
-                spans.append([onset, end])
-        segments.extend(Segment(onset, end - onset, label) for onset, end in spans)
+            segments.append(Segment(onset, end - onset, label))
 
     segments.sort(key=lambda s: (s.onset, s.speaker))
     return Annotation(uri, tuple(segments))
@@ -221,22 +220,15 @@ def pooled_embeddings(
         raise ValueError(f"got {len(chunks)} chunks but {len(features)} feature matrices")
     out = []
     for ci, (chunk, feats) in enumerate(zip(chunks, features)):
-        solo = chunk.activity.sum(axis=1) == 1
         min_frames = max(1, math.ceil(min_seg * chunk.frame_rate - 1e-9))
-        for slot in range(chunk.n_slots):
+        for slot, runs in enumerate(_solo_runs(chunk)):
             column = chunk.activity[:, slot] == 1
             if not column.any():
                 continue
-            solo_frames = np.flatnonzero(column & solo)
-            long_runs = [
-                np.arange(f0, f1)
-                for f0, f1 in _runs(column & solo)
-                if f1 - f0 >= min_frames
-            ]
-            if long_runs:
-                frames = np.concatenate(long_runs)
-            elif solo_frames.size:
-                frames = solo_frames
+            long_runs = [(f0, f1) for f0, f1 in runs if f1 - f0 >= min_frames]
+            chosen = long_runs or runs
+            if chosen:
+                frames = np.concatenate([np.arange(f0, f1) for f0, f1 in chosen])
             else:
                 frames = np.flatnonzero(column)
             rows = np.minimum(

@@ -22,6 +22,25 @@ SSLF_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIf")
 
 
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError unless every entry of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite, got non-finite values")
+
+
+def _validate(carrier, name: str, shape_rule: str, shape_ok) -> None:
+    """Coerce a carrier's data to float32; check its shape rule, finiteness and frame rate."""
+    data = np.asarray(carrier.data, dtype=np.float32)
+    if not shape_ok(data.shape):
+        raise ValueError(f"{name} must be {shape_rule}, got {data.shape}")
+    check_finite(data, name)
+    rate = float(carrier.frame_rate)
+    if not np.isfinite(rate) or rate <= 0:
+        raise ValueError(f"frame_rate must be positive, got {carrier.frame_rate}")
+    object.__setattr__(carrier, "data", data)
+    object.__setattr__(carrier, "frame_rate", rate)
+
+
 @dataclass(frozen=True)
 class FeatureStack:
     """Per-layer, per-frame features: float32 array of shape (n_layers, n_frames, dim)."""
@@ -30,16 +49,8 @@ class FeatureStack:
     frame_rate: float = 50.0
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 3 or min(data.shape) < 1:
-            raise ValueError(f"stack data must be (n_layers, n_frames, dim) with positive sizes, got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("stack data must be finite")
-        rate = float(self.frame_rate)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "frame_rate", rate)
+        rule = "(n_layers, n_frames, dim) with positive sizes"
+        _validate(self, "stack data", rule, lambda shape: len(shape) == 3 and min(shape) >= 1)
 
     @property
     def n_layers(self) -> int:
@@ -65,16 +76,8 @@ class FeatureMatrix:
     frame_rate: float
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise ValueError(f"matrix data must be (n_frames, dim) with n_frames >= 1, got {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("matrix data must be finite")
-        rate = float(self.frame_rate)
-        if not np.isfinite(rate) or rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "frame_rate", rate)
+        rule = "(n_frames, dim) with n_frames >= 1"
+        _validate(self, "matrix data", rule, lambda shape: len(shape) == 2 and shape[0] >= 1)
 
     @property
     def n_frames(self) -> int:
@@ -100,8 +103,11 @@ def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
 
 
 def read_feature_stack(path: str | Path) -> FeatureStack:
-    """Read an SSLF file, validating magic, version, declared sizes and finiteness."""
-    raw = Path(path).read_bytes()
+    """Read an SSLF file into one buffer, validating magic, version and declared sizes.
+
+    FeatureStack checks the values; every error names the file.
+    """
+    raw = np.fromfile(path, dtype=np.uint8)
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated SSLF header")
     magic, version, n_layers, n_frames, dim, frame_rate = _HEADER.unpack_from(raw)
@@ -117,7 +123,8 @@ def read_feature_stack(path: str | Path) -> FeatureStack:
         raise ValueError(
             f"{path}: size mismatch, header declares {expected} payload bytes but file has {actual}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(n_layers, n_frames, dim)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: non-finite payload")
-    return FeatureStack(data.copy(), float(frame_rate))
+    data = raw[_HEADER.size :].view("<f4").reshape(n_layers, n_frames, dim)
+    try:
+        return FeatureStack(data, frame_rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

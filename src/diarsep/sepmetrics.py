@@ -10,8 +10,6 @@ from .audio import AudioBuffer
 INF_SUBSTITUTE_DB = 300.0
 EXHAUSTIVE_MAX_SOURCES = 6
 
-_METRIC_ALIASES = {"sdr": "sdr", "si_sdr": "si_sdr", "si-sdr": "si_sdr"}
-
 
 @dataclass(frozen=True)
 class SepReport:
@@ -81,13 +79,13 @@ def _si_sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
     return 10.0 * np.log10(target_energy / res_energy)
 
 
-# metric name -> function of two float64 signals
-_METRIC_FNS = {"sdr": _sdr, "si_sdr": _si_sdr}
+# metric name (with the CLI spelling "si-sdr") -> function of two float64 signals
+_METRICS = {"sdr": _sdr, "si_sdr": _si_sdr, "si-sdr": _si_sdr}
 
 
 def _metric_fn(metric: str):
     try:
-        return _METRIC_FNS[_METRIC_ALIASES[metric]]
+        return _METRICS[metric]
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}; expected 'sdr' or 'si_sdr'") from None
 

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
-from .features import FeatureMatrix, FeatureStack
+from .features import FeatureMatrix, FeatureStack, check_finite
 
 DEFAULT_EPS = 1e-8
 # frames per block: a block's float64 windows and latent, 1024 x (16 + 128) x 8 B = 1.2 MB
@@ -87,14 +87,7 @@ def _latent_blocks(x: np.ndarray, basis: EncoderBasis):
         latent = windows[block].astype(np.float64) @ analysis_t
         if basis.nonlinearity == "relu":
             np.maximum(latent, 0.0, out=latent)
-        latent = latent.astype(np.float32)
-        _check_finite(latent)
-        yield block, latent
-
-
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ValueError("matrix data must be finite")
+        yield block, latent.astype(np.float32)
 
 
 def _masks_array(masks, n_frames: int, n_filters: int) -> np.ndarray:
@@ -158,7 +151,9 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis, eps: float = D
     masks = np.empty((len(sources), n_frames, basis.n_filters), dtype=np.float32)
     for parts in zip(*(_latent_blocks(s.samples, relu_basis) for s in sources)):
         block = parts[0][0]
-        enc = np.stack([latent for _, latent in parts]).astype(np.float64)
+        encodings = np.stack([latent for _, latent in parts])
+        check_finite(encodings, "source encodings")
+        enc = encodings.astype(np.float64)
         enc /= enc.sum(axis=0) + eps
         np.clip(enc, 0.0, 1.0, out=enc)
         masks[:, block] = enc
@@ -176,8 +171,9 @@ def separate_with_masks(mixture: AudioBuffer, masks, basis: EncoderBasis) -> lis
     frames = np.empty((m.shape[0], m.shape[1], basis.kernel_len), dtype=np.float64)
     for block, latent in _latent_blocks(mixture.samples, basis):
         for s in range(m.shape[0]):
+            # a non-finite latent makes the masked latent non-finite too
             masked = latent * m[s, block]
-            _check_finite(masked)
+            check_finite(masked, "masked latent")
             np.matmul(masked.astype(np.float64), synthesis, out=frames[s, block])
     frame_rate = mixture.sample_rate / basis.stride
     return [_overlap_add(source_frames, basis, frame_rate) for source_frames in frames]

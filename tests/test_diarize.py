@@ -352,3 +352,27 @@ def test_pooled_embeddings_overlap_only_slot_falls_back():
     features[100:200, 1] = 2.0
     embeddings = pooled_embeddings([chunk], [FeatureMatrix(features, 50.0)])
     assert {e.source for e in embeddings} == {(0, 0), (0, 1)}
+
+
+def test_pooled_embeddings_fallback_tiers():
+    """Each tier of the frame choice: long solo runs, all solo frames, all active frames.
+
+    One-hot features (row t = e_t) make each embedding's support the frames it pooled.
+    """
+    activity = np.zeros((60, 3), np.int8)
+    activity[0:20, 0] = 1  # 20 solo frames: a run of at least min_seg (13 frames at 50 Hz)
+    activity[40:45, 0] = 1  # overlapped by slot 2, so not solo
+    activity[20:30, 1] = 1  # 5 solo frames, then overlapped by slot 2
+    activity[25:30, 2] = 1
+    activity[40:45, 2] = 1  # slot 2 is never alone
+    chunk = make_chunk(0.0, activity)
+    embeddings = pooled_embeddings([chunk], [FeatureMatrix(np.eye(60, dtype=np.float32), 50.0)])
+    support = {e.source[1]: np.flatnonzero(e.vector).tolist() for e in embeddings}
+    assert support == {
+        0: list(range(0, 20)),
+        1: list(range(20, 25)),
+        2: list(range(25, 30)) + list(range(40, 45)),
+    }
+    # the same solo runs, with single_speaker_segments' own threshold in seconds
+    assert single_speaker_segments(chunk, 0.25) == [(0.0, 0.4, 0)]
+    assert single_speaker_segments(chunk, 0.0) == [(0.0, 0.4, 0), (0.4, 0.1, 1)]

@@ -1,7 +1,11 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarsep import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
 
@@ -86,3 +90,66 @@ def test_matrix_allows_zero_width():
     assert m.dim == 0
     with pytest.raises(ValueError, match="n_frames"):
         FeatureMatrix(np.zeros((0, 3), np.float32), 50.0)
+
+
+def test_read_holds_one_payload_buffer(tmp_path):
+    """One payload-sized buffer plus the finite check's boolean mask (a quarter of it).
+
+    Holding the file bytes and a copy of the payload would take two payloads.
+    """
+    data = np.random.default_rng(4).standard_normal((4, 500, 512)).astype(np.float32)
+    path = tmp_path / "big.sslf"
+    write_feature_stack(FeatureStack(data, 50.0), path)
+    tracemalloc.start()
+    try:
+        stack = read_feature_stack(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(stack.data, data)
+    assert peak <= 1.4 * data.nbytes
+
+
+@pytest.mark.parametrize("frame_rate", [float("nan"), 0.0, -50.0])
+def test_bad_header_frame_rate_names_file(tmp_path, frame_rate):
+    path = tmp_path / "rate.sslf"
+    path.write_bytes(struct.pack("<4sIIIIf", b"SSLF", 1, 1, 1, 1, frame_rate) + struct.pack("<f", 0.0))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: frame_rate must be positive"):
+        read_feature_stack(path)
+
+
+def test_non_finite_payload_names_file(tmp_path):
+    path = tmp_path / "nan.sslf"
+    path.write_bytes(struct.pack("<4sIIIIf", b"SSLF", 1, 1, 2, 1, 50.0) + struct.pack("<2f", 1.0, float("nan")))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: stack data must be finite"):
+        read_feature_stack(path)
+
+
+def test_zero_size_header(tmp_path):
+    path = tmp_path / "empty.sslf"
+    path.write_bytes(struct.pack("<4sIIIIf", b"SSLF", 1, 3, 0, 2, 50.0))
+    with pytest.raises(ValueError, match="sizes must be positive, got 3x0x2"):
+        read_feature_stack(path)
+
+
+_VALID = struct.pack("<4sIIIIf", b"SSLF", 1, 2, 3, 2, 50.0) + np.arange(12, dtype="<f4").tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    length=st.integers(0, len(_VALID)),
+    flips=st.lists(st.tuples(st.integers(0, len(_VALID) - 1), st.integers(1, 255)), max_size=4),
+)
+def test_reader_fuzz_returns_stack_or_value_error(tmp_path_factory, length, flips):
+    """Truncations and byte flips of a valid file: a FeatureStack or a ValueError, nothing else."""
+    raw = bytearray(_VALID)
+    for index, mask in flips:
+        raw[index] ^= mask
+    path = tmp_path_factory.getbasetemp() / "fuzz.sslf"
+    path.write_bytes(bytes(raw[:length]))
+    try:
+        stack = read_feature_stack(path)
+    except ValueError:
+        return
+    assert isinstance(stack, FeatureStack)
+    assert stack.data.nbytes == length - 24
