@@ -16,9 +16,9 @@ class Segment(NamedTuple):
 class Annotation:
     """A set of labeled speech intervals for one recording.
 
-    Onsets are non-negative, durations strictly positive, speaker labels
-    non-empty and whitespace-free (they travel through whitespace-delimited
-    RTTM).
+    Onsets are non-negative, durations strictly positive, ends (onset +
+    duration) finite, speaker labels non-empty and whitespace-free (they
+    travel through whitespace-delimited RTTM).
     """
 
     uri: str
@@ -26,13 +26,15 @@ class Annotation:
 
     def __post_init__(self):
         segments = tuple(Segment(float(o), float(d), str(s)) for o, d, s in self.segments)
-        for seg in segments:
-            if not math.isfinite(seg.onset) or seg.onset < 0:
-                raise ValueError(f"segment onset must be finite and >= 0, got {seg.onset}")
-            if not math.isfinite(seg.duration) or seg.duration <= 0:
-                raise ValueError(f"segment duration must be finite and > 0, got {seg.duration}")
-            if not seg.speaker or any(c.isspace() for c in seg.speaker):
-                raise ValueError(f"speaker label must be non-empty without whitespace, got {seg.speaker!r}")
+        for onset, duration, speaker in segments:
+            if not math.isfinite(onset + duration):  # also false when either one is not finite
+                raise ValueError(f"non-finite segment onset, duration or end, got ({onset}, {duration})")
+            if duration <= 0:
+                raise ValueError(f"segment duration must be positive, got {duration}")
+            if onset < 0:
+                raise ValueError(f"segment onset must be >= 0, got {onset}")
+            if speaker.split() != [speaker]:  # empty, or holds whitespace
+                raise ValueError(f"speaker label must be non-empty without whitespace, got {speaker!r}")
         object.__setattr__(self, "segments", segments)
 
     def speakers(self) -> list[str]:
@@ -49,45 +51,67 @@ def parse_rttm(text: str) -> dict[str, Annotation]:
 
     Every non-empty line must be a SPEAKER record with at least 9
     whitespace-separated fields; fields 2, 4, 5 and 8 carry the URI, onset,
-    duration and speaker label. Errors report the offending line number.
+    duration and speaker label. The record structure is checked here and the
+    values once, by Annotation. Errors report the lowest offending line number.
     """
-    segments: dict[str, list[Segment]] = {}
+    try:
+        segments: dict[str, list[tuple[float, float, str]]] = {}
+        for line in text.splitlines():
+            fields = line.split()
+            if fields:
+                uri, onset, duration, speaker = _speaker_record(fields)
+                segments.setdefault(uri, []).append((onset, duration, speaker))
+        return {uri: Annotation(uri, tuple(segs)) for uri, segs in segments.items()}
+    except ValueError:
+        _raise_first_bad_line(text)
+        raise
+
+
+def _raise_first_bad_line(text: str) -> None:
+    """Check RTTM text line by line and raise the error of the first line at fault."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
-        if fields[0] != "SPEAKER":
-            raise ValueError(f"RTTM line {lineno}: expected a SPEAKER record, got {fields[0]!r}")
-        if len(fields) < 9:
-            raise ValueError(f"RTTM line {lineno}: expected at least 9 fields, got {len(fields)}")
-        uri = fields[1]
+        if not fields:
+            continue
         try:
-            onset = float(fields[3])
-            duration = float(fields[4])
-        except ValueError:
-            raise ValueError(f"RTTM line {lineno}: non-numeric onset or duration") from None
-        if not (math.isfinite(onset) and math.isfinite(duration)):
-            raise ValueError(f"RTTM line {lineno}: non-finite onset or duration")
-        if duration <= 0:
-            raise ValueError(f"RTTM line {lineno}: duration must be positive, got {duration}")
-        if onset < 0:
-            raise ValueError(f"RTTM line {lineno}: onset must be >= 0, got {onset}")
-        segments.setdefault(uri, []).append(Segment(onset, duration, fields[7]))
-    return {uri: Annotation(uri, tuple(segs)) for uri, segs in segments.items()}
+            uri, onset, duration, speaker = _speaker_record(fields)
+            Annotation(uri, ((onset, duration, speaker),))
+        except ValueError as exc:
+            raise ValueError(f"RTTM line {lineno}: {exc}") from None
+
+
+def _speaker_record(fields: list[str]) -> tuple[str, float, float, str]:
+    """URI, onset, duration and label of one split RTTM line; ValueError unless it is a SPEAKER record."""
+    if fields[0] != "SPEAKER":
+        raise ValueError(f"expected a SPEAKER record, got {fields[0]!r}")
+    if len(fields) < 9:
+        raise ValueError(f"expected at least 9 fields, got {len(fields)}")
+    try:
+        return fields[1], float(fields[3]), float(fields[4]), fields[7]
+    except ValueError:
+        raise ValueError("non-numeric onset or duration") from None
 
 
 def emit_rttm(annotation: Annotation) -> str:
     """Serialize an Annotation as RTTM text.
 
     One SPEAKER line per segment, sorted by onset then label, times at
-    millisecond precision. An empty annotation yields empty text.
+    millisecond precision. An empty annotation yields empty text. Raises
+    ValueError rather than write a record that does not parse back to its
+    segment: a URI that is empty or holds whitespace, or a duration under
+    0.5 ms, which would print as 0.000.
     """
     ordered = sorted(annotation.segments, key=lambda s: (s.onset, s.speaker, s.duration))
-    lines = [
-        f"SPEAKER {annotation.uri} 1 {seg.onset:.3f} {seg.duration:.3f} "
-        f"<NA> <NA> {seg.speaker} <NA> <NA>"
-        for seg in ordered
-    ]
+    if ordered and annotation.uri.split() != [annotation.uri]:
+        raise ValueError(f"RTTM uri must be non-empty without whitespace, got {annotation.uri!r}")
+    lines = []
+    for seg in ordered:
+        duration = f"{seg.duration:.3f}"
+        if float(duration) <= 0:
+            raise ValueError(f"segment {tuple(seg)} is shorter than 0.5 ms; RTTM would print duration {duration}")
+        lines.append(
+            f"SPEAKER {annotation.uri} 1 {seg.onset:.3f} {duration} <NA> <NA> {seg.speaker} <NA> <NA>"
+        )
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .annotation import Annotation
+from .assignment import max_weight_assignment
 
 Interval = tuple[float, float]
 
@@ -103,16 +104,13 @@ def _assign(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
     Solved as an optimal assignment on the ref x hyp matrix of region-cropped,
     uncollared co-active seconds; pairs with zero matched time are dropped.
     """
-    # imported here, not at module level: only DER scoring solves assignments
-    from scipy.optimize import linear_sum_assignment
-
     weighted = sweep.ref_active * (sweep.length * sweep.in_region)[:, None]
     # summed over the active (interval, hyp speaker) cells only, so no dense
     # float copy of the hyp mask is made when the hypothesis has many labels
     interval, hyp_index = np.nonzero(sweep.hyp_active)
     matrix = np.zeros((len(sweep.ref_speakers), len(sweep.hyp_speakers)))
     np.add.at(matrix.T, hyp_index, weighted[interval])
-    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    rows, cols = max_weight_assignment(matrix)
     keep = matrix[rows, cols] > 0.0
     rows, cols = rows[keep], cols[keep]
     mapping = {sweep.ref_speakers[i]: sweep.hyp_speakers[j] for i, j in zip(rows, cols)}

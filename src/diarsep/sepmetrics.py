@@ -5,7 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import max_weight_assignment
 from .audio import AudioBuffer
+from .features import check_finite
 
 INF_SUBSTITUTE_DB = 300.0
 EXHAUSTIVE_MAX_SOURCES = 6
@@ -20,10 +22,13 @@ class SepReport:
     permutation: tuple[int, ...]
 
 
-def _signal(x) -> np.ndarray:
-    if isinstance(x, AudioBuffer):
+def _signal(x, name: str) -> np.ndarray:
+    """``x`` as a flat float64 array; ValueError unless it is finite."""
+    if isinstance(x, AudioBuffer):  # its samples were checked finite when it was built
         return x.samples.astype(np.float64)
-    return np.asarray(x, dtype=np.float64).reshape(-1)
+    signal = np.asarray(x, dtype=np.float64).reshape(-1)
+    check_finite(signal, name)
+    return signal
 
 
 def _check_pair(ref: np.ndarray, est: np.ndarray) -> None:
@@ -38,7 +43,7 @@ def sdr(ref, est) -> float:
 
     A zero residual yields +inf; an all-zero reference is an error.
     """
-    return _sdr(_signal(ref), _signal(est))
+    return _sdr(_signal(ref, "reference"), _signal(est, "estimate"))
 
 
 def _sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -59,7 +64,7 @@ def si_sdr(ref, est) -> float:
     s_t = (<s_hat, s> / ||s||^2) * s; returns 10*log10(||s_t||^2 / ||s_hat - s_t||^2).
     An estimate orthogonal to the reference yields -inf, a zero residual +inf.
     """
-    return _si_sdr(_signal(ref), _signal(est))
+    return _si_sdr(_signal(ref, "reference"), _signal(est, "estimate"))
 
 
 def _si_sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
@@ -101,8 +106,8 @@ def _score_matrix(refs, ests, metric: str, full: bool = True):
     if not refs:
         raise ValueError("need at least one source")
     fn = _metric_fn(metric)
-    refs = [_signal(r) for r in refs]
-    ests = [_signal(e) for e in ests]
+    refs = [_signal(r, f"reference {i}") for i, r in enumerate(refs)]
+    ests = [_signal(e, f"estimate {j}") for j, e in enumerate(ests)]
     n = len(refs)
     scores = np.full((n, n), np.nan)
     for i in range(n):
@@ -129,10 +134,13 @@ def pit(refs, ests, metric: str = "si_sdr", method: str = "auto") -> tuple[tuple
 
     Exhaustive search for up to 6 sources, optimal assignment above that
     (method="exhaustive" / "hungarian" forces one). Infinite pairwise scores
-    are substituted by +-300 dB during selection; exhaustive ties resolve to
-    the lexicographically smallest permutation (the assignment path is
-    deterministic but unspecified among equal optima). Returns
-    (permutation, mean score) where ests[permutation[i]] matches refs[i].
+    are substituted by +-300 dB during selection; a non-finite sample in any
+    signal raises ValueError. Exhaustive ties resolve to the lexicographically
+    smallest permutation. The assignment path returns the optimum that its
+    solver's order reaches first (``assignment.max_weight_assignment``): the
+    references join in index order, and each augmenting-path search takes the
+    lowest-index estimate among equal reduced costs. Returns (permutation,
+    mean score) where ests[permutation[i]] matches refs[i].
     """
     scores = _score_matrix(refs, ests, metric)[2]
     perm = _best_permutation(scores, method)
@@ -153,10 +161,7 @@ def _best_permutation(scores: np.ndarray, method: str) -> tuple[int, ...]:
                 best_score = score
                 best_perm = perm
     elif method == "hungarian":
-        # imported here, not at module level: only the assignment path of PIT needs it
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(selectable, maximize=True)
+        rows, cols = max_weight_assignment(selectable)
         best_perm = tuple(int(c) for c in cols[np.argsort(rows)])
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -175,7 +180,7 @@ def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = Tr
     n = len(signals)
     perm = _best_permutation(scores, "auto") if permute else tuple(range(n))
     per_sdr = [float(scores[i, perm[i]]) for i in range(n)]
-    mix = _signal(mixture)
+    mix = _signal(mixture, "mixture")
     baseline = [fn(signals[i], mix) for i in range(n)]
     per_sdri = [0.0 if a == b and np.isinf(a) else a - b for a, b in zip(per_sdr, baseline)]
     return SepReport(

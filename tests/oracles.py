@@ -1,4 +1,4 @@
-"""Independent brute-force oracles shared by the DER, AHC, resampling, TasNet and acceptance tests."""
+"""Independent brute-force oracles for the DER, assignment, AHC, resampling, TasNet and acceptance tests."""
 
 import itertools
 import math
@@ -119,6 +119,18 @@ def grid_der(ref: Annotation, hyp: Annotation, collar=0.0, regions=None, step=0.
     speech = float(n_ref.sum()) * step
     der_pct = 100.0 * (false_alarm + missed + confusion) / speech if speech else 0.0
     return false_alarm, missed, confusion, speech, der_pct, matched_frames * step
+
+
+def assignment_oracle(weights):
+    """Reference maximum-weight assignment: scipy's ``linear_sum_assignment``.
+
+    Same contract as ``diarsep.assignment.max_weight_assignment`` (rows
+    ascending), computed by the scipy routine that the in-repo solver
+    replaced. scipy also rejects NaN, but accepts some infinite weights.
+    """
+    from scipy.optimize import linear_sum_assignment  # only the oracle needs scipy.optimize
+
+    return linear_sum_assignment(weights, maximize=True)
 
 
 def ahc_oracle(embeddings, threshold: float) -> list[int]:

@@ -1,6 +1,12 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarsep import Annotation, Segment, emit_rttm, parse_rttm, parse_uem
+from diarsep.cli import main
 
 EXAMPLE_LINE = "SPEAKER rec1 1 0.50 2.00 <NA> <NA> spkA <NA> <NA>"
 
@@ -84,3 +90,125 @@ def test_parse_uem_errors():
         parse_uem("rec1 1 5.0 5.0")
     with pytest.raises(ValueError, match="non-numeric"):
         parse_uem("rec1 1 x 5.0")
+
+
+def test_parse_reports_the_lowest_faulty_line():
+    text = "\n".join([
+        EXAMPLE_LINE,
+        "SPEAKER other 1 1.0 0.0 <NA> <NA> spk <NA> <NA>",  # a value error, in another recording
+        "LEXEME u 1 1.0 2.0 <NA> <NA> spk <NA> <NA>",  # a structural error
+        "SPEAKER rec1 1 -1.0 2.0 <NA> <NA> spk <NA> <NA>",
+    ])
+    with pytest.raises(ValueError, match="^RTTM line 2: segment duration must be positive, got 0.0$"):
+        parse_rttm(text)
+    with pytest.raises(ValueError, match="^RTTM line 3: expected a SPEAKER record"):
+        parse_rttm("\n".join([EXAMPLE_LINE, ""] + text.splitlines()[2:]))
+
+
+def test_segment_end_must_be_finite():
+    # onset and duration are finite, but their sum overflows
+    with pytest.raises(ValueError, match="non-finite segment onset, duration or end"):
+        Annotation("u", ((1e308, 1e308, "spk"),))
+    with pytest.raises(ValueError, match="line 1: non-finite"):
+        parse_rttm("SPEAKER u 1 1e308 1e308 <NA> <NA> spk <NA> <NA>")
+
+
+def test_emit_rejects_records_that_would_not_parse_back():
+    # a duration under 0.5 ms would print as 0.000, which parse_rttm rejects
+    with pytest.raises(ValueError, match=r"segment \(1.0, 0.0004, 'A'\) is shorter than 0.5 ms"):
+        emit_rttm(Annotation("r", ((1.0, 0.0004, "A"),)))
+    assert emit_rttm(Annotation("r", ((1.0, 0.0005, "A"),))).split()[4] == "0.001"
+    # a URI with whitespace would shift every field after it
+    for uri in ("two words", ""):
+        with pytest.raises(ValueError, match="RTTM uri must be non-empty without whitespace"):
+            emit_rttm(Annotation(uri, ((1.0, 2.0, "A"),)))
+
+
+_LABELS = st.text(min_size=1, max_size=8).filter(lambda s: s.split() == [s])
+
+
+@settings(max_examples=200, deadline=None)
+@given(uri=_LABELS, rows=st.lists(st.tuples(st.integers(0, 10**7), st.integers(1, 10**6), _LABELS), max_size=12))
+def test_emit_parse_round_trip(uri, rows):
+    """Millisecond-aligned times, any valid URI and any valid labels come back as given."""
+    ann = Annotation(uri, tuple((onset / 1000, duration / 1000, label) for onset, duration, label in rows))
+    back = parse_rttm(emit_rttm(ann))
+    if not rows:
+        assert back == {}
+        return
+    assert list(back) == [uri]
+    assert sorted(back[uri].segments) == sorted(ann.segments)
+
+
+# RTTM and UEM lines for the parser fuzz: each field, each line and its
+# length are valid nine times in ten, else broken
+
+
+def _mostly(valid, broken):
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: valid if ok else broken)
+
+
+_NUMBER = _mostly(
+    st.integers(0, 6000).map(lambda k: str(k / 100)),
+    st.sampled_from(["-1", "-0.0", "nan", "inf", "1e308", "1e400", "0x10", "1_0", "x"]),
+)
+_WORD = _mostly(st.sampled_from(["u", "v", "A", "B"]), st.text(max_size=3))
+_KEEP = _mostly(st.just(10), st.integers(0, 9))  # how many fields of the line are kept
+_RTTM_LINE = st.builds(
+    lambda kind, uri, onset, duration, label, keep: " ".join(
+        [kind, uri, "1", onset, duration, "<NA>", "<NA>", label, "<NA>", "<NA>"][:keep]
+    ),
+    _mostly(st.just("SPEAKER"), st.sampled_from(["LEXEME", "speaker"])),
+    _WORD,
+    _NUMBER,
+    _NUMBER,
+    _WORD,
+    _KEEP,
+)
+_UEM_LINE = st.builds(
+    lambda uri, onset, offset, keep: " ".join([uri, "1", onset, offset][:keep]), _WORD, _NUMBER, _NUMBER, _KEEP
+)
+
+
+def _fuzz_text(line):
+    return st.lists(_mostly(line, st.text(max_size=12)), max_size=6).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_text(_RTTM_LINE))
+def test_parse_rttm_fuzz_returns_annotations_or_value_error(text):
+    try:
+        result = parse_rttm(text)
+    except ValueError as exc:
+        assert str(exc).startswith("RTTM line ")
+        return
+    assert all(isinstance(ann, Annotation) and ann.uri == uri for uri, ann in result.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzz_text(_UEM_LINE))
+def test_parse_uem_fuzz_returns_regions_or_value_error(text):
+    try:
+        result = parse_uem(text)
+    except ValueError as exc:
+        assert str(exc).startswith("UEM line ")
+        return
+    for regions in result.values():
+        assert all(0 <= onset < offset < float("inf") for onset, offset in regions)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ref=_fuzz_text(_RTTM_LINE), hyp=_fuzz_text(_RTTM_LINE), uem=st.none() | _fuzz_text(_UEM_LINE))
+def test_score_der_fuzz_exits_0_or_1(tmp_path_factory, ref, hyp, uem):
+    """score-der on fuzzed files: a score or an error message, never a traceback."""
+    folder = tmp_path_factory.getbasetemp()
+    argv = ["score-der", str(folder / "ref.rttm"), str(folder / "hyp.rttm"), "--collar", "0.25"]
+    (folder / "ref.rttm").write_text(ref)
+    (folder / "hyp.rttm").write_text(hyp)
+    if uem is not None:
+        (folder / "eval.uem").write_text(uem)
+        argv += ["--uem", str(folder / "eval.uem")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))

@@ -214,13 +214,26 @@ def test_resample_command(tmp_path, capsys):
 
 
 def test_resample_command_imports_no_scipy(tmp_path):
-    # a fresh interpreter, since this one has scipy loaded by other tests
+    # a fresh interpreter, since this one has scipy loaded by other tests;
+    # score-der and 7-source score-sdr (the assignment path of PIT) load none either
     src = tmp_path / "in.wav"
     write_sine(src, 1000, rate=8000, seconds=0.1)
+    (tmp_path / "ref.rttm").write_text("SPEAKER u 1 0.0 2.0 <NA> <NA> A <NA> <NA>\n")
+    (tmp_path / "hyp.rttm").write_text("SPEAKER u 1 0.5 2.0 <NA> <NA> X <NA> <NA>\n")
+    sources = [tmp_path / f"s{k}.wav" for k in range(7)]
+    for k, path in enumerate(sources):
+        write_sine(path, 300 + 200 * k, rate=8000, seconds=0.1)
+    write_sine(tmp_path / "mix.wav", 1000, rate=8000, seconds=0.1)
+    calls = [
+        ["resample", str(src), str(tmp_path / "out.wav"), "--rate", "16000"],
+        ["score-der", str(tmp_path / "ref.rttm"), str(tmp_path / "hyp.rttm")],
+        ["score-sdr", "--refs", *map(str, sources), "--ests", *map(str, sources[::-1]),
+         "--mix", str(tmp_path / "mix.wav")],
+    ]
     script = (
         "import sys\n"
         "import diarsep, diarsep.cli\n"
-        f"code = diarsep.cli.main(['resample', {str(src)!r}, {str(tmp_path / 'out.wav')!r}, '--rate', '16000'])\n"
+        f"code = max(diarsep.cli.main(argv) for argv in {calls!r})\n"
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     package_root = str(Path(diarsep.__file__).resolve().parent.parent)

@@ -237,3 +237,21 @@ def test_overlap_scoring():
     assert report.total_speech == pytest.approx(20.0)
     assert report.missed == pytest.approx(10.0)
     assert report.der_pct == pytest.approx(50.0)
+
+
+def test_equal_coactivity_tie_goes_to_the_first_sorted_label():
+    # hyp X overlaps ref A and ref B for exactly 2 s each, so both one-to-one
+    # mappings match 2 s of co-activity; the collar then scores them differently
+    hyp = Annotation("u", ((1.0, 2.0, "X"), (10.0, 2.0, "X")))
+    ref = Annotation("u", ((0.0, 4.0, "A"), (10.0, 4.0, "B")))
+    assert naive_matrix(ref, hyp)[2].tolist() == [[2.0], [2.0]]
+    report = compute_der(ref, hyp, collar=0.25)
+    assert report.mapping == {"A": "X"}
+    assert report.confusion == 1.75  # X on B, outside the collar zone [9.75, 10.25)
+    # renamed so that B sorts first, the tie and the collared confusion flip
+    renamed = Annotation("u", ((0.0, 4.0, "C"), (10.0, 4.0, "B")))
+    flipped = compute_der(renamed, hyp, collar=0.25)
+    assert flipped.mapping == {"B": "X"}
+    assert flipped.confusion == 2.0  # X on C, clear of its collar zones
+    # without a collar both mappings score the same
+    assert compute_der(ref, hyp).confusion == compute_der(renamed, hyp).confusion == 2.0

@@ -198,3 +198,27 @@ def test_sdr_improvement_equals_pairwise_metric_with_and_without_pit():
                 fn(refs[i], ests[perm[i]]) - fn(refs[i], mixture) for i in range(3)
             )
         assert sdr_improvement(refs, ests, mixture, metric=metric).permutation == (1, 2, 0)
+
+
+def test_non_finite_signals_rejected_on_both_pit_paths():
+    rng = np.random.default_rng(13)
+    for n, method in ((3, "exhaustive"), (7, "hungarian"), (7, "auto")):
+        refs = [rng.standard_normal(32) for _ in range(n)]
+        ests = [r + 0.1 * rng.standard_normal(32) for r in refs]
+        ests[1][5] = np.nan
+        with pytest.raises(ValueError, match="estimate 1 must be finite"):
+            pit(refs, ests, method=method)
+        refs[2][0] = np.inf
+        with pytest.raises(ValueError, match="reference 2 must be finite"):
+            pit(refs, ests, method=method)
+
+
+def test_non_finite_signals_rejected_by_sdr_and_improvement():
+    for fn in (sdr, si_sdr):
+        with pytest.raises(ValueError, match="estimate must be finite"):
+            fn([1.0, 0.5], [1.0, np.nan])
+        with pytest.raises(ValueError, match="reference must be finite"):
+            fn([-np.inf, 0.5], [1.0, 0.5])
+    refs = [np.array([1.0, 0.5]), np.array([0.5, 1.0])]
+    with pytest.raises(ValueError, match="mixture must be finite"):
+        sdr_improvement(refs, refs, [np.nan, 1.0])
