@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .annotation import Annotation, Segment, emit_rttm, parse_rttm, parse_uem
 from .audio import AudioBuffer, read_wav, write_wav
-from .der import DerReport, compute_der, optimal_mapping
+from .der import DerReport, compute_der, optimal_mapping, total_der
 from .diarize import (
     ChunkSegmentation,
     Embedding,
@@ -73,6 +73,7 @@ __all__ = [
     "single_speaker_segments",
     "slide_chunks",
     "stitch",
+    "total_der",
     "weighted_sum",
     "write_feature_stack",
     "write_wav",

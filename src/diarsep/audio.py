@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import check_finite
+
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # KSDATAFORMAT_SUBTYPE_PCM, 00000001-0000-0010-8000-00aa00389b71, in file byte order
@@ -21,8 +23,7 @@ class AudioBuffer:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float32).reshape(-1)
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("audio samples must be finite")
+        check_finite(samples, "audio samples")
         rate = int(self.sample_rate)
         if rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")

@@ -16,11 +16,13 @@ import numpy as np
 from . import __version__
 from .annotation import Annotation, emit_rttm, parse_rttm, parse_uem
 from .audio import AudioBuffer, read_wav, write_wav
-from .der import compute_der
+from .der import DerReport, compute_der, total_der
+from .diarize import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG, DEFAULT_WINDOW
 from .diarize import ChunkSegmentation, check_hop, diarize_file
 from .features import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
 from .fusion import normalize_weights, weighted_sum
 from .powerset import build_space, decode_class, decode_frames, encode_label
+from .resample import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
 from .resample import design_kaiser_sinc, resample
 from .sepmetrics import sdr_improvement, si_sdr
 from .tasnet import basis_from_stack, oracle_masks, random_basis, separate_with_masks
@@ -207,11 +209,16 @@ def _cmd_diarize(args) -> int:
     return 0
 
 
-def _der_text_row(uri: str, fa, md, sc, der, speech) -> str:
+def _der_text_row(uri: str, r: DerReport) -> str:
     return (
-        f"{uri} DER {der:.3f}% FA {fa:.3f}% MD {md:.3f}% SC {sc:.3f}% "
-        f"speech {speech:.3f}s"
+        f"{uri} DER {r.der_pct:.3f}% FA {r.fa_pct:.3f}% MD {r.md_pct:.3f}% SC {r.sc_pct:.3f}% "
+        f"speech {r.total_speech:.3f}s"
     )
+
+
+def _der_csv_row(uri: str, r: DerReport) -> str:
+    values = (r.false_alarm, r.missed, r.confusion, r.total_speech, r.fa_pct, r.md_pct, r.sc_pct, r.der_pct)
+    return uri + "," + ",".join(f"{v:.6f}" for v in values)
 
 
 def _cmd_score_der(args) -> int:
@@ -228,35 +235,14 @@ def _cmd_score_der(args) -> int:
         hyp = hyp_map.get(uri, Annotation(uri, ()))
         reports.append((uri, compute_der(ref, hyp, collar=args.collar, eval_regions=uem.get(uri))))
 
-    fa = sum(r.false_alarm for _, r in reports)
-    md = sum(r.missed for _, r in reports)
-    sc = sum(r.confusion for _, r in reports)
-    speech = sum(r.total_speech for _, r in reports)
-    if speech > 0:
-        fa_pct, md_pct, sc_pct = (100.0 * v / speech for v in (fa, md, sc))
-    else:
-        fa_pct = md_pct = sc_pct = 0.0
-    overall = (fa, md, sc, speech, fa_pct, md_pct, sc_pct, fa_pct + md_pct + sc_pct)
-
-    per_file = args.mode != "aggregate"
-    aggregate = args.mode != "per-file"
+    rows = reports if args.mode != "aggregate" else []
+    if args.mode != "per-file":
+        rows = rows + [("OVERALL", total_der(r for _, r in reports))]
     if args.format == "csv":
         print("uri,false_alarm_s,missed_s,confusion_s,total_speech_s,fa_pct,md_pct,sc_pct,der_pct")
-        if per_file:
-            for uri, r in reports:
-                print(
-                    f"{uri},{r.false_alarm:.6f},{r.missed:.6f},{r.confusion:.6f},"
-                    f"{r.total_speech:.6f},{r.fa_pct:.6f},{r.md_pct:.6f},{r.sc_pct:.6f},"
-                    f"{r.der_pct:.6f}"
-                )
-        if aggregate:
-            print("OVERALL," + ",".join(f"{v:.6f}" for v in overall))
-    else:
-        if per_file:
-            for uri, r in reports:
-                print(_der_text_row(uri, r.fa_pct, r.md_pct, r.sc_pct, r.der_pct, r.total_speech))
-        if aggregate:
-            print(_der_text_row("OVERALL", *overall[4:8], overall[3]))
+    format_row = _der_csv_row if args.format == "csv" else _der_text_row
+    for uri, r in rows:
+        print(format_row(uri, r))
     return 0
 
 
@@ -313,9 +299,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub("resample", "Kaiser-sinc resampling between 8 and 16 kHz")
     p.add_argument("input", help="input WAV (PCM16 mono)")
     p.add_argument("output", help="output WAV path")
-    p.add_argument("--rate", type=int, required=True, choices=(8000, 16000), help="target rate in Hz")
-    p.add_argument("--stopband-db", type=float, default=80.0, help="stopband attenuation")
-    p.add_argument("--transition-frac", type=float, default=0.05, help="transition width fraction")
+    p.add_argument("--rate", type=int, required=True, choices=SUPPORTED_RATES, help="target rate in Hz")
+    p.add_argument("--stopband-db", type=float, default=DEFAULT_STOPBAND_DB, help="stopband attenuation")
+    p.add_argument(
+        "--transition-frac", type=float, default=DEFAULT_TRANSITION_FRAC, help="transition width fraction"
+    )
     p.set_defaults(func=_cmd_resample)
 
     p = sub("powerset", "inspect the speaker-subset class catalog")
@@ -350,10 +338,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--features", help="SSLF per-chunk features for embedding pooling")
     p.add_argument("--embeddings", help="SSLF per-(chunk, slot) embeddings (zero rows = absent)")
     p.add_argument("--num-speakers", type=int, default=3, help="local speaker slots K")
-    p.add_argument("--window", type=float, default=10.0, help="chunk window in seconds")
-    p.add_argument("--hop", type=float, default=5.0, help="chunk hop in seconds")
-    p.add_argument("--min-seg", type=float, default=0.25, help="min single-speaker run for embeddings")
-    p.add_argument("--ahc-threshold", type=float, default=0.5, help="cosine-distance merge threshold")
+    p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help="chunk window in seconds")
+    p.add_argument("--hop", type=float, default=DEFAULT_HOP, help="chunk hop in seconds")
+    p.add_argument("--min-seg", type=float, default=DEFAULT_MIN_SEG, help="min single-speaker run for embeddings")
+    p.add_argument(
+        "--ahc-threshold", type=float, default=DEFAULT_AHC_THRESHOLD, help="cosine-distance merge threshold"
+    )
     p.add_argument("--uri", help="recording identifier (default: scores file stem)")
     p.set_defaults(func=_cmd_diarize)
 

@@ -130,6 +130,19 @@ def optimal_mapping(
     return _assign(_sweep(ref, hyp, eval_regions=eval_regions))[2]
 
 
+def _report(false_alarm: float, missed: float, confusion: float, total_speech: float, mapping) -> DerReport:
+    """The one percentage convention: each is 100 * seconds / speech, der_pct their literal sum.
+
+    Zero speech gives all-zero percentages, or ValueError when false alarm is present.
+    """
+    if total_speech == 0.0:
+        if false_alarm > 0.0:
+            raise ValueError("no scored reference speech but hypothesis speech present; rates undefined")
+        return DerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, mapping)
+    pcts = [100.0 * seconds / total_speech for seconds in (false_alarm, missed, confusion)]
+    return DerReport(false_alarm, missed, confusion, total_speech, *pcts, sum(pcts), mapping)
+
+
 def compute_der(
     ref: Annotation,
     hyp: Annotation,
@@ -166,25 +179,16 @@ def compute_der(
     false_alarm = float(d @ np.maximum(n_hyp - n_ref, 0))
     confusion = float(d @ (np.minimum(n_ref, n_hyp) - n_correct))
     total_speech = float(d @ n_ref)
+    return _report(false_alarm, missed, confusion, total_speech, mapping)
 
-    if total_speech == 0.0:
-        if false_alarm > 0.0:
-            raise ValueError(
-                "no scored reference speech but hypothesis speech present; rates undefined"
-            )
-        return DerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, mapping)
 
-    fa_pct = 100.0 * false_alarm / total_speech
-    md_pct = 100.0 * missed / total_speech
-    sc_pct = 100.0 * confusion / total_speech
-    return DerReport(
-        false_alarm,
-        missed,
-        confusion,
-        total_speech,
-        fa_pct,
-        md_pct,
-        sc_pct,
-        fa_pct + md_pct + sc_pct,
-        mapping,
+def total_der(reports) -> DerReport:
+    """Corpus totals of per-recording reports: summed seconds, percentages of the summed speech.
+
+    The mapping of the total is empty; speaker labels are per recording.
+    """
+    reports = list(reports)
+    return _report(
+        sum(r.false_alarm for r in reports), sum(r.missed for r in reports),
+        sum(r.confusion for r in reports), sum(r.total_speech for r in reports), {},
     )

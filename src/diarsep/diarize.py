@@ -69,6 +69,11 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError("AHC threshold must be a number, got nan")
 
 
+def _check_min_duration(min_duration: float) -> None:
+    if not math.isfinite(min_duration):
+        raise ValueError(f"minimum single-speaker run must be finite, got {min_duration}")
+
+
 def slide_chunks(total_duration: float, window: float = DEFAULT_WINDOW, hop: float = DEFAULT_HOP):
     """Chunk onsets/durations covering [0, total_duration].
 
@@ -110,8 +115,9 @@ def single_speaker_segments(
     """Maximal runs where exactly one local speaker is active, in absolute seconds.
 
     Returns (onset_s, duration_s, slot) tuples, slot-major then time-ordered,
-    keeping runs of at least ``min_duration`` seconds.
+    keeping runs of at least ``min_duration`` seconds (finite).
     """
+    _check_min_duration(min_duration)
     out = []
     for slot, runs in enumerate(_solo_runs(chunk)):
         for start, end in runs:
@@ -214,8 +220,9 @@ def pooled_embeddings(
 
     Frames come from single-speaker runs of at least ``min_seg`` seconds,
     falling back to all single-speaker frames, then to all active frames, so
-    every active slot yields an embedding.
+    every active slot yields an embedding. ``min_seg`` must be finite.
     """
+    _check_min_duration(min_seg)
     if len(chunks) != len(features):
         raise ValueError(f"got {len(chunks)} chunks but {len(features)} feature matrices")
     out = []
@@ -257,9 +264,11 @@ def diarize_file(
     Embeddings come either from a provided (chunk, slot) -> vector map or from
     mean-pooling the per-chunk feature matrices. Deterministic for fixed
     inputs; chunk labels are spk0, spk1, ... in order of first appearance.
-    A NaN ``ahc_threshold`` is rejected even when nothing is left to cluster.
+    A NaN ``ahc_threshold`` or a non-finite ``min_seg`` is rejected even when
+    nothing is left to cluster.
     """
     _check_threshold(ahc_threshold)
+    _check_min_duration(min_seg)
     if not chunks:
         return Annotation(uri, ())
     rates = {chunk.frame_rate for chunk in chunks}

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .features import FeatureMatrix, FeatureStack
+from .features import FeatureMatrix, FeatureStack, check_finite
 
 
 def normalize_weights(logits) -> np.ndarray:
@@ -13,8 +13,7 @@ def normalize_weights(logits) -> np.ndarray:
     w = np.asarray(logits, dtype=np.float64).reshape(-1)
     if w.size == 0:
         raise ValueError("logits must be non-empty")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("logits must be finite")
+    check_finite(w, "logits")
     z = np.exp(w - w.max())
     return z / z.sum()
 

@@ -10,14 +10,13 @@ from functools import cached_property
 
 import numpy as np
 
-MAX_SIMULTANEOUS = 2
+from .features import check_finite
 
 
 @dataclass(frozen=True)
 class PowersetSpace:
     max_speakers: int
     classes: tuple[tuple[int, ...], ...]
-    max_simultaneous: int = MAX_SIMULTANEOUS
 
     @cached_property
     def class_matrix(self) -> np.ndarray:
@@ -73,7 +72,6 @@ def decode_frames(space: PowersetSpace, scores) -> np.ndarray:
     mat = np.asarray(scores, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != space.n_classes:
         raise ValueError(f"expected scores of shape (T, {space.n_classes}), got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("scores must be finite")
+    check_finite(mat, "scores")
     best = np.argmax(mat, axis=1)
     return space.class_matrix[best].copy()

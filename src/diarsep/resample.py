@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioBuffer
+from .features import check_finite
 
 SUPPORTED_RATES = (8000, 16000)
 DEFAULT_STOPBAND_DB = 80.0
@@ -28,8 +29,7 @@ class FirFilter:
         taps = np.asarray(self.taps, dtype=np.float32).reshape(-1)
         if taps.size % 2 == 0 or taps.size < 3:
             raise ValueError(f"tap count must be odd and >= 3, got {taps.size}")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps must be finite")
+        check_finite(taps, "taps")
         if not np.allclose(taps, taps[::-1], atol=1e-7, rtol=0):
             raise ValueError("taps must be symmetric (linear phase)")
         if self.stopband_db <= 0:
@@ -55,8 +55,8 @@ def design_kaiser_sinc(
     """
     if fs_in not in SUPPORTED_RATES or fs_out not in SUPPORTED_RATES:
         raise ValueError(f"unsupported rate pair ({fs_in}, {fs_out}); rates must be in {SUPPORTED_RATES}")
-    if stopband_db < 40:
-        raise ValueError(f"stopband_db must be >= 40, got {stopband_db}")
+    if not (math.isfinite(stopband_db) and stopband_db >= 40):
+        raise ValueError(f"stopband_db must be finite and >= 40, got {stopband_db}")
     if not 0 < transition_frac < 0.5:
         raise ValueError(f"transition_frac must be in (0, 0.5), got {transition_frac}")
 

@@ -1,6 +1,6 @@
 """Separation scoring: SDR, SI-SDR, SDR improvement, permutation-invariant matching."""
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +10,6 @@ from .audio import AudioBuffer
 from .features import check_finite
 
 INF_SUBSTITUTE_DB = 300.0
-EXHAUSTIVE_MAX_SOURCES = 6
 
 
 @dataclass(frozen=True)
@@ -41,18 +40,27 @@ def _check_pair(ref: np.ndarray, est: np.ndarray) -> None:
 def sdr(ref, est) -> float:
     """Source-to-distortion ratio: 10*log10(sum(s^2) / sum((s - s_hat)^2)) dB.
 
-    A zero residual yields +inf; an all-zero reference is an error.
+    A zero residual yields +inf; an all-zero reference, or a signal energy
+    beyond float64 range, is an error.
     """
     return _sdr(_signal(ref, "reference"), _signal(est, "estimate"))
 
 
+def _check_energies(*energies: float) -> None:
+    # the signals are finite, so a non-finite energy means float64 overflowed
+    if not all(map(math.isfinite, energies)):
+        raise ValueError("signal energy overflows float64")
+
+
 def _sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
     _check_pair(s, s_hat)
-    ref_energy = float(np.dot(s, s))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a ValueError below
+        ref_energy = float(np.dot(s, s))
+        residual = s - s_hat
+        res_energy = float(np.dot(residual, residual))
+    _check_energies(ref_energy, res_energy)
     if ref_energy == 0.0:
         raise ValueError("reference signal is all zeros")
-    residual = s - s_hat
-    res_energy = float(np.dot(residual, residual))
     if res_energy == 0.0:
         return float("inf")
     return 10.0 * np.log10(ref_energy / res_energy)
@@ -62,23 +70,27 @@ def si_sdr(ref, est) -> float:
     """Scale-invariant SDR: the reference is rescaled to the least-squares projection.
 
     s_t = (<s_hat, s> / ||s||^2) * s; returns 10*log10(||s_t||^2 / ||s_hat - s_t||^2).
-    An estimate orthogonal to the reference yields -inf, a zero residual +inf.
+    An estimate orthogonal to the reference yields -inf, a zero residual +inf;
+    a signal energy beyond float64 range is an error.
     """
     return _si_sdr(_signal(ref, "reference"), _signal(est, "estimate"))
 
 
 def _si_sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
     _check_pair(s, s_hat)
-    ref_energy = float(np.dot(s, s))
-    if ref_energy == 0.0:
-        raise ValueError("reference signal is all zeros")
-    projection = float(np.dot(s_hat, s))
-    if projection == 0.0:
-        return float("-inf")
-    target = (projection / ref_energy) * s
-    residual = s_hat - target
-    target_energy = float(np.dot(target, target))
-    res_energy = float(np.dot(residual, residual))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a ValueError below
+        ref_energy = float(np.dot(s, s))
+        projection = float(np.dot(s_hat, s))
+        _check_energies(ref_energy, projection)
+        if ref_energy == 0.0:
+            raise ValueError("reference signal is all zeros")
+        if projection == 0.0:
+            return float("-inf")
+        target = (projection / ref_energy) * s
+        residual = s_hat - target
+        target_energy = float(np.dot(target, target))
+        res_energy = float(np.dot(residual, residual))
+    _check_energies(target_energy, res_energy)
     if res_energy == 0.0:
         return float("inf")
     return 10.0 * np.log10(target_energy / res_energy)
@@ -116,10 +128,6 @@ def _score_matrix(refs, ests, metric: str, full: bool = True):
     return fn, refs, scores
 
 
-def _finite(matrix: np.ndarray) -> np.ndarray:
-    return np.clip(matrix, -INF_SUBSTITUTE_DB, INF_SUBSTITUTE_DB)
-
-
 def _mean_db(values) -> float:
     values = list(values)
     if any(v == float("inf") for v in values):
@@ -129,43 +137,27 @@ def _mean_db(values) -> float:
     return float(np.mean(values))
 
 
-def pit(refs, ests, metric: str = "si_sdr", method: str = "auto") -> tuple[tuple[int, ...], float]:
+def pit(refs, ests, metric: str = "si_sdr") -> tuple[tuple[int, ...], float]:
     """Best reference<->estimate matching: the permutation maximizing the mean metric.
 
-    Exhaustive search for up to 6 sources, optimal assignment above that
-    (method="exhaustive" / "hungarian" forces one). Infinite pairwise scores
-    are substituted by +-300 dB during selection; a non-finite sample in any
-    signal raises ValueError. Exhaustive ties resolve to the lexicographically
-    smallest permutation. The assignment path returns the optimum that its
-    solver's order reaches first (``assignment.max_weight_assignment``): the
-    references join in index order, and each augmenting-path search takes the
-    lowest-index estimate among equal reduced costs. Returns (permutation,
-    mean score) where ests[permutation[i]] matches refs[i].
+    Solved by ``assignment.max_weight_assignment`` on the pairwise scores,
+    with infinities substituted by +-300 dB during selection; a non-finite
+    sample in any signal raises ValueError. Among permutations of exactly
+    equal substituted total, the one the solver's order reaches first wins:
+    references join in index order, and each path search takes the
+    lowest-index estimate among equal reduced costs. That is not always the
+    lexicographically smallest permutation: with x, y orthogonal,
+    ``pit([x, 2*x], [y, x])`` ties at a total of 0 and returns (1, 0).
+    Returns (permutation, mean score) where ests[permutation[i]] matches refs[i].
     """
     scores = _score_matrix(refs, ests, metric)[2]
-    perm = _best_permutation(scores, method)
+    perm = _best_permutation(scores)
     return perm, _mean_db(scores[np.arange(len(perm)), perm])
 
 
-def _best_permutation(scores: np.ndarray, method: str) -> tuple[int, ...]:
-    n = len(scores)
-    selectable = _finite(scores)
-    if method == "auto":
-        method = "exhaustive" if n <= EXHAUSTIVE_MAX_SOURCES else "hungarian"
-    if method == "exhaustive":
-        best_perm = None
-        best_score = -np.inf
-        for perm in itertools.permutations(range(n)):
-            score = selectable[np.arange(n), perm].mean()
-            if score > best_score:
-                best_score = score
-                best_perm = perm
-    elif method == "hungarian":
-        rows, cols = max_weight_assignment(selectable)
-        best_perm = tuple(int(c) for c in cols[np.argsort(rows)])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return tuple(best_perm)
+def _best_permutation(scores: np.ndarray) -> tuple[int, ...]:
+    _, cols = max_weight_assignment(np.clip(scores, -INF_SUBSTITUTE_DB, INF_SUBSTITUTE_DB))
+    return tuple(cols.tolist())  # the rows of a square matrix come back as 0..n-1
 
 
 def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = True) -> SepReport:
@@ -178,15 +170,9 @@ def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = Tr
     """
     fn, signals, scores = _score_matrix(refs, ests, metric, full=permute)
     n = len(signals)
-    perm = _best_permutation(scores, "auto") if permute else tuple(range(n))
+    perm = _best_permutation(scores) if permute else tuple(range(n))
     per_sdr = [float(scores[i, perm[i]]) for i in range(n)]
     mix = _signal(mixture, "mixture")
     baseline = [fn(signals[i], mix) for i in range(n)]
     per_sdri = [0.0 if a == b and np.isinf(a) else a - b for a, b in zip(per_sdr, baseline)]
-    return SepReport(
-        tuple(per_sdr),
-        _mean_db(per_sdr),
-        tuple(per_sdri),
-        _mean_db(per_sdri),
-        perm,
-    )
+    return SepReport(tuple(per_sdr), _mean_db(per_sdr), tuple(per_sdri), _mean_db(per_sdri), perm)

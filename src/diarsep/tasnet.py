@@ -36,8 +36,8 @@ class EncoderBasis:
             raise ValueError(f"analysis must be (n_filters, kernel_len), got {analysis.shape}")
         if synthesis.shape != analysis.shape:
             raise ValueError(f"synthesis shape {synthesis.shape} != analysis shape {analysis.shape}")
-        if not (np.all(np.isfinite(analysis)) and np.all(np.isfinite(synthesis))):
-            raise ValueError("basis weights must be finite")
+        check_finite(analysis, "analysis weights")
+        check_finite(synthesis, "synthesis weights")
         if not 1 <= self.stride <= analysis.shape[1]:
             raise ValueError(f"stride must be in [1, {analysis.shape[1]}], got {self.stride}")
         if self.nonlinearity not in NONLINEARITIES:
@@ -135,10 +135,10 @@ def decode(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
     return _overlap_add(frames, basis, latent.frame_rate)
 
 
-def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis, eps: float = DEFAULT_EPS) -> np.ndarray:
+def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     """Ratio masks from per-source relu encodings.
 
-    mask[s, t, n] = enc(source_s)[t, n] / (sum_j enc(source_j)[t, n] + eps),
+    mask[s, t, n] = enc(source_s)[t, n] / (sum_j enc(source_j)[t, n] + DEFAULT_EPS),
     clipped to [0, 1]. Sources must share one length.
     """
     if not sources:
@@ -154,7 +154,7 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis, eps: float = D
         encodings = np.stack([latent for _, latent in parts])
         check_finite(encodings, "source encodings")
         enc = encodings.astype(np.float64)
-        enc /= enc.sum(axis=0) + eps
+        enc /= enc.sum(axis=0) + DEFAULT_EPS
         np.clip(enc, 0.0, 1.0, out=enc)
         masks[:, block] = enc
     return masks

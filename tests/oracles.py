@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the DER, assignment, AHC, resampling, TasNet and acceptance tests."""
+"""Independent brute-force oracles for the DER, assignment, PIT, AHC, resampling, TasNet and acceptance tests."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diarsep import Annotation, AudioBuffer, EncoderBasis, FeatureMatrix, FirFilter
+from diarsep.sepmetrics import INF_SUBSTITUTE_DB, sdr, si_sdr
 from diarsep.tasnet import DEFAULT_EPS, apply_masks
 
 
@@ -131,6 +132,34 @@ def assignment_oracle(weights):
     from scipy.optimize import linear_sum_assignment  # only the oracle needs scipy.optimize
 
     return linear_sum_assignment(weights, maximize=True)
+
+
+def pit_oracle(refs, ests, metric: str = "si_sdr") -> tuple[tuple[int, ...], float]:
+    """Exhaustive permutation-invariant matching: the n! reference for ``diarsep.pit``.
+
+    Scores every (reference, estimate) pair with the public metric, then tries
+    every permutation of the +-300 dB substituted scores; ties resolve to the
+    lexicographically smallest permutation. Returns (permutation, mean score)
+    like ``pit``, the mean being +inf if any matched score is +inf, else -inf
+    if any is -inf.
+    """
+    fn = {"sdr": sdr, "si_sdr": si_sdr}[metric]
+    scores = np.array([[fn(r, e) for e in ests] for r in refs])
+    n = len(scores)
+    selectable = np.clip(scores, -INF_SUBSTITUTE_DB, INF_SUBSTITUTE_DB)
+    best_perm = None
+    best_score = -np.inf
+    for perm in itertools.permutations(range(n)):
+        score = selectable[np.arange(n), perm].mean()
+        if score > best_score:
+            best_score = score
+            best_perm = perm
+    matched = scores[np.arange(n), best_perm]
+    if np.any(matched == np.inf):
+        return best_perm, float("inf")
+    if np.any(matched == -np.inf):
+        return best_perm, float("-inf")
+    return best_perm, float(np.mean(matched))
 
 
 def ahc_oracle(embeddings, threshold: float) -> list[int]:

@@ -39,7 +39,7 @@ from diarsep import (
 )
 from diarsep.cli import main as cli_main
 from diarsep.tasnet import apply_masks, decode, encode
-from oracles import grid_der, perturbed_hypothesis, random_annotation
+from oracles import grid_der, perturbed_hypothesis, pit_oracle, random_annotation
 from test_der import brute_force_value, naive_matrix
 
 
@@ -102,7 +102,7 @@ def test_criterion_2_der_oracle_equivalence():
 
 
 def test_criterion_3_pit_oracle_equivalence():
-    with criterion(3, "PIT Hungarian = exhaustive, 100 x S=4", budget_s=10.0):
+    with criterion(3, "PIT assignment = exhaustive oracle, 100 x S=4", budget_s=10.0):
         rng = np.random.default_rng(300)
         for _ in range(100):
             refs = [rng.standard_normal(256) for _ in range(4)]
@@ -110,9 +110,7 @@ def test_criterion_3_pit_oracle_equivalence():
             ests = [refs[i] + 0.4 * mixture + 0.1 * rng.standard_normal(256) for i in range(4)]
             order = rng.permutation(4)
             shuffled = [ests[i] for i in order]
-            assert pit(refs, shuffled, metric="sdr", method="hungarian") == pit(
-                refs, shuffled, metric="sdr", method="exhaustive"
-            )
+            assert pit(refs, shuffled, metric="sdr") == pit_oracle(refs, shuffled, metric="sdr")
 
 
 def test_criterion_4_sdr_analytic_values():

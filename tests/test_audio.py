@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarsep import AudioBuffer, read_wav, write_wav
 from diarsep.audio import PCM_SUBFORMAT
@@ -173,3 +175,31 @@ def test_buffer_validation():
 
 def test_duration_property():
     assert AudioBuffer(np.zeros(4000, np.float32), 8000).duration == 0.5
+
+
+_PCM = np.array([0, 1, -1, 32767, -32768, 12345], dtype="<i2").tobytes()
+_VALID_WAVS = [make_wav_bytes(_PCM), make_extensible_wav_bytes(_PCM)]
+_LONGEST = max(len(raw) for raw in _VALID_WAVS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.sampled_from(range(len(_VALID_WAVS))),
+    length=st.integers(0, _LONGEST),
+    flips=st.lists(st.tuples(st.integers(0, _LONGEST - 1), st.integers(1, 255)), max_size=4),
+)
+def test_reader_fuzz_returns_buffer_or_value_error(tmp_path_factory, which, length, flips):
+    """Truncations and byte flips of a valid plain or extensible file: an AudioBuffer or a ValueError."""
+    raw = bytearray(_VALID_WAVS[which])
+    for index, mask in flips:
+        if index < len(raw):
+            raw[index] ^= mask
+    path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+    path.write_bytes(bytes(raw[:length]))
+    try:
+        buffer = read_wav(path)
+    except ValueError:
+        return
+    assert isinstance(buffer, AudioBuffer)
+    assert buffer.sample_rate > 0
+    assert np.all(np.abs(buffer.samples) <= 1.0)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diarsep
 from diarsep import (
@@ -17,6 +21,7 @@ from diarsep import (
     write_wav,
 )
 from diarsep.cli import main
+from diarsep.der import compute_der, total_der
 from diarsep.tasnet import basis_to_stack
 
 
@@ -503,3 +508,97 @@ def test_stdout_deterministic_across_runs(tmp_path, capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+def test_non_finite_float_options_exit_1_naming_the_value(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    write_sine(wav, 440.0)
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    # all-silent scores: min_seg is checked even when nothing is pooled
+    silent_path = tmp_path / "silent.sslf"
+    write_feature_stack(FeatureStack(np.zeros((2, 500, 3), np.float32), 50.0), silent_path)
+    for value in ("inf", "nan", "-inf"):
+        invocations = [
+            ("resample", str(wav), str(tmp_path / "out.wav"), "--rate", "16000", f"--stopband-db={value}"),
+            ("diarize", str(scores_path), "--features", str(feats_path), f"--min-seg={value}"),
+            ("diarize", str(silent_path), "--features", str(feats_path), f"--min-seg={value}"),
+        ]
+        for argv in invocations:
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: ") and f"got {value}" in err, err
+            assert "Traceback" not in err
+
+
+def test_total_der_matches_cli_overall_row(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    # in recording "c" the 0.25 s collars cover all of its 0.4 s of speech
+    ref.write_text(
+        "SPEAKER a 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER a 1 4.000 3.000 <NA> <NA> B <NA> <NA>\n"
+        "SPEAKER b 1 1.000 5.500 <NA> <NA> C <NA> <NA>\n"
+        "SPEAKER c 1 0.000 0.400 <NA> <NA> D <NA> <NA>\n"
+    )
+    hyp.write_text(
+        "SPEAKER a 1 0.500 9.000 <NA> <NA> x <NA> <NA>\n"
+        "SPEAKER a 1 3.000 2.000 <NA> <NA> y <NA> <NA>\n"
+        "SPEAKER b 1 2.000 6.000 <NA> <NA> x <NA> <NA>\n"
+        "SPEAKER c 1 0.000 0.400 <NA> <NA> z <NA> <NA>\n"
+    )
+    refs, hyps = diarsep.parse_rttm(ref.read_text()), diarsep.parse_rttm(hyp.read_text())
+    reports = [compute_der(refs[uri], hyps[uri], collar=0.25) for uri in ("a", "b", "c")]
+    assert reports[2].total_speech == 0.0 and reports[2].der_pct == 0.0
+    total = total_der(reports)
+    assert total.mapping == {}
+    assert total.total_speech == reports[0].total_speech + reports[1].total_speech > 0
+    assert total.der_pct == total.fa_pct + total.md_pct + total.sc_pct
+    assert total.fa_pct == 100.0 * (reports[0].false_alarm + reports[1].false_alarm) / total.total_speech
+
+    argv = ("score-der", str(ref), str(hyp), "--collar", "0.25")
+    code, csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = csv.splitlines()
+    assert [row.split(",")[0] for row in rows] == ["uri", "a", "b", "c", "OVERALL"]
+    assert rows[3] == "c," + ",".join(["0.000000"] * 8)
+    values = (total.false_alarm, total.missed, total.confusion, total.total_speech,
+              total.fa_pct, total.md_pct, total.sc_pct, total.der_pct)
+    assert rows[4] == "OVERALL," + ",".join(f"{v:.6f}" for v in values)
+    code, text, _ = run(capsys, *argv, "--aggregate")
+    assert code == 0
+    assert text == (
+        f"OVERALL DER {total.der_pct:.3f}% FA {total.fa_pct:.3f}% MD {total.md_pct:.3f}% "
+        f"SC {total.sc_pct:.3f}% speech {total.total_speech:.3f}s\n"
+    )
+
+    # a corpus without scored speech totals to zeros, as each of its recordings does
+    empty = total_der([reports[2], reports[2]])
+    assert (empty.total_speech, empty.der_pct, empty.fa_pct) == (0.0, 0.0, 0.0)
+
+
+# config lines for the --config fuzz: known keys of several subcommands with
+# valid, malformed or non-finite values, plus broken lines
+_CONFIG_LINE = st.one_of(
+    st.builds(
+        lambda key, value: f"{key}={value}",
+        st.sampled_from(["collar", "format", "per_file", "mode", "uem", "no_pit", "hop", "stopband-db", "cap_db"]),
+        st.sampled_from(["0", "0.25", "-1", "nan", "inf", "csv", "text", "xml", "true", "false", "", "1e400"]),
+    ),
+    st.sampled_from(["# comment", "", "=", "novalue", "unknown_key=1", "collar = 0.5"]),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_CONFIG_LINE, max_size=5).map("\n".join))
+def test_config_fuzz_exits_0_or_1(tmp_path_factory, text):
+    """score-der under a fuzzed --config file: a score or an error message, never a traceback."""
+    folder = tmp_path_factory.getbasetemp()
+    rttm = folder / "ref.rttm"
+    rttm.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    cfg = folder / "fuzz.cfg"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--config", str(cfg), "score-der", str(rttm), str(rttm)])
+    assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))

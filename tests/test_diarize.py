@@ -92,6 +92,22 @@ def test_single_speaker_min_duration_filter():
     assert single_speaker_segments(make_chunk(0.0, activity)) == []
 
 
+def test_non_finite_minimum_run_rejected():
+    activity = np.zeros((100, 1), np.int8)
+    activity[0:50, 0] = 1
+    chunk = make_chunk(0.0, activity)
+    feats = [FeatureMatrix(np.ones((100, 2), np.float32), 50.0)]
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"minimum single-speaker run must be finite, got {value}"):
+            single_speaker_segments(chunk, min_duration=value)
+        with pytest.raises(ValueError, match="must be finite"):
+            pooled_embeddings([chunk], feats, min_seg=value)
+        with pytest.raises(ValueError, match="must be finite"):
+            diarize_file([chunk], feats, min_seg=value)
+        with pytest.raises(ValueError, match="must be finite"):
+            diarize_file([], min_seg=value)  # checked before the early return
+
+
 def test_ahc_single_embedding():
     assert ahc_cluster([np.array([1.0, 0.0])], threshold=0.5) == [0]
 

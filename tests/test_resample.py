@@ -46,6 +46,9 @@ def test_design_validation():
         design_kaiser_sinc(44100, 8000)
     with pytest.raises(ValueError, match="stopband"):
         design_kaiser_sinc(8000, 16000, stopband_db=30)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"stopband_db must be finite and >= 40, got {value}"):
+            design_kaiser_sinc(8000, 16000, stopband_db=value)
     with pytest.raises(ValueError, match="transition_frac"):
         design_kaiser_sinc(8000, 16000, transition_frac=0.7)
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diarsep import AudioBuffer, pit, sdr, sdr_improvement, si_sdr
+from diarsep.sepmetrics import INF_SUBSTITUTE_DB
+from oracles import pit_oracle
 
 
 def test_sdr_perfect_estimate():
@@ -137,8 +139,8 @@ def test_pit_hungarian_equals_exhaustive():
         ests = [refs[i] + 0.3 * mixture + 0.05 * rng.standard_normal(128) for i in range(n)]
         order = rng.permutation(n)
         shuffled = [ests[i] for i in order]
-        exhaustive = pit(refs, shuffled, metric="sdr", method="exhaustive")
-        hungarian = pit(refs, shuffled, metric="sdr", method="hungarian")
+        exhaustive = pit_oracle(refs, shuffled, metric="sdr")
+        hungarian = pit(refs, shuffled, metric="sdr")
         assert exhaustive == hungarian
         # the clean source dominates its own estimate, so PIT must undo the shuffle
         assert list(exhaustive[0]) == np.argsort(order).tolist()
@@ -202,15 +204,15 @@ def test_sdr_improvement_equals_pairwise_metric_with_and_without_pit():
 
 def test_non_finite_signals_rejected_on_both_pit_paths():
     rng = np.random.default_rng(13)
-    for n, method in ((3, "exhaustive"), (7, "hungarian"), (7, "auto")):
+    for n in (3, 7):
         refs = [rng.standard_normal(32) for _ in range(n)]
         ests = [r + 0.1 * rng.standard_normal(32) for r in refs]
         ests[1][5] = np.nan
         with pytest.raises(ValueError, match="estimate 1 must be finite"):
-            pit(refs, ests, method=method)
+            pit(refs, ests)
         refs[2][0] = np.inf
         with pytest.raises(ValueError, match="reference 2 must be finite"):
-            pit(refs, ests, method=method)
+            pit(refs, ests)
 
 
 def test_non_finite_signals_rejected_by_sdr_and_improvement():
@@ -222,3 +224,40 @@ def test_non_finite_signals_rejected_by_sdr_and_improvement():
     refs = [np.array([1.0, 0.5]), np.array([0.5, 1.0])]
     with pytest.raises(ValueError, match="mixture must be finite"):
         sdr_improvement(refs, refs, [np.nan, 1.0])
+
+
+def test_pit_exact_tie_takes_the_solvers_first_optimum():
+    # x and y orthogonal: every reference scores -inf on y and +inf on x, so
+    # both permutations tie at a substituted total of -300 + 300 = 0
+    x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    refs, ests = [x, 2 * x], [y, x]
+    perm, mean = pit(refs, ests, "si_sdr")
+    oracle_perm, oracle_mean = pit_oracle(refs, ests, "si_sdr")
+    assert perm == (1, 0)  # the lexicographically smallest permutation would be (0, 1)
+    assert oracle_perm == (0, 1)
+    assert mean == oracle_mean == float("inf")
+
+    def clipped_total(p):
+        scores = [si_sdr(refs[i], ests[p[i]]) for i in range(2)]
+        return float(np.clip(scores, -INF_SUBSTITUTE_DB, INF_SUBSTITUTE_DB).sum())
+
+    assert clipped_total(perm) == clipped_total(oracle_perm) == 0.0
+
+
+def test_energy_overflow_is_an_error():
+    ref, est = [1e200, 1.0], [1e200, 2.0]
+    for fn in (sdr, si_sdr):
+        with pytest.raises(ValueError, match="energy overflows float64"):
+            fn(ref, est)
+    # the reference fits but the residual of a huge estimate does not
+    with pytest.raises(ValueError, match="energy overflows float64"):
+        sdr([1.0, 2.0], [1e200, 0.0])
+    with pytest.raises(ValueError, match="energy overflows float64"):
+        si_sdr([1.0, 2.0], [1e200, -1e200])
+    # finite samples whose difference overflows
+    with pytest.raises(ValueError, match="energy overflows float64"):
+        sdr([1e308, 1.0], [-1e308, 1.0])
+    refs = [np.array([1.0, 2.0]), np.array([1e200, 1.0])]
+    for metric in ("sdr", "si_sdr"):
+        with pytest.raises(ValueError, match="energy overflows float64"):
+            pit(refs, refs[::-1], metric)
