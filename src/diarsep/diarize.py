@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .annotation import Annotation, Segment
-from .features import FeatureMatrix
+from .features import FeatureMatrix, check_finite
 
 DEFAULT_WINDOW = 10.0
 DEFAULT_HOP = 5.0
@@ -130,30 +130,80 @@ def single_speaker_segments(
 def ahc_cluster(embeddings, threshold: float) -> list[int]:
     """Average-linkage agglomerative clustering on cosine distance.
 
-    Merges cluster pairs while their linkage stays within ``threshold`` (a cut
-    of scipy's average-linkage tree; with exactly equal linkages, which pair
-    merges first is up to scipy's NN-chain order); labels are 0-based in order
-    of first member appearance.
+    Builds the average-linkage tree with the nearest-neighbour chain
+    (Müllner 2011) in scipy's ``linkage(method="average")`` merge order and
+    cuts it as ``fcluster(criterion="distance")`` does, so the labels equal
+    scipy's even among exactly equal linkages. Each chain starts at the
+    lowest-index live cluster; a cluster's nearest neighbour is the lowest
+    index among equal distances, except that the previous chain element
+    wins a tie; clusters x < y merge into y. A cluster's height is the
+    running maximum over its merges, and clusters of height <= ``threshold``
+    are kept whole. Labels are 0-based in order of first member appearance.
     """
     _check_threshold(threshold)
-    # imported here, not at module level: only diarize clusters
-    from scipy.cluster.hierarchy import fcluster, linkage
-
     vectors = np.asarray([np.asarray(e, dtype=np.float64).reshape(-1) for e in embeddings])
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need at least one embedding")
+    check_finite(vectors, "embeddings")
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0):
         raise ValueError("zero-norm embedding")
-    if vectors.shape[0] == 1:
-        return [0]
     unit = vectors / norms[:, None]
-    # rounding leaves duplicates near -1e-16, and fcluster rejects negative heights
+    # rounding leaves duplicates near -1e-16; heights must be >= 0
     distances = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
-    tree = linkage(distances[np.triu_indices(len(unit), 1)], method="average")
-    clusters = fcluster(tree, threshold, criterion="distance").tolist()
+
+    # scipy sorts the merges by height before numbering the tree, so each
+    # node is at least as high as its children and the cut joins exactly the
+    # merged pairs of height <= threshold, even where rounding puts a merge
+    # below an earlier one it contains
+    parent = list(range(len(unit)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for height, x, y in _nn_chain_average(distances):
+        if height <= threshold:
+            parent[find(x)] = find(y)
     relabel: dict[int, int] = {}
-    return [relabel.setdefault(c, len(relabel)) for c in clusters]
+    return [relabel.setdefault(find(i), len(relabel)) for i in range(len(unit))]
+
+
+def _nn_chain_average(distances: np.ndarray) -> list[tuple[float, int, int]]:
+    """(height, x, y) merges of the average-linkage tree in nearest-neighbour-chain order.
+
+    Cluster x < y merges into index y, and the merged distance to each other
+    cluster i is (n_x*d_xi + n_y*d_yi)/(n_x + n_y). Only the upper triangle
+    of ``distances`` is read, as scipy reads only the condensed form.
+    """
+    n = len(distances)
+    d = np.triu(distances, 1)
+    d += d.T
+    np.fill_diagonal(d, np.inf)  # inf also marks retired clusters
+    size = [1] * n
+    chain: list[int] = []
+    merges = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(next(i for i, s in enumerate(size) if s))
+        while True:
+            x = chain[-1]
+            y = int(d[x].argmin())
+            if len(chain) > 1 and d[x, chain[-2]] <= d[x, y]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append((float(d[x, y]), x, y))
+        merged = (nx * d[x] + ny * d[y]) / (nx + ny)  # inf stays inf
+        d[x] = d[:, x] = np.inf
+        d[y] = d[:, y] = merged
+        size[x], size[y] = 0, nx + ny
+    return merges
 
 
 def stitch(

@@ -32,8 +32,10 @@ class FirFilter:
         check_finite(taps, "taps")
         if not np.allclose(taps, taps[::-1], atol=1e-7, rtol=0):
             raise ValueError("taps must be symmetric (linear phase)")
-        if self.stopband_db <= 0:
-            raise ValueError(f"stopband_db must be positive, got {self.stopband_db}")
+        if not 0 < self.stopband_db < math.inf:
+            raise ValueError(f"stopband_db must be finite and positive, got {self.stopband_db}")
+        if not 0 < self.nominal_cutoff < 0.5:
+            raise ValueError(f"nominal_cutoff must be in (0, 0.5), got {self.nominal_cutoff}")
         object.__setattr__(self, "taps", taps)
 
 

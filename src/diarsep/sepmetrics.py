@@ -10,6 +10,7 @@ from .audio import AudioBuffer
 from .features import check_finite
 
 INF_SUBSTITUTE_DB = 300.0
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,9 @@ def sdr(ref, est) -> float:
     """Source-to-distortion ratio: 10*log10(sum(s^2) / sum((s - s_hat)^2)) dB.
 
     A zero residual yields +inf; an all-zero reference, or a signal energy
-    beyond float64 range, is an error.
+    beyond float64 range, is an error. An energy too small for float64, or
+    a ratio outside its range, is taken in dB from the signals rescaled to
+    a unit peak.
     """
     return _sdr(_signal(ref, "reference"), _signal(est, "estimate"))
 
@@ -52,6 +55,31 @@ def _check_energies(*energies: float) -> None:
         raise ValueError("signal energy overflows float64")
 
 
+def _unit_peak(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2**-e, e) with the scaled peak magnitude in [0.5, 1); an all-zero x gives (x, 0)."""
+    if not x.any():
+        return x, 0
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -exponent), exponent
+
+
+def _energy_db(x: np.ndarray) -> float:
+    """10*log10(sum(x^2)) of a non-zero finite signal, from its unit-peak copy so nothing underflows."""
+    unit, exponent = _unit_peak(x)
+    return 10.0 * np.log10(np.dot(unit, unit)) + 20.0 * math.log10(2.0) * exponent
+
+
+def _ratio_db(num: np.ndarray, num_energy: float, den: np.ndarray, den_energy: float) -> float:
+    """10*log10(num_energy / den_energy) for non-zero signals with these energies.
+
+    Where an energy or the ratio leaves float64's normal range, each energy
+    is taken in dB from its rescaled signal instead.
+    """
+    if num_energy >= _TINY and den_energy >= _TINY and _TINY <= num_energy / den_energy < math.inf:
+        return 10.0 * np.log10(num_energy / den_energy)
+    return _energy_db(num) - _energy_db(den)
+
+
 def _sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
     _check_pair(s, s_hat)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a ValueError below
@@ -59,11 +87,11 @@ def _sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
         residual = s - s_hat
         res_energy = float(np.dot(residual, residual))
     _check_energies(ref_energy, res_energy)
-    if ref_energy == 0.0:
+    if not s.any():
         raise ValueError("reference signal is all zeros")
-    if res_energy == 0.0:
+    if not residual.any():
         return float("inf")
-    return 10.0 * np.log10(ref_energy / res_energy)
+    return _ratio_db(s, ref_energy, residual, res_energy)
 
 
 def si_sdr(ref, est) -> float:
@@ -71,7 +99,9 @@ def si_sdr(ref, est) -> float:
 
     s_t = (<s_hat, s> / ||s||^2) * s; returns 10*log10(||s_t||^2 / ||s_hat - s_t||^2).
     An estimate orthogonal to the reference yields -inf, a zero residual +inf;
-    a signal energy beyond float64 range is an error.
+    a signal energy beyond float64 range is an error. Signals whose energy
+    or projection is too small for float64 are rescaled to a unit peak
+    first, which leaves the ratio unchanged.
     """
     return _si_sdr(_signal(ref, "reference"), _signal(est, "estimate"))
 
@@ -82,8 +112,14 @@ def _si_sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
         ref_energy = float(np.dot(s, s))
         projection = float(np.dot(s_hat, s))
         _check_energies(ref_energy, projection)
-        if ref_energy == 0.0:
+        if not s.any():
             raise ValueError("reference signal is all zeros")
+        if ref_energy < _TINY or abs(projection) < _TINY:
+            # either may have underflowed: rescale each signal to a unit peak,
+            # which leaves SI-SDR unchanged
+            s, s_hat = _unit_peak(s)[0], _unit_peak(s_hat)[0]
+            ref_energy = float(np.dot(s, s))
+            projection = float(np.dot(s_hat, s))
         if projection == 0.0:
             return float("-inf")
         target = (projection / ref_energy) * s
@@ -91,9 +127,11 @@ def _si_sdr(s: np.ndarray, s_hat: np.ndarray) -> float:
         target_energy = float(np.dot(target, target))
         res_energy = float(np.dot(residual, residual))
     _check_energies(target_energy, res_energy)
-    if res_energy == 0.0:
+    if not residual.any():
         return float("inf")
-    return 10.0 * np.log10(target_energy / res_energy)
+    if not target.any():  # a projection coefficient below float64 range
+        raise ValueError("signal energy underflows float64")
+    return _ratio_db(target, target_energy, residual, res_energy)
 
 
 # metric name (with the CLI spelling "si-sdr") -> function of two float64 signals

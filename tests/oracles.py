@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the DER, assignment, PIT, AHC, resampling, TasNet and acceptance tests."""
+"""Independent brute-force oracles for the DER, assignment, PIT, AHC, linkage, resampling, TasNet and acceptance tests."""
 
 import itertools
 import math
@@ -208,6 +208,32 @@ def ahc_oracle(embeddings, threshold: float) -> list[int]:
             relabel[pos] = len(relabel)
         labels.append(relabel[pos])
     return labels
+
+
+def linkage_oracle(embeddings, threshold: float) -> list[int]:
+    """Reference AHC: scipy's average-linkage tree cut by ``fcluster``.
+
+    Same contract as ``diarsep.ahc_cluster`` (labels 0-based in order of
+    first member appearance), computed by the scipy ``linkage``/``fcluster``
+    calls that the in-repo nearest-neighbour chain replaced.
+    """
+    from scipy.cluster.hierarchy import fcluster, linkage  # only the oracle needs scipy.cluster
+
+    vectors = np.asarray([np.asarray(e, dtype=np.float64).reshape(-1) for e in embeddings])
+    if vectors.ndim != 2 or vectors.shape[0] < 1:
+        raise ValueError("need at least one embedding")
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms == 0):
+        raise ValueError("zero-norm embedding")
+    if vectors.shape[0] == 1:
+        return [0]
+    unit = vectors / norms[:, None]
+    # rounding leaves duplicates near -1e-16, and fcluster rejects negative heights
+    distances = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    tree = linkage(distances[np.triu_indices(len(unit), 1)], method="average")
+    clusters = fcluster(tree, threshold, criterion="distance").tolist()
+    relabel: dict[int, int] = {}
+    return [relabel.setdefault(c, len(relabel)) for c in clusters]
 
 
 def resample_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuffer:

@@ -220,7 +220,9 @@ def test_resample_command(tmp_path, capsys):
 
 def test_resample_command_imports_no_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded by other tests;
-    # score-der and 7-source score-sdr (the assignment path of PIT) load none either
+    # score-der, 7-source score-sdr (the assignment path of PIT) and diarize
+    # with two embeddings to cluster load none either
+    scores_path, feats_path = diarize_fixtures(tmp_path)
     src = tmp_path / "in.wav"
     write_sine(src, 1000, rate=8000, seconds=0.1)
     (tmp_path / "ref.rttm").write_text("SPEAKER u 1 0.0 2.0 <NA> <NA> A <NA> <NA>\n")
@@ -234,6 +236,7 @@ def test_resample_command_imports_no_scipy(tmp_path):
         ["score-der", str(tmp_path / "ref.rttm"), str(tmp_path / "hyp.rttm")],
         ["score-sdr", "--refs", *map(str, sources), "--ests", *map(str, sources[::-1]),
          "--mix", str(tmp_path / "mix.wav")],
+        ["diarize", str(scores_path), "--features", str(feats_path), "--output", str(tmp_path / "out.rttm")],
     ]
     script = (
         "import sys\n"

@@ -13,7 +13,7 @@ from diarsep import (
     slide_chunks,
     stitch,
 )
-from oracles import ahc_oracle
+from oracles import ahc_oracle, linkage_oracle
 
 
 def test_slide_single_window():
@@ -157,6 +157,12 @@ def test_ahc_linkage_equal_to_threshold_merges():
     assert ahc_cluster([e1, e2], threshold=np.nextafter(1.0, 0.0)) == [0, 1]
 
 
+def test_ahc_non_finite_embedding_rejected():
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="embeddings must be finite"):
+            ahc_cluster([np.array([1.0, 0.0]), np.array([value, 1.0])], threshold=0.5)
+
+
 def test_ahc_nan_threshold_rejected():
     vectors = [np.array([1.0, 0.0]), np.array([0.9, 0.1]), np.array([0.0, 1.0])]
     with pytest.raises(ValueError, match="nan"):
@@ -190,6 +196,35 @@ def test_ahc_matches_oracle():
             continue
         checked += 1
     assert checked >= 200
+
+
+def test_ahc_equals_linkage_oracle():
+    """The in-repo nearest-neighbour chain cuts scipy's average-linkage tree exactly.
+
+    Integer-lattice vectors (entries -2..2) put many exactly equal linkages
+    in play, so the merge order and tie rules must match scipy's too.
+    """
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        n = int(rng.integers(1, 40))
+        if case % 2:
+            vectors = rng.integers(-2, 3, (n, int(rng.integers(2, 5)))).astype(np.float64)
+            vectors[~vectors.any(axis=1), 0] = 1.0
+        else:
+            dim = int(rng.integers(2, 17))
+            centers = rng.standard_normal((int(rng.integers(1, 6)), dim))
+            vectors = centers[rng.integers(0, len(centers), n)]
+            vectors = vectors + rng.uniform(0.05, 1.0) * rng.standard_normal((n, dim))
+            if case % 4 == 0:  # exact duplicate rows
+                copies = int(rng.integers(1, n + 1))
+                vectors[rng.integers(0, n, copies)] = vectors[rng.integers(0, n, copies)]
+        for threshold in (0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 2.0))):
+            assert ahc_cluster(vectors, threshold) == linkage_oracle(vectors, threshold), (case, threshold)
+    # rounding can put the last merge (about 0.49999999999999983) below the
+    # one it contains (about 0.4999999999999999); scipy cuts between them
+    vectors = np.array([[3, 0, 3], [3, 0, 3], [3, 3, 0], [0, 3, 3]], dtype=np.float64)
+    for threshold in 0.5 - np.arange(1, 5) * 2.0**-54:
+        assert ahc_cluster(vectors, threshold) == linkage_oracle(vectors, threshold), threshold
 
 
 def test_stitch_single_chunk_identity():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import firwin
@@ -58,6 +60,13 @@ def test_filter_validation():
         FirFilter(np.ones(4, np.float32), 0.25, 80.0)
     with pytest.raises(ValueError, match="symmetric"):
         FirFilter(np.array([0.1, 0.2, 0.3], np.float32), 0.25, 80.0)
+    taps = np.array([0.25, 0.5, 0.25], np.float32)
+    for value in (0.0, -3.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"stopband_db must be finite and positive, got {value}"):
+            FirFilter(taps, 0.25, value)
+    for value in (0.0, 0.5, -0.1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=re.escape(f"nominal_cutoff must be in (0, 0.5), got {value}")):
+            FirFilter(taps, value, 80.0)
 
 
 def test_identity_returns_input_unchanged():

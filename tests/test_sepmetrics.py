@@ -244,6 +244,20 @@ def test_pit_exact_tie_takes_the_solvers_first_optimum():
     assert clipped_total(perm) == clipped_total(oracle_perm) == 0.0
 
 
+def test_energy_underflow_gives_the_true_ratio():
+    # the reference energy 1e-400 underflows, but the reference is not all zeros
+    assert sdr([1e-200, 0.0], [1.0, 0.0]) == pytest.approx(-4000.0, rel=1e-12)
+    # both energies fit, their ratio 1e-400 does not
+    assert sdr([1e-150, 0.0], [1e50, 0.0]) == pytest.approx(-4000.0, rel=1e-12)
+    assert sdr([1e50, 0.0], [1e50, 1e-150]) == pytest.approx(4000.0, rel=1e-12)
+    # SI-SDR is scale-invariant, so tiny signals score like their rescaled copies
+    assert si_sdr([1e-200, 1e-200], [1e-200, 0.0]) == si_sdr([1.0, 1.0], [1.0, 0.0])
+    assert si_sdr([1e-200, 0.0], [3e-200, 0.0]) == float("inf")
+    assert si_sdr([1.0, 0.0], [1e-300, 1.0]) == pytest.approx(-6000.0, rel=1e-12)
+    with pytest.raises(ValueError, match="all zeros"):
+        sdr([0.0, 0.0], [1e-300, 0.0])
+
+
 def test_energy_overflow_is_an_error():
     ref, est = [1e200, 1.0], [1e200, 2.0]
     for fn in (sdr, si_sdr):
