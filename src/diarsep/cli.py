@@ -17,11 +17,11 @@ from . import __version__
 from .annotation import Annotation, emit_rttm, parse_rttm, parse_uem
 from .audio import AudioBuffer, read_wav, write_wav
 from .der import DerReport, compute_der, total_der
-from .diarize import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG, DEFAULT_WINDOW
-from .diarize import ChunkSegmentation, check_hop, diarize_file
+from .diarize import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
+from .diarize import chunks_from_stack, diarize_file
 from .features import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
 from .fusion import normalize_weights, weighted_sum
-from .powerset import build_space, decode_class, decode_frames, encode_label
+from .powerset import build_space, decode_class, encode_label
 from .resample import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
 from .resample import design_kaiser_sinc, resample
 from .sepmetrics import sdr_improvement, si_sdr
@@ -99,17 +99,14 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_separate_oracle(args) -> int:
     sources = [read_wav(p) for p in args.sources]
-    rates = {s.sample_rate for s in sources}
-    if len(rates) != 1:
-        raise ValueError(f"sources disagree on sample rate: {sorted(rates)}")
 
     if args.basis:
         basis = basis_from_stack(read_feature_stack(args.basis), args.stride, args.nonlinearity)
     else:
         basis = random_basis(args.filters, args.kernel, args.stride, args.seed, args.nonlinearity)
 
-    masks = oracle_masks(sources, basis)  # also checks that the sources share one length
-    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), rates.pop())
+    masks = oracle_masks(sources, basis)  # also checks that the sources share one rate and length
+    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), sources[0].sample_rate)
     estimates = separate_with_masks(mixture, masks, basis)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -126,38 +123,11 @@ def _cmd_separate_oracle(args) -> int:
     return 0
 
 
-def _chunks_from_stack(stack: FeatureStack, num_speakers: int, window: float, hop: float):
-    check_hop(window, hop)
-    space = build_space(num_speakers)
-    duration = stack.n_frames / stack.frame_rate
-    if duration > window + 1e-9:
-        raise ValueError(
-            f"chunk tensors span {duration:.3f} s but --window is {window} s"
-        )
-    chunks = []
-    for ci in range(stack.n_layers):
-        plane = stack.data[ci]
-        if stack.dim == space.n_classes:
-            activity = decode_frames(space, plane)
-        elif stack.dim == num_speakers:
-            if not np.isin(plane, (0.0, 1.0)).all():
-                raise ValueError(
-                    f"chunk {ci}: activity tensors must be binary "
-                    f"(or {space.n_classes}-wide class scores)"
-                )
-            activity = plane.astype(np.int8)
-        else:
-            raise ValueError(
-                f"tensor dim {stack.dim} matches neither {space.n_classes} powerset "
-                f"classes nor {num_speakers} speaker slots"
-            )
-        chunks.append(ChunkSegmentation(ci * hop, stack.frame_rate, activity))
-    return chunks
-
-
 def _cmd_diarize(args) -> int:
     stack = read_feature_stack(args.scores)
-    chunks = _chunks_from_stack(stack, args.num_speakers, args.window, args.hop)
+    chunks = chunks_from_stack(stack, args.num_speakers, args.hop)
+    if not (args.features or args.embeddings):
+        raise ValueError("need --features or --embeddings to identify speakers across chunks")
 
     features = None
     embeddings = None
@@ -173,20 +143,13 @@ def _cmd_diarize(args) -> int:
                 vector = emb_stack.data[ci, slot]
                 if np.any(vector != 0):
                     embeddings[(ci, slot)] = vector
-    elif args.features:
+    if args.features:
         feat_stack = read_feature_stack(args.features)
-        if feat_stack.n_layers != len(chunks):
-            raise ValueError(
-                f"feature file has {feat_stack.n_layers} chunks, scores have {len(chunks)}"
-            )
         features = [
             FeatureMatrix(feat_stack.data[ci], feat_stack.frame_rate)
             for ci in range(feat_stack.n_layers)
         ]
-    else:
-        raise ValueError("need --features or --embeddings to identify speakers across chunks")
 
-    total = (len(chunks) - 1) * args.hop + stack.n_frames / stack.frame_rate
     uri = args.uri or Path(args.scores).stem
     annotation = diarize_file(
         chunks,
@@ -195,7 +158,6 @@ def _cmd_diarize(args) -> int:
         uri=uri,
         min_seg=args.min_seg,
         ahc_threshold=args.ahc_threshold,
-        total_duration=total,
     )
     rttm = emit_rttm(annotation)
     if args.output == "-":
@@ -253,9 +215,6 @@ def _cmd_score_sdr(args) -> int:
     refs = [read_wav(p) for p in args.refs]
     ests = [read_wav(p) for p in args.ests]
     mixture = read_wav(args.mix)
-    rates = {b.sample_rate for b in refs + ests + [mixture]}
-    if len(rates) != 1:
-        raise ValueError(f"inputs disagree on sample rate: {sorted(rates)}")
 
     report = sdr_improvement(refs, ests, mixture, metric=args.metric, permute=not args.no_pit)
     perm = ",".join(str(p) for p in report.permutation)
@@ -338,8 +297,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--features", help="SSLF per-chunk features for embedding pooling")
     p.add_argument("--embeddings", help="SSLF per-(chunk, slot) embeddings (zero rows = absent)")
     p.add_argument("--num-speakers", type=int, default=3, help="local speaker slots K")
-    p.add_argument("--window", type=float, default=DEFAULT_WINDOW, help="chunk window in seconds")
-    p.add_argument("--hop", type=float, default=DEFAULT_HOP, help="chunk hop in seconds")
+    p.add_argument("--hop", type=float, default=DEFAULT_HOP, help="chunk hop in seconds (<= chunk span)")
     p.add_argument("--min-seg", type=float, default=DEFAULT_MIN_SEG, help="min single-speaker run for embeddings")
     p.add_argument(
         "--ahc-threshold", type=float, default=DEFAULT_AHC_THRESHOLD, help="cosine-distance merge threshold"

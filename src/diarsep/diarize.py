@@ -11,7 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .annotation import Annotation, Segment
-from .features import FeatureMatrix, check_finite
+from .features import FeatureMatrix, FeatureStack, check_finite
+from .powerset import build_space, decode_frames
 
 DEFAULT_WINDOW = 10.0
 DEFAULT_HOP = 5.0
@@ -59,9 +60,9 @@ class Embedding(NamedTuple):
 
 
 def check_hop(window: float, hop: float) -> None:
-    """Raise ValueError unless 0 < hop <= window, so chunks tile without gaps."""
+    """Raise ValueError unless 0 < hop <= window, so chunks spanning ``window`` s tile without gaps."""
     if not 0 < hop <= window:
-        raise ValueError(f"hop must satisfy 0 < hop <= window, got hop={hop} window={window}")
+        raise ValueError(f"hop must satisfy 0 < hop <= window (the chunk span), got hop={hop} window={window}")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -93,6 +94,34 @@ def slide_chunks(total_duration: float, window: float = DEFAULT_WINDOW, hop: flo
         onset = k * hop
         chunks.append((onset, min(window, total_duration - onset)))
         k += 1
+    return chunks
+
+
+def chunks_from_stack(
+    stack: FeatureStack, num_speakers: int, hop: float = DEFAULT_HOP
+) -> list[ChunkSegmentation]:
+    """Decode a chunk tensor (layers = chunks) into chunk segmentations.
+
+    dim is either the powerset class count for ``num_speakers`` (per-frame
+    class scores, decoded by argmax) or ``num_speakers`` (binary activity,
+    at most 2 active slots per frame). Chunk ``ci`` starts at ``ci * hop``
+    and spans ``n_frames / frame_rate`` seconds; a hop beyond that span
+    would leave gaps and is rejected. Errors in one chunk name it.
+    """
+    check_hop(stack.n_frames / stack.frame_rate, hop)
+    space = build_space(num_speakers)
+    if stack.dim not in (space.n_classes, num_speakers):
+        raise ValueError(
+            f"tensor dim {stack.dim} matches neither {space.n_classes} powerset "
+            f"classes nor {num_speakers} speaker slots"
+        )
+    chunks = []
+    for ci, plane in enumerate(stack.data):
+        try:
+            activity = decode_frames(space, plane) if stack.dim == space.n_classes else plane
+            chunks.append(ChunkSegmentation(ci * hop, stack.frame_rate, activity))
+        except ValueError as exc:
+            raise ValueError(f"chunk {ci}: {exc}") from None
     return chunks
 
 
@@ -307,13 +336,14 @@ def diarize_file(
     uri: str = "file",
     min_seg: float = DEFAULT_MIN_SEG,
     ahc_threshold: float = DEFAULT_AHC_THRESHOLD,
-    total_duration: float | None = None,
 ) -> Annotation:
     """Full pipeline: embeddings -> clustering -> global labels -> stitched annotation.
 
-    Embeddings come either from a provided (chunk, slot) -> vector map or from
-    mean-pooling the per-chunk feature matrices. Deterministic for fixed
-    inputs; chunk labels are spk0, spk1, ... in order of first appearance.
+    Embeddings come from exactly one source: a provided (chunk, slot) ->
+    vector map or mean-pooling of the per-chunk feature matrices; giving
+    both, or neither, is an error unless ``chunks`` is empty. The file ends where the last chunk ends, at
+    max(onset + n_frames / frame_rate). Deterministic for fixed inputs;
+    chunk labels are spk0, spk1, ... in order of first appearance.
     A NaN ``ahc_threshold`` or a non-finite ``min_seg`` is rejected even when
     nothing is left to cluster.
     """
@@ -326,6 +356,8 @@ def diarize_file(
         raise ValueError(f"chunks disagree on frame rate: {sorted(rates)}")
     frame_rate = rates.pop()
 
+    if (features is None) == (embeddings is None):
+        raise ValueError("need per-chunk features or an embedding map, not both")
     if embeddings is not None:
         vectors = []
         for ci, chunk in enumerate(chunks):
@@ -336,15 +368,12 @@ def diarize_file(
                     raise ValueError(f"no embedding provided for chunk {ci} slot {slot}")
                 vectors.append(Embedding(np.asarray(embeddings[(ci, slot)], dtype=np.float64), (ci, slot)))
     else:
-        if features is None:
-            raise ValueError("need per-chunk features or an embedding map")
         vectors = pooled_embeddings(chunks, features, min_seg)
 
-    if total_duration is None:
-        total_duration = max(c.onset + c.n_frames / frame_rate for c in chunks)
     if not vectors:
         return Annotation(uri, ())
 
     labels = ahc_cluster([e.vector for e in vectors], ahc_threshold)
     assignment = {e.source: f"spk{label}" for e, label in zip(vectors, labels)}
+    total_duration = max(c.onset + c.n_frames / frame_rate for c in chunks)
     return stitch(chunks, assignment, frame_rate, total_duration, uri)

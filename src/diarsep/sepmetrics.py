@@ -145,16 +145,21 @@ def _metric_fn(metric: str):
         raise ValueError(f"unknown metric {metric!r}; expected 'sdr' or 'si_sdr'") from None
 
 
-def _score_matrix(refs, ests, metric: str, full: bool = True):
+def _score_matrix(refs, ests, metric: str, full: bool = True, mixture=None):
     """Returns (metric fn, float64 references, scores) with scores[i, j] = metric(refs[i], ests[j]).
 
-    Every signal is converted to float64 once. With ``full`` False only the
-    diagonal is scored and the other entries are NaN.
+    Every signal is converted to float64 once. The ``AudioBuffer``s among the
+    signals and ``mixture`` must share one sample rate; plain arrays carry
+    none. With ``full`` False only the diagonal is scored and the other
+    entries are NaN.
     """
     if len(refs) != len(ests):
         raise ValueError(f"count mismatch: {len(refs)} references vs {len(ests)} estimates")
     if not refs:
         raise ValueError("need at least one source")
+    rates = {x.sample_rate for x in (*refs, *ests, mixture) if isinstance(x, AudioBuffer)}
+    if len(rates) > 1:
+        raise ValueError(f"inputs disagree on sample rate: {sorted(rates)}")
     fn = _metric_fn(metric)
     refs = [_signal(r, f"reference {i}") for i, r in enumerate(refs)]
     ests = [_signal(e, f"estimate {j}") for j, e in enumerate(ests)]
@@ -180,10 +185,11 @@ def pit(refs, ests, metric: str = "si_sdr") -> tuple[tuple[int, ...], float]:
 
     Solved by ``assignment.max_weight_assignment`` on the pairwise scores,
     with infinities substituted by +-300 dB during selection; a non-finite
-    sample in any signal raises ValueError. Among permutations of exactly
-    equal substituted total, the one the solver's order reaches first wins:
-    references join in index order, and each path search takes the
-    lowest-index estimate among equal reduced costs. That is not always the
+    sample in any signal, or ``AudioBuffer``s of different sample rates,
+    raise ValueError. Among permutations of exactly equal substituted
+    total, the one the solver's order reaches first wins: references join
+    in index order, and each path search takes the lowest-index estimate
+    among equal reduced costs. That is not always the
     lexicographically smallest permutation: with x, y orthogonal,
     ``pit([x, 2*x], [y, x])`` ties at a total of 0 and returns (1, 0).
     Returns (permutation, mean score) where ests[permutation[i]] matches refs[i].
@@ -204,9 +210,10 @@ def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = Tr
     The best permutation (under the same metric) is applied first unless
     ``permute`` is False. Improvement per source i is
     metric(ref_i, est_perm(i)) - metric(ref_i, mixture); matching infinities
-    cancel to 0.
+    cancel to 0. ``AudioBuffer`` inputs, the mixture included, must share
+    one sample rate.
     """
-    fn, signals, scores = _score_matrix(refs, ests, metric, full=permute)
+    fn, signals, scores = _score_matrix(refs, ests, metric, full=permute, mixture=mixture)
     n = len(signals)
     perm = _best_permutation(scores) if permute else tuple(range(n))
     per_sdr = [float(scores[i, perm[i]]) for i in range(n)]

@@ -139,10 +139,13 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     """Ratio masks from per-source relu encodings.
 
     mask[s, t, n] = enc(source_s)[t, n] / (sum_j enc(source_j)[t, n] + DEFAULT_EPS),
-    clipped to [0, 1]. Sources must share one length.
+    clipped to [0, 1]. Sources must share one sample rate and one length.
     """
     if not sources:
         raise ValueError("need at least one source")
+    rates = {s.sample_rate for s in sources}
+    if len(rates) != 1:
+        raise ValueError(f"sources disagree on sample rate: {sorted(rates)}")
     lengths = {len(s) for s in sources}
     if len(lengths) != 1:
         raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")

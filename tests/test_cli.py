@@ -52,7 +52,7 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_zero_and_lists_defaults(capsys):
     code, out, _ = run(capsys, "diarize", "--help")
     assert code == 0
-    for token in ("--window", "10.0", "--hop", "5.0", "--min-seg", "0.25", "--ahc-threshold", "0.5"):
+    for token in ("--hop", "5.0", "--min-seg", "0.25", "--ahc-threshold", "0.5"):
         assert token in out
     code, out, _ = run(capsys, "resample", "--help")
     assert code == 0
@@ -329,6 +329,21 @@ def test_separate_oracle_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_mixed_sample_rates_exit_1(tmp_path, capsys):
+    narrow, wide = tmp_path / "narrow.wav", tmp_path / "wide.wav"
+    write_sine(narrow, 440, rate=8000)
+    write_sine(wide, 660, rate=16000)
+    for argv in (
+        ("separate-oracle", "--sources", str(narrow), str(wide),
+         "--output-dir", str(tmp_path / "est"), "--seed", "7"),
+        ("score-sdr", "--refs", str(narrow), "--ests", str(narrow), "--mix", str(wide)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "disagree on sample rate: [8000, 16000]" in err
+    assert not (tmp_path / "est").exists()
+
+
 def test_separate_oracle_rejects_unequal_lengths(tmp_path, capsys):
     rng = np.random.default_rng(3)
     paths = []
@@ -489,12 +504,80 @@ def test_score_der_rejects_non_finite_collar(tmp_path, capsys):
 
 
 def test_diarize_rejects_bad_hop(tmp_path, capsys):
-    scores_path, feats_path = diarize_fixtures(tmp_path)
+    scores_path, feats_path = diarize_fixtures(tmp_path)  # 10 s chunks
     base = ("diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec")
-    for extra in (("--hop", "0"), ("--hop", "-5"), ("--hop", "20", "--window", "10")):
+    for extra in (("--hop", "0"), ("--hop", "-5"), ("--hop", "15")):
         code, out, err = run(capsys, *base, *extra)
         assert code == 1 and out == ""
         assert "0 < hop <= window" in err
+
+
+def test_diarize_hop_beyond_chunk_span_is_rejected(tmp_path, capsys):
+    # 3 chunks x 250 frames at 50 Hz (5 s each), one speaker throughout: a 7 s
+    # hop used to write 5 s segments at 0, 7 and 14 s, with 2 s holes between
+    scores = np.zeros((3, 250, 3), np.float32)
+    scores[:, :, 0] = 1
+    scores_path, feats_path = tmp_path / "short.sslf", tmp_path / "feats.sslf"
+    write_feature_stack(FeatureStack(scores, 50.0), scores_path)
+    write_feature_stack(FeatureStack(np.ones((3, 250, 4), np.float32), 50.0), feats_path)
+    base = ("diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec")
+    code, out, err = run(capsys, *base, "--hop", "7")
+    assert (code, out) == (1, "")
+    assert "hop=7.0 window=5.0" in err
+    code, out, _ = run(capsys, *base, "--hop", "5")
+    assert (code, out) == (0, "SPEAKER rec 1 0.000 15.000 <NA> <NA> spk0 <NA> <NA>\n")
+
+
+def test_diarize_window_option_is_gone(tmp_path, capsys):
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    base = ("diarize", str(scores_path), "--features", str(feats_path))
+    assert run(capsys, *base, "--window", "10")[0] == 2
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text("window=10\n")
+    code, out, err = run(capsys, "--config", str(cfg), *base)
+    assert (code, out) == (1, "")
+    assert "unknown config key(s): window" in err
+
+
+def test_diarize_rejects_malformed_inputs_naming_the_chunk(tmp_path, capsys):
+    scores_path, feats_path = diarize_fixtures(tmp_path)  # 2 chunks, K=3 binary activity
+    scores = read_feature_stack(scores_path).data
+    non_binary = scores.copy()
+    non_binary[1, 7, 2] = 0.5
+    three_active = scores.copy()
+    three_active[0, 3] = 1
+    cases = (
+        (np.zeros((2, 500, 4), np.float32), "tensor dim 4 matches neither 7 powerset classes"),
+        (non_binary, "chunk 1: activity must be binary"),
+        (three_active, "chunk 0: at most 2 speakers may be active per frame"),
+        (np.concatenate([scores, scores[:1]]), "got 3 chunks but 2 feature matrices"),
+    )
+    for data, message in cases:
+        bad_path = tmp_path / "bad.sslf"
+        write_feature_stack(FeatureStack(data, 50.0), bad_path)
+        code, out, err = run(capsys, "diarize", str(bad_path), "--features", str(feats_path))
+        assert (code, out) == (1, "")
+        assert message in err
+    emb_path = tmp_path / "emb.sslf"
+    write_feature_stack(FeatureStack(np.ones((3, 3, 4), np.float32), 1.0), emb_path)
+    code, out, err = run(capsys, "diarize", str(scores_path), "--embeddings", str(emb_path))
+    assert (code, out) == (1, "")
+    assert "embedding file has 3 chunks, scores have 2" in err
+
+
+def test_diarize_rejects_both_embedding_sources(tmp_path, capsys):
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    emb_path = tmp_path / "emb.sslf"
+    write_feature_stack(FeatureStack(np.ones((2, 3, 4), np.float32), 1.0), emb_path)
+    cfg = tmp_path / "features.cfg"
+    cfg.write_text(f"features={feats_path}\n")
+    for argv in (
+        ("diarize", str(scores_path), "--features", str(feats_path), "--embeddings", str(emb_path)),
+        ("--config", str(cfg), "diarize", str(scores_path), "--embeddings", str(emb_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "not both" in err
 
 
 def test_stdout_deterministic_across_runs(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarsep import (
     Annotation,
     ChunkSegmentation,
     FeatureMatrix,
+    FeatureStack,
     ahc_cluster,
     compute_der,
     diarize_file,
@@ -13,6 +16,7 @@ from diarsep import (
     slide_chunks,
     stitch,
 )
+from diarsep.diarize import chunks_from_stack
 from oracles import ahc_oracle, linkage_oracle
 
 
@@ -375,6 +379,39 @@ def test_diarize_with_embedding_map():
     missing.pop((0, 0))
     with pytest.raises(ValueError, match="no embedding"):
         diarize_file(chunks, embeddings=missing, uri="u")
+
+
+def test_diarize_rejects_both_embedding_sources():
+    chunks, feats, _ = two_speaker_setup()
+    embeddings = {e.source: e.vector for e in pooled_embeddings(chunks, feats)}
+    with pytest.raises(ValueError, match="not both"):
+        diarize_file(chunks, feats, embeddings=embeddings, uri="u")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_frames=st.integers(1, 60),
+    frame_rate=st.floats(1.0, 200.0, width=32),
+    n_chunks=st.integers(1, 6),
+    hop_fraction=st.floats(1e-3, 2.0),
+)
+def test_accepted_hops_leave_no_gap(n_frames, frame_rate, n_chunks, hop_fraction):
+    """A hop beyond the chunk span is rejected; with any other, one speaker active
+    in every chunk gives one segment over [0, total)."""
+    span = n_frames / frame_rate
+    hop = hop_fraction * span
+    stack = FeatureStack(np.ones((n_chunks, n_frames, 1), np.float32), frame_rate)
+    if hop > span:
+        with pytest.raises(ValueError, match="0 < hop <= window"):
+            chunks_from_stack(stack, num_speakers=1, hop=hop)
+        return
+    chunks = chunks_from_stack(stack, num_speakers=1, hop=hop)
+    embeddings = {(ci, 0): np.ones(2) for ci in range(n_chunks)}
+    (segment,) = diarize_file(chunks, embeddings=embeddings).segments
+    total = max(c.onset + span for c in chunks)
+    # chunk onsets snap to the nearest frame, so the end may move by half a frame
+    assert segment.onset == 0.0
+    assert abs(segment.onset + segment.duration - total) <= 0.5 / frame_rate + 1e-9
 
 
 def test_diarize_empty_chunks():

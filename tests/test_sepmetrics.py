@@ -226,6 +226,21 @@ def test_non_finite_signals_rejected_by_sdr_and_improvement():
         sdr_improvement(refs, refs, [np.nan, 1.0])
 
 
+def test_audio_buffers_of_different_rates_rejected():
+    rng = np.random.default_rng(14)
+    x, y = rng.uniform(-0.4, 0.4, (2, 64)).astype(np.float32)
+    narrow = [AudioBuffer(x, 8000), AudioBuffer(y, 8000)]
+    wide = [AudioBuffer(y, 16000), AudioBuffer(x, 16000)]
+    message = r"inputs disagree on sample rate: \[8000, 16000\]"
+    with pytest.raises(ValueError, match=message):
+        pit(narrow, wide)
+    with pytest.raises(ValueError, match=message):
+        sdr_improvement(narrow, narrow[::-1], AudioBuffer(x + y, 16000))
+    # plain arrays carry no rate, so they mix with buffers of any one rate
+    assert pit(narrow, [y, x])[0] == (1, 0)
+    assert sdr_improvement(narrow, [y, x], x + y).permutation == (1, 0)
+
+
 def test_pit_exact_tie_takes_the_solvers_first_optimum():
     # x and y orthogonal: every reference scores -inf on y and +inf on x, so
     # both permutations tie at a substituted total of -300 + 300 = 0

@@ -168,6 +168,14 @@ def test_oracle_masks_length_mismatch():
         oracle_masks([a, b], basis)
 
 
+def test_oracle_masks_rate_mismatch():
+    basis = mirrored_dct_basis(8)
+    a = AudioBuffer(np.ones(80, np.float32), 8000)
+    b = AudioBuffer(np.ones(80, np.float32), 16000)
+    with pytest.raises(ValueError, match=r"sources disagree on sample rate: \[8000, 16000\]"):
+        oracle_masks([a, b], basis)
+
+
 def test_time_disjoint_oracle_separation():
     n = 16000
     t = np.arange(n // 2) / 8000.0
