@@ -1,5 +1,6 @@
 """Mono waveform buffer and 16-bit PCM WAV file I/O."""
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,6 +13,9 @@ WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # KSDATAFORMAT_SUBTYPE_PCM, 00000001-0000-0010-8000-00aa00389b71, in file byte order
 PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
+# samples per block in write_wav and resample: 512 KiB as float64, about a
+# core's L2 cache, so no whole-signal float64 array is ever built
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
     Raises ValueError with a distinct message for malformed headers, an
     odd-sized data chunk, multichannel audio, and non-PCM16 encodings.
     """
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())  # chunk bodies are views, not copies
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
 
@@ -56,7 +60,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
     data = None
     pos = 12
     while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
+        chunk_id = bytes(raw[pos : pos + 4])
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8 : pos + 8 + size]
         if len(body) < size:
@@ -84,23 +88,30 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
     if len(data) % 2:
         raise ValueError(f"{path}: malformed WAV, odd data size {len(data)} for 16-bit samples")
-    pcm = np.frombuffer(data, dtype="<i2")
-    return AudioBuffer(pcm.astype(np.float32) / 32768.0, sample_rate)
+    samples = np.frombuffer(data, dtype="<i2").astype(np.float32)
+    samples /= 32768.0  # a power of two: exact, in place
+    return AudioBuffer(samples, sample_rate)
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
     """Write a mono 16-bit PCM WAV file.
 
     Samples are clipped to [-1, 1] and quantized as round(sample * 32767),
-    clamped to the int16 range.
+    halves to even, which stays inside the int16 range. The conversion runs
+    in float64 on BLOCK samples at a time into one int16 array. An existing
+    file at ``path`` is overwritten in place and cut to the new length.
     """
-    x = np.clip(buffer.samples.astype(np.float64), -1.0, 1.0)
-    pcm = np.clip(np.round(x * 32767.0), -32768, 32767).astype("<i2")
-    data = pcm.tobytes()
+    pcm = np.empty(len(buffer), dtype="<i2")
+    for start in range(0, pcm.size, BLOCK):
+        x = buffer.samples[start : start + BLOCK].astype(np.float64)
+        np.clip(x, -1.0, 1.0, out=x)
+        x *= 32767.0
+        np.round(x, out=x)
+        pcm[start : start + BLOCK] = x
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(data),
+        36 + pcm.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -111,6 +122,13 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
         2,
         16,
         b"data",
-        len(data),
+        pcm.nbytes,
     )
-    Path(path).write_bytes(header + data)
+    # overwrite in place, then cut to length: truncating first frees every
+    # block of the old file, and ext4 flushes a truncated rewrite at close
+    # (auto_da_alloc), so each rewrite of a 38 MB file stalled 0.4-1.7 s on
+    # an ext4 volume mounted with discard (2-vCPU VM)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(header)
+        f.write(memoryview(pcm))
+        f.truncate()

@@ -18,7 +18,7 @@ from .annotation import Annotation, emit_rttm, parse_rttm, parse_uem
 from .audio import AudioBuffer, read_wav, write_wav
 from .der import DerReport, compute_der, total_der
 from .diarize import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
-from .diarize import chunks_from_stack, diarize_file
+from .diarize import chunks_from_stack, diarize_file, embeddings_from_stack
 from .features import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
 from .fusion import normalize_weights, weighted_sum
 from .powerset import build_space, decode_class, encode_label
@@ -132,17 +132,7 @@ def _cmd_diarize(args) -> int:
     features = None
     embeddings = None
     if args.embeddings:
-        emb_stack = read_feature_stack(args.embeddings)
-        if emb_stack.n_layers != len(chunks):
-            raise ValueError(
-                f"embedding file has {emb_stack.n_layers} chunks, scores have {len(chunks)}"
-            )
-        embeddings = {}
-        for ci in range(emb_stack.n_layers):
-            for slot in range(emb_stack.n_frames):
-                vector = emb_stack.data[ci, slot]
-                if np.any(vector != 0):
-                    embeddings[(ci, slot)] = vector
+        embeddings = embeddings_from_stack(read_feature_stack(args.embeddings), chunks)
     if args.features:
         feat_stack = read_feature_stack(args.features)
         features = [

@@ -125,6 +125,26 @@ def chunks_from_stack(
     return chunks
 
 
+def embeddings_from_stack(
+    stack: FeatureStack, chunks: list[ChunkSegmentation]
+) -> dict[tuple[int, int], np.ndarray]:
+    """Decode an embedding tensor (layers = chunks, frames = local slots) into a (chunk, slot) map.
+
+    An all-zero row marks a slot without an embedding. The tensor must have
+    one layer per chunk and one row per local slot of every chunk, so no
+    vector is silently dropped or left unread.
+    """
+    if stack.n_layers != len(chunks):
+        raise ValueError(f"embedding file has {stack.n_layers} chunks, scores have {len(chunks)}")
+    for ci, chunk in enumerate(chunks):
+        if chunk.n_slots != stack.n_frames:
+            raise ValueError(
+                f"embedding file has {stack.n_frames} slots per chunk, chunk {ci} has {chunk.n_slots}"
+            )
+    present = np.any(stack.data != 0, axis=2)
+    return {(ci, slot): stack.data[ci, slot] for ci, slot in np.argwhere(present).tolist()}
+
+
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal [start, end) index runs where a boolean mask is true."""
     padded = np.concatenate([[0], mask.astype(np.int8), [0]])

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import BLOCK, AudioBuffer
 from .features import check_finite
 
 SUPPORTED_RATES = (8000, 16000)
@@ -82,13 +82,37 @@ def design_kaiser_sinc(
     return FirFilter(taps.astype(np.float32), cutoff_hz / higher, float(stopband_db))
 
 
+def _convolve_blocks(x: np.ndarray, g: np.ndarray, offset: int, n_out: int):
+    """Yield (start, np.convolve(x, g)[offset + start : offset + stop]) per BLOCK outputs.
+
+    Each block converts only its input slice, the block plus a
+    (len(g) - 1)-sample halo, to float64. The slice keeps at least len(g)
+    samples when x has them and reaches the end of x when the block needs
+    that end, so np.convolve forms every output from the same products, in
+    the same order, as on all of x: the values are identical. An empty x
+    convolves to zeros.
+    """
+    halo = g.size - 1
+    for start in range(0, n_out, BLOCK):
+        stop = min(start + BLOCK, n_out)
+        if x.size == 0:
+            yield start, np.zeros(stop - start)
+            continue
+        lo = max(0, min(offset + start - halo, x.size - g.size))
+        hi = min(x.size, offset + stop)
+        part = np.convolve(x[lo:hi].astype(np.float64), g)
+        yield start, part[offset + start - lo : offset + stop - lo]
+
+
 def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> AudioBuffer:
     """Polyphase 1:2 / 2:1 rate conversion with group-delay compensation.
 
     Identity rate returns the input unchanged. Output length is
     round(len * fs_out / fs_in) with halves rounded up; the signal is
     zero-padded outside its support, so edge transients appear near the
-    first and last (n_taps - 1) / 2 samples.
+    first and last (n_taps - 1) / 2 samples. Filtering runs in float64 on
+    blocks of BLOCK outputs per phase, written straight into the float32
+    result.
     """
     fs_in = audio.sample_rate
     if fs_out == fs_in:
@@ -102,22 +126,27 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
 
     h = fir.taps.astype(np.float64)
     delay = (h.size - 1) // 2
+    n = len(audio)
     # Polyphase: each output sample is one np.convolve phase of the even or
-    # the odd taps; the phase and offset follow from the group delay.
+    # the odd taps; the phase and offset follow from the group delay. A
+    # slice past the end of y is cut short, so a block of the wrong length
+    # fails the assignment instead of leaving samples unset.
     if fs_out > fs_in:
         # output 2i + r = convolve(x, h[p::2])[i + s] with delay + r = 2s + p
-        x = audio.samples.astype(np.float64)
-        y = np.empty(2 * x.size)
+        y = np.empty(2 * n, dtype=np.float32)
         for r in (0, 1):
             s, p = divmod(delay + r, 2)
-            y[r::2] = np.convolve(x, h[p::2])[s : s + x.size]
+            phase = y[r::2]
+            for start, block in _convolve_blocks(audio.samples, h[p::2], s, n):
+                phase[start : start + BLOCK] = block
     else:
         # output i = sum over p of convolve(x[q::2], h[p::2])[i + s] with
         # delay - p = 2s + q; the odd input phase is empty for a 1-sample input
-        y = np.zeros((len(audio) + 1) // 2)  # round(n / 2), halves up
+        y = np.empty((n + 1) // 2, dtype=np.float32)  # round(n / 2), halves up
+        phases = []
         for p in (0, 1):
             s, q = divmod(delay - p, 2)
-            x = audio.samples[q::2].astype(np.float64)
-            if x.size:
-                y += np.convolve(x, h[p::2])[s : s + y.size]
-    return AudioBuffer(y.astype(np.float32), fs_out)
+            phases.append(_convolve_blocks(audio.samples[q::2], h[p::2], s, y.size))
+        for (start, even), (_, odd) in zip(*phases):
+            y[start : start + BLOCK] = even + odd
+    return AudioBuffer(y, fs_out)

@@ -1,8 +1,10 @@
-"""Independent brute-force oracles for the DER, assignment, PIT, AHC, linkage, resampling, TasNet and acceptance tests."""
+"""Independent brute-force oracles for the DER, assignment, PIT, AHC, linkage, resampling, WAV, TasNet and acceptance tests."""
 
 import itertools
 import math
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -269,6 +271,67 @@ def resample_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuf
     if y.size < n_out:
         y = np.pad(y, (0, n_out - y.size))
     return AudioBuffer(y.astype(np.float32), fs_out)
+
+
+def polyphase_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuffer:
+    """Reference two-phase np.convolve resampler on whole-signal float64 arrays.
+
+    Same contract and arithmetic as ``diarsep.resample``, which runs the same
+    convolutions in blocks of outputs, so the results must be identical.
+    """
+    fs_in = audio.sample_rate
+    if len(audio) == 0:
+        return AudioBuffer(np.zeros(0, dtype=np.float32), fs_out)
+
+    h = fir.taps.astype(np.float64)
+    delay = (h.size - 1) // 2
+    # Polyphase: each output sample is one np.convolve phase of the even or
+    # the odd taps; the phase and offset follow from the group delay.
+    if fs_out > fs_in:
+        # output 2i + r = convolve(x, h[p::2])[i + s] with delay + r = 2s + p
+        x = audio.samples.astype(np.float64)
+        y = np.empty(2 * x.size)
+        for r in (0, 1):
+            s, p = divmod(delay + r, 2)
+            y[r::2] = np.convolve(x, h[p::2])[s : s + x.size]
+    else:
+        # output i = sum over p of convolve(x[q::2], h[p::2])[i + s] with
+        # delay - p = 2s + q; the odd input phase is empty for a 1-sample input
+        y = np.zeros((len(audio) + 1) // 2)  # round(n / 2), halves up
+        for p in (0, 1):
+            s, q = divmod(delay - p, 2)
+            x = audio.samples[q::2].astype(np.float64)
+            if x.size:
+                y += np.convolve(x, h[p::2])[s : s + y.size]
+    return AudioBuffer(y.astype(np.float32), fs_out)
+
+
+def write_wav_oracle(buffer: AudioBuffer, path: str | Path) -> None:
+    """Reference 16-bit PCM WAV writer on whole-signal float64 arrays.
+
+    Same file as ``diarsep.write_wav``, which quantizes in blocks of samples,
+    so the bytes must be identical.
+    """
+    x = np.clip(buffer.samples.astype(np.float64), -1.0, 1.0)
+    pcm = np.clip(np.round(x * 32767.0), -32768, 32767).astype("<i2")
+    data = pcm.tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF",
+        36 + len(data),
+        b"WAVE",
+        b"fmt ",
+        16,
+        1,  # PCM
+        1,  # mono
+        buffer.sample_rate,
+        buffer.sample_rate * 2,
+        2,
+        16,
+        b"data",
+        len(data),
+    )
+    Path(path).write_bytes(header + data)
 
 
 def encode_oracle(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarsep import AudioBuffer, read_wav, write_wav
-from diarsep.audio import PCM_SUBFORMAT
+from diarsep.audio import BLOCK, PCM_SUBFORMAT
+from oracles import write_wav_oracle
 
 
 def make_wav_bytes(pcm_bytes, n_channels=1, rate=8000, audio_format=1, bits=16):
@@ -101,6 +102,48 @@ def test_header_declares_duration(tmp_path):
     rate = struct.unpack_from("<I", raw, 24)[0]
     data_bytes = struct.unpack_from("<I", raw, 40)[0]
     assert data_bytes // 2 / rate == 1.0
+
+
+def test_write_matches_whole_signal_oracle_bytes(tmp_path):
+    """Blockwise quantization writes the oracle's file byte for byte, across block edges.
+
+    The samples include +-1, values beyond +-1 and +-0.5 with its float32
+    neighbours: 0.5 * 32767 = 16383.5 is the only in-range product that is
+    exactly k + 0.5, so it pins rounding against truncation.
+    """
+    special = np.array([1.0, -1.0, 1.5, -2.0, 3e38, -3e38, 0.5, -0.5, 0.0, -0.0], np.float32)
+    special = np.concatenate(
+        [special, np.nextafter(special[6:8], np.float32(0)), np.nextafter(special[6:8], np.float32(2))]
+    )
+    rng = np.random.default_rng(12)
+    for n in list(range(1, 8)) + [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]:
+        x = rng.uniform(-1.2, 1.2, n).astype(np.float32)
+        x[: special.size] = special[:n]
+        x[-special.size :] = special[-n:]
+        buffer = AudioBuffer(x, 8000)
+        write_wav(buffer, tmp_path / "got.wav")
+        write_wav_oracle(buffer, tmp_path / "want.wav")
+        got = np.frombuffer((tmp_path / "got.wav").read_bytes(), np.uint8)
+        want = np.frombuffer((tmp_path / "want.wav").read_bytes(), np.uint8)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_overwrite_cuts_a_longer_file_to_the_new_length(tmp_path):
+    path = tmp_path / "reused.wav"
+    write_wav(AudioBuffer(np.full(5000, 0.25, np.float32), 16000), path)
+    short = AudioBuffer(np.array([0.5, -0.5, 1.0], np.float32), 8000)
+    write_wav(short, path)
+    write_wav_oracle(short, tmp_path / "want.wav")
+    assert path.read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+def test_read_scales_every_pcm_value_exactly(tmp_path):
+    pcm = np.arange(-32768, 32768, dtype="<i2")
+    path = tmp_path / "all.wav"
+    path.write_bytes(make_wav_bytes(pcm.tobytes()))
+    buf = read_wav(path)
+    assert buf.samples.dtype == np.float32
+    assert np.array_equal(buf.samples, pcm / 32768.0)
 
 
 def test_rejects_multichannel(tmp_path):

@@ -413,6 +413,20 @@ def test_diarize_command_with_embeddings(tmp_path, capsys):
     assert "spk0" in out and "spk1" in out
 
 
+def test_diarize_rejects_embedding_slot_count_mismatch(tmp_path, capsys):
+    # K=3 binary scores; a 5-slot file's slots 3 and 4 match no local speaker
+    scores_path, _ = diarize_fixtures(tmp_path)
+    emb = np.zeros((2, 5, 4), np.float32)
+    emb[0, 0] = [1, 0, 0, 0]
+    emb[1, 0] = [0, 1, 0, 0]
+    emb[:, 4] = [0, 0, 1, 0]
+    emb_path = tmp_path / "emb.sslf"
+    write_feature_stack(FeatureStack(emb, 1.0), emb_path)
+    code, out, err = run(capsys, "diarize", str(scores_path), "--embeddings", str(emb_path))
+    assert (code, out) == (1, "")
+    assert "embedding file has 5 slots per chunk, chunk 0 has 3" in err
+
+
 def test_config_file_sets_defaults_flags_override(tmp_path, capsys):
     ref = tmp_path / "ref.rttm"
     ref.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")

@@ -5,7 +5,9 @@ import pytest
 from scipy.signal import firwin
 
 from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample
-from oracles import resample_oracle
+from diarsep.audio import BLOCK
+from diarsep.resample import _convolve_blocks
+from oracles import polyphase_oracle, resample_oracle
 
 
 def snr_db(ref, est):
@@ -176,3 +178,46 @@ def test_resample_matches_upfirdn_oracle():
                     assert got.sample_rate == want.sample_rate == fs_out
                     assert len(got) == len(want)
                     np.testing.assert_allclose(got.samples, want.samples, rtol=0, atol=1e-6)
+
+
+def test_blocks_match_whole_signal_oracle_bit_for_bit():
+    """Blockwise filtering equals the whole-signal convolutions bit for bit, across block edges.
+
+    Output counts of BLOCK - 1, BLOCK and BLOCK + 1 per phase put a block edge
+    at, just before and just after the last output; 2 * BLOCK + taps puts the
+    halo of a middle block against both ends of a short last one.
+    """
+    rng = np.random.default_rng(9)
+    for stopband_db in (40.0, 45.0, 60.0, 80.0, 100.0):
+        for transition_frac in (0.02, 0.05, 0.2):
+            for fs_in, fs_out in ((8000, 16000), (16000, 8000)):
+                fir = design_kaiser_sinc(fs_in, fs_out, stopband_db, transition_frac)
+                outputs = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + fir.taps.size)
+                if fs_out > fs_in:
+                    lengths = list(range(1, 8)) + list(outputs)
+                else:  # (n + 1) // 2 outputs: both input parities per output count
+                    lengths = list(range(1, 8)) + [2 * k - p for k in outputs for p in (0, 1)]
+                for n in lengths:
+                    x = rng.uniform(-0.9, 0.9, n).astype(np.float32)
+                    x[n // 3 : n // 3 + 40] = 0.0  # silence: the sign of zero outputs
+                    buf = AudioBuffer(x, fs_in)
+                    got = resample(buf, fs_out, fir)
+                    want = polyphase_oracle(buf, fs_out, fir)
+                    assert got.sample_rate == want.sample_rate == fs_out
+                    # bit patterns, so -0.0 and 0.0 differ too
+                    np.testing.assert_array_equal(got.samples.view(np.int32), want.samples.view(np.int32))
+
+
+def test_convolve_blocks_equal_whole_convolution_in_float64():
+    # float64 before the float32 rounding: a last block whose slice fell
+    # short of the taps would sum its products in another order, and that
+    # difference rarely survives rounding to float32
+    rng = np.random.default_rng(10)
+    g = rng.standard_normal(101)
+    for n in (1, 7, 100, 101, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 50, 2 * BLOCK + 101):
+        x = rng.uniform(-0.9, 0.9, n).astype(np.float32)
+        whole = np.convolve(x.astype(np.float64), g)
+        for offset in (0, 1, 50, 100):
+            n_out = min(n, whole.size - offset)
+            blocks = [block for _, block in _convolve_blocks(x, g, offset, n_out)]
+            np.testing.assert_array_equal(np.concatenate(blocks), whole[offset : offset + n_out])
