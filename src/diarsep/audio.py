@@ -1,13 +1,12 @@
 """Mono waveform buffer and 16-bit PCM WAV file I/O."""
 
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .features import check_finite
+from .features import check_finite, overwrite_file
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -99,7 +98,7 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
     Samples are clipped to [-1, 1] and quantized as round(sample * 32767),
     halves to even, which stays inside the int16 range. The conversion runs
     in float64 on BLOCK samples at a time into one int16 array. An existing
-    file at ``path`` is overwritten in place and cut to the new length.
+    file at ``path`` is overwritten in place (``overwrite_file``).
     """
     pcm = np.empty(len(buffer), dtype="<i2")
     for start in range(0, pcm.size, BLOCK):
@@ -124,11 +123,4 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
         b"data",
         pcm.nbytes,
     )
-    # overwrite in place, then cut to length: truncating first frees every
-    # block of the old file, and ext4 flushes a truncated rewrite at close
-    # (auto_da_alloc), so each rewrite of a 38 MB file stalled 0.4-1.7 s on
-    # an ext4 volume mounted with discard (2-vCPU VM)
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(header)
-        f.write(memoryview(pcm))
-        f.truncate()
+    overwrite_file(path, header, memoryview(pcm))

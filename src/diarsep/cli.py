@@ -155,7 +155,7 @@ def _cmd_diarize(args) -> int:
     else:
         Path(args.output).write_text(rttm)
         print(
-            f"wrote {len(annotation.segments)} segments for "
+            f"wrote {len(annotation.onsets)} segments for "
             f"{len(annotation.speakers())} speakers -> {args.output}"
         )
     return 0

@@ -34,8 +34,8 @@ class DerReport:
 class _Sweep(NamedTuple):
     """Elementary intervals of one recording: rows are intervals, columns speakers."""
 
-    ref_speakers: list[str]
-    hyp_speakers: list[str]
+    ref_speakers: tuple[str, ...]
+    hyp_speakers: tuple[str, ...]
     ref_active: np.ndarray  # (intervals, ref speakers) bool
     hyp_active: np.ndarray  # (intervals, hyp speakers) bool
     length: np.ndarray  # interval durations in seconds
@@ -58,16 +58,8 @@ def _sweep(
     interval, so overlapping or touching spans need no merging.
     """
 
-    def spans(annotation):
-        speakers = annotation.speakers()
-        index = {s: i for i, s in enumerate(speakers)}
-        onsets = np.array([seg.onset for seg in annotation.segments])
-        offsets = np.array([seg.onset + seg.duration for seg in annotation.segments])
-        labels = np.array([index[seg.speaker] for seg in annotation.segments], dtype=np.intp)
-        return speakers, onsets, offsets, labels
-
-    ref_speakers, ref_on, ref_off, ref_label = spans(ref)
-    hyp_speakers, hyp_on, hyp_off, hyp_label = spans(hyp)
+    ref_on, hyp_on = ref.onsets, hyp.onsets
+    ref_off, hyp_off = ref.onsets + ref.durations, hyp.onsets + hyp.durations
     boundaries = np.concatenate([ref_on, ref_off]) if collar > 0 else np.empty(0)
     zone_on, zone_off = boundaries - collar, boundaries + collar
     regions = np.array(eval_regions or [], dtype=float).reshape(-1, 2)
@@ -77,39 +69,50 @@ def _sweep(
         np.concatenate([ref_on, ref_off, hyp_on, hyp_off, zone_on, zone_off, region_on, region_off])
     )
 
-    def covered(onsets, offsets, labels=None, width=1):
-        column = 0 if labels is None else labels
-        counts = np.zeros((len(edges), width), dtype=np.int32)
-        np.add.at(counts, (np.searchsorted(edges, onsets), column), 1)
-        np.add.at(counts, (np.searchsorted(edges, offsets), column), -1)
+    def covered(onsets, offsets, codes=0, width=1):
+        # +1 and -1 counts on the flattened (edge, column) grid
+        size = len(edges) * width
+        starts = np.bincount(np.searchsorted(edges, onsets) * width + codes, minlength=size)
+        ends = np.bincount(np.searchsorted(edges, offsets) * width + codes, minlength=size)
+        counts = (starts - ends).reshape(len(edges), width)
         return np.cumsum(counts, axis=0, out=counts)[:-1] > 0
 
     in_region = covered(region_on, region_off)[:, 0]
     if eval_regions is None:
         in_region[:] = True
     return _Sweep(
-        ref_speakers,
-        hyp_speakers,
-        covered(ref_on, ref_off, ref_label, len(ref_speakers)),
-        covered(hyp_on, hyp_off, hyp_label, len(hyp_speakers)),
+        ref.labels,
+        hyp.labels,
+        covered(ref_on, ref_off, ref.codes, len(ref.labels)),
+        covered(hyp_on, hyp_off, hyp.codes, len(hyp.labels)),
         np.diff(edges),
         in_region,
         in_region & ~covered(zone_on, zone_off)[:, 0],
     )
 
 
+def _coactivity(sweep: _Sweep) -> np.ndarray:
+    """Ref x hyp matrix of region-cropped, uncollared co-active seconds.
+
+    Summed over the active (interval, hyp speaker) cells only, so no dense
+    float copy of the hyp mask is made when the hypothesis has many labels;
+    bincount adds each cell's terms in interval order.
+    """
+    n_ref, n_hyp = len(sweep.ref_speakers), len(sweep.hyp_speakers)
+    weighted = sweep.ref_active * (sweep.length * sweep.in_region)[:, None]
+    interval, hyp_index = np.nonzero(sweep.hyp_active)
+    cells = (hyp_index[:, None] * n_ref + np.arange(n_ref)).reshape(-1)
+    matrix = np.bincount(cells, weighted[interval].reshape(-1), minlength=n_hyp * n_ref)
+    return matrix.reshape(n_hyp, n_ref).T
+
+
 def _assign(sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, dict[str, str]]:
     """Ref and hyp speaker indices of the optimal one-to-one map, and the map.
 
-    Solved as an optimal assignment on the ref x hyp matrix of region-cropped,
-    uncollared co-active seconds; pairs with zero matched time are dropped.
+    Solved as an optimal assignment on the co-activity matrix (``_coactivity``);
+    pairs with zero matched time are dropped.
     """
-    weighted = sweep.ref_active * (sweep.length * sweep.in_region)[:, None]
-    # summed over the active (interval, hyp speaker) cells only, so no dense
-    # float copy of the hyp mask is made when the hypothesis has many labels
-    interval, hyp_index = np.nonzero(sweep.hyp_active)
-    matrix = np.zeros((len(sweep.ref_speakers), len(sweep.hyp_speakers)))
-    np.add.at(matrix.T, hyp_index, weighted[interval])
+    matrix = _coactivity(sweep)
     rows, cols = max_weight_assignment(matrix)
     keep = matrix[rows, cols] > 0.0
     rows, cols = rows[keep], cols[keep]

@@ -320,12 +320,16 @@ def pooled_embeddings(
     Frames come from single-speaker runs of at least ``min_seg`` seconds,
     falling back to all single-speaker frames, then to all active frames, so
     every active slot yields an embedding. ``min_seg`` must be finite.
+    Feature rows map to chunk frames by proportion, so each feature matrix
+    must span its chunk's seconds to within one frame of the coarser of the
+    two frame rates.
     """
     _check_min_duration(min_seg)
     if len(chunks) != len(features):
         raise ValueError(f"got {len(chunks)} chunks but {len(features)} feature matrices")
     out = []
     for ci, (chunk, feats) in enumerate(zip(chunks, features)):
+        _check_span(ci, chunk, feats)
         min_frames = max(1, math.ceil(min_seg * chunk.frame_rate - 1e-9))
         for slot, runs in enumerate(_solo_runs(chunk)):
             column = chunk.activity[:, slot] == 1
@@ -346,6 +350,20 @@ def pooled_embeddings(
                 raise ValueError(f"zero embedding for chunk {ci} slot {slot}")
             out.append(Embedding(vector / norm, (ci, slot)))
     return out
+
+
+def _check_span(ci: int, chunk: ChunkSegmentation, feats: FeatureMatrix) -> None:
+    """Raise ValueError unless the features and the chunk span the same seconds to within one coarse frame."""
+    # |n_f / r_f - n_c / r_c| <= 1 / min(r_f, r_c), multiplied through by r_f * r_c,
+    # so a span off by exactly one coarse frame passes without a rounded division
+    mismatch = abs(feats.n_frames * chunk.frame_rate - chunk.n_frames * feats.frame_rate)
+    if mismatch > max(chunk.frame_rate, feats.frame_rate):
+        raise ValueError(
+            f"chunk {ci}: features span {feats.n_frames / feats.frame_rate:g} s "
+            f"({feats.n_frames} frames at {feats.frame_rate:g} Hz) but the chunk spans "
+            f"{chunk.n_frames / chunk.frame_rate:g} s ({chunk.n_frames} frames at "
+            f"{chunk.frame_rate:g} Hz); they must agree to within one frame of the coarser rate"
+        )
 
 
 def diarize_file(

@@ -11,6 +11,7 @@ SSLF layout, little-endian throughout:
     bytes 24-    float32 payload, layer-major then frame-major (C order)
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,20 @@ def check_finite(values: np.ndarray, name: str) -> None:
     """Raise ValueError unless every entry of ``values`` is finite."""
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite, got non-finite values")
+
+
+def overwrite_file(path: str | Path, *parts) -> None:
+    """Write the byte buffers ``parts`` to ``path`` in order, overwriting an existing file in place.
+
+    The file is cut to the new length after the write. Truncating first would
+    free every block of the old file, and ext4 flushes a truncated rewrite at
+    close (auto_da_alloc): each rewrite of a 38 MB file stalled 0.4-1.7 s on
+    an ext4 volume mounted with discard (2-vCPU VM).
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        for part in parts:
+            f.write(part)
+        f.truncate()
 
 
 def _validate(carrier, name: str, shape_rule: str, shape_ok) -> None:
@@ -89,7 +104,11 @@ class FeatureMatrix:
 
 
 def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
-    """Write a FeatureStack as an SSLF file (bit-exact round trip with read)."""
+    """Write a FeatureStack as an SSLF file (bit-exact round trip with read).
+
+    The header and then the float32 payload, without a joined copy; an
+    existing file at ``path`` is overwritten in place (``overwrite_file``).
+    """
     header = _HEADER.pack(
         SSLF_MAGIC,
         SSLF_VERSION,
@@ -98,8 +117,7 @@ def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
         stack.dim,
         stack.frame_rate,
     )
-    payload = np.ascontiguousarray(stack.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    overwrite_file(path, header, memoryview(np.ascontiguousarray(stack.data, dtype="<f4")))
 
 
 def read_feature_stack(path: str | Path) -> FeatureStack:

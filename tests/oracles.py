@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the DER, assignment, PIT, AHC, linkage, resampling, WAV, TasNet and acceptance tests."""
+"""Independent brute-force oracles for the RTTM parser, DER, assignment, PIT, AHC, linkage, resampling, WAV, TasNet and acceptance tests."""
 
 import itertools
 import math
@@ -9,9 +9,68 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from diarsep import Annotation, AudioBuffer, EncoderBasis, FeatureMatrix, FirFilter
+from diarsep import Annotation, AudioBuffer, EncoderBasis, FeatureMatrix, FirFilter, Segment
 from diarsep.sepmetrics import INF_SUBSTITUTE_DB, sdr, si_sdr
 from diarsep.tasnet import DEFAULT_EPS, apply_masks
+
+
+def parse_rttm_oracle(text: str) -> dict[str, Annotation]:
+    """The per-segment RTTM parser: one record tuple per line, then each Segment rebuilt and checked alone.
+
+    Same contract as ``parse_rttm``: one Annotation per URI in order of first
+    appearance, and "RTTM line N: ..." naming the lowest faulty line.
+    """
+    try:
+        segments: dict[str, list[tuple[float, float, str]]] = {}
+        for line in text.splitlines():
+            fields = line.split()
+            if fields:
+                uri, onset, duration, speaker = _speaker_record_oracle(fields)
+                segments.setdefault(uri, []).append((onset, duration, speaker))
+        return {uri: Annotation(uri, _checked_segments(segs)) for uri, segs in segments.items()}
+    except ValueError:
+        _raise_first_bad_line_oracle(text)
+        raise
+
+
+def _checked_segments(segments) -> tuple[Segment, ...]:
+    """Each segment rebuilt as a Segment of Python values and checked in turn."""
+    segments = tuple(Segment(float(o), float(d), str(s)) for o, d, s in segments)
+    for onset, duration, speaker in segments:
+        if not math.isfinite(onset + duration):  # also false when either one is not finite
+            raise ValueError(f"non-finite segment onset, duration or end, got ({onset}, {duration})")
+        if duration <= 0:
+            raise ValueError(f"segment duration must be positive, got {duration}")
+        if onset < 0:
+            raise ValueError(f"segment onset must be >= 0, got {onset}")
+        if speaker.split() != [speaker]:  # empty, or holds whitespace
+            raise ValueError(f"speaker label must be non-empty without whitespace, got {speaker!r}")
+    return segments
+
+
+def _raise_first_bad_line_oracle(text: str) -> None:
+    """Check RTTM text line by line and raise the error of the first line at fault."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            uri, onset, duration, speaker = _speaker_record_oracle(fields)
+            _checked_segments(((onset, duration, speaker),))
+        except ValueError as exc:
+            raise ValueError(f"RTTM line {lineno}: {exc}") from None
+
+
+def _speaker_record_oracle(fields: list[str]) -> tuple[str, float, float, str]:
+    """URI, onset, duration and label of one split RTTM line; ValueError unless it is a SPEAKER record."""
+    if fields[0] != "SPEAKER":
+        raise ValueError(f"expected a SPEAKER record, got {fields[0]!r}")
+    if len(fields) < 9:
+        raise ValueError(f"expected at least 9 fields, got {len(fields)}")
+    try:
+        return fields[1], float(fields[3]), float(fields[4]), fields[7]
+    except ValueError:
+        raise ValueError("non-numeric onset or duration") from None
 
 
 def random_annotation(rng, uri="u", max_speakers=5, max_segments=20, max_time=60.0):
@@ -70,6 +129,52 @@ def _best_matching(overlap: np.ndarray):
                 best_value = value
                 best_pairs = [(r, j) for j, r in enumerate(rows)]
     return best_pairs, float(best_value)
+
+
+def sweep_oracle(ref: Annotation, hyp: Annotation, collar=0.0, regions=None):
+    """``der._sweep`` and ``der._coactivity`` from per-segment lists and one ``np.add.at`` per span set.
+
+    Returns (ref_active, hyp_active, length, in_region, scored, coactivity);
+    the float additions happen in the same order, so every array is equal bit for bit.
+    """
+
+    def spans(annotation):
+        speakers = annotation.speakers()
+        index = {s: i for i, s in enumerate(speakers)}
+        onsets = np.array([seg.onset for seg in annotation.segments])
+        offsets = np.array([seg.onset + seg.duration for seg in annotation.segments])
+        labels = np.array([index[seg.speaker] for seg in annotation.segments], dtype=np.intp)
+        return speakers, onsets, offsets, labels
+
+    ref_speakers, ref_on, ref_off, ref_label = spans(ref)
+    hyp_speakers, hyp_on, hyp_off, hyp_label = spans(hyp)
+    boundaries = np.concatenate([ref_on, ref_off]) if collar > 0 else np.empty(0)
+    zone_on, zone_off = boundaries - collar, boundaries + collar
+    bounds = np.array(regions or [], dtype=float).reshape(-1, 2)
+    region_on, region_off = bounds[:, 0], np.maximum(bounds[:, 0], bounds[:, 1])
+    edges = np.unique(
+        np.concatenate([ref_on, ref_off, hyp_on, hyp_off, zone_on, zone_off, region_on, region_off])
+    )
+
+    def covered(onsets, offsets, labels=None, width=1):
+        column = 0 if labels is None else labels
+        counts = np.zeros((len(edges), width), dtype=np.int32)
+        np.add.at(counts, (np.searchsorted(edges, onsets), column), 1)
+        np.add.at(counts, (np.searchsorted(edges, offsets), column), -1)
+        return np.cumsum(counts, axis=0, out=counts)[:-1] > 0
+
+    in_region = covered(region_on, region_off)[:, 0]
+    if regions is None:
+        in_region[:] = True
+    ref_active = covered(ref_on, ref_off, ref_label, len(ref_speakers))
+    hyp_active = covered(hyp_on, hyp_off, hyp_label, len(hyp_speakers))
+    length = np.diff(edges)
+    weighted = ref_active * (length * in_region)[:, None]
+    interval, hyp_index = np.nonzero(hyp_active)
+    matrix = np.zeros((len(ref_speakers), len(hyp_speakers)))
+    np.add.at(matrix.T, hyp_index, weighted[interval])
+    scored = in_region & ~covered(zone_on, zone_off)[:, 0]
+    return ref_active, hyp_active, length, in_region, scored, matrix
 
 
 def grid_der(ref: Annotation, hyp: Annotation, collar=0.0, regions=None, step=0.001):

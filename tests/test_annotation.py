@@ -1,12 +1,14 @@
 import contextlib
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diarsep import Annotation, Segment, emit_rttm, parse_rttm, parse_uem
+from diarsep import Annotation, Segment, compute_der, emit_rttm, parse_rttm, parse_uem
 from diarsep.cli import main
+from oracles import parse_rttm_oracle, random_annotation
 
 EXAMPLE_LINE = "SPEAKER rec1 1 0.50 2.00 <NA> <NA> spkA <NA> <NA>"
 
@@ -75,6 +77,51 @@ def test_speakers_and_total_speech():
     ann = Annotation("u", ((0.0, 1.0, "b"), (1.0, 2.0, "a"), (5.0, 1.0, "b")))
     assert ann.speakers() == ["a", "b"]
     assert ann.total_speech() == pytest.approx(4.0)
+
+
+def test_columns_from_numpy_scalars_give_python_floats_in_input_order():
+    rows = ((np.float32(2.5), np.float64(1.0), "b"), (np.int64(0), np.float32(0.25), np.str_("a")))
+    ann = Annotation("u", rows)
+    assert ann.segments == (Segment(2.5, 1.0, "b"), Segment(0.0, 0.25, "a"))
+    assert [type(value) for seg in ann.segments for value in seg] == [float, float, str] * 2
+    assert ann.onsets.dtype == ann.durations.dtype == np.float64
+    assert ann.labels == ("a", "b") and ann.codes.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        ann.onsets[0] = 1.0
+    with pytest.raises(AttributeError):
+        ann.uri = "v"
+
+
+def test_speakers_and_total_speech_match_the_per_segment_values():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        ann = random_annotation(rng, max_speakers=6, max_segments=30)
+        assert ann.speakers() == sorted({seg.speaker for seg in ann.segments})
+        assert ann.total_speech() == sum(seg.duration for seg in ann.segments)
+
+
+def test_parsed_annotations_hold_only_their_own_labels():
+    lines = [("a", 0, "zed"), ("b", 0, "amy"), ("a", 2, "bob")]
+    parsed = parse_rttm("".join(f"SPEAKER {u} 1 {t} 1 <NA> <NA> {s} <NA> <NA>\n" for u, t, s in lines))
+    assert parsed["a"].labels == ("bob", "zed") and parsed["a"].codes.tolist() == [1, 0]
+    assert parsed["b"].speakers() == ["amy"]
+
+
+def test_equality_is_uri_and_segments_in_order():
+    rows = ((0.5, 2.0, "b"), (0.5, 2.0, "a"))
+    ann = Annotation("u", rows)
+    assert parse_rttm(emit_rttm(ann))["u"] == Annotation("u", rows[::-1])  # emit sorts a first
+    assert ann != Annotation("u", rows[::-1]) and ann != Annotation("v", rows)
+    assert hash(ann) == hash(Annotation("u", list(rows)))
+
+
+def test_empty_annotation_scores_and_emits():
+    empty = Annotation("u", ())
+    assert (empty.segments, empty.speakers(), empty.total_speech(), empty.labels) == ((), [], 0, ())
+    assert emit_rttm(empty) == ""
+    report = compute_der(empty, empty, collar=0.25, eval_regions=[(0.0, 10.0)])
+    assert (report.der_pct, report.total_speech, report.mapping) == (0.0, 0.0, {})
+    assert compute_der(Annotation("u", ((1.0, 2.0, "A"),)), empty).md_pct == 100.0
 
 
 def test_parse_uem():
@@ -212,3 +259,33 @@ def test_score_der_fuzz_exits_0_or_1(tmp_path_factory, ref, hyp, uem):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
+
+
+# lines of 11 and more fields, fields joined by Unicode whitespace (some of
+# which, like \x1c, \x85 and \u2028, also end a line) and lines ended by \r\n
+_SPACE = st.sampled_from([" ", "\t", "\xa0", "\x1c", "\x85", "\u2028"])
+_WIDE_RTTM_LINE = st.builds(
+    lambda line, extra, space: space.join(line.split(" ") + extra),
+    _RTTM_LINE,
+    st.lists(st.sampled_from(["<NA>", "x", "1.5"]), min_size=1, max_size=3),
+    _SPACE,
+)
+_WIDE_RTTM_TEXT = st.builds(
+    lambda lines, end: end.join(lines),
+    st.lists(_mostly(_RTTM_LINE | _WIDE_RTTM_LINE, st.text(max_size=12)), max_size=6),
+    st.sampled_from(["\n", "\r\n", "\x1c", "\x85", "\u2028"]),
+)
+
+
+def _parsed(parse, text):
+    """URIs in order with their segments and speakers, or the error message."""
+    try:
+        return [(uri, ann.segments, ann.speakers()) for uri, ann in parse(text).items()]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_text(_RTTM_LINE) | _WIDE_RTTM_TEXT)
+def test_parse_rttm_agrees_with_the_per_segment_oracle(text):
+    assert _parsed(parse_rttm, text) == _parsed(parse_rttm_oracle, text)

@@ -413,6 +413,17 @@ def test_diarize_command_with_embeddings(tmp_path, capsys):
     assert "spk0" in out and "spk1" in out
 
 
+def test_diarize_rejects_features_whose_span_disagrees_with_the_chunk(tmp_path, capsys):
+    # 37 frames at 3 Hz (12.3 s) against 500 score frames at 50 Hz (10 s): rows
+    # used to be mapped by proportion and the run exited 0 with one speaker
+    scores_path, _ = diarize_fixtures(tmp_path)
+    feats_path = tmp_path / "coarse.sslf"
+    write_feature_stack(FeatureStack(np.ones((2, 37, 4), np.float32), 3.0), feats_path)
+    code, out, err = run(capsys, "diarize", str(scores_path), "--features", str(feats_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: chunk 0: features span 12.3333 s (37 frames at 3 Hz) but the chunk spans 10 s")
+
+
 def test_diarize_rejects_embedding_slot_count_mismatch(tmp_path, capsys):
     # K=3 binary scores; a 5-slot file's slots 3 and 4 match no local speaker
     scores_path, _ = diarize_fixtures(tmp_path)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from diarsep import Annotation, compute_der, optimal_mapping
-from oracles import grid_der, perturbed_hypothesis, random_annotation
+from diarsep.der import _coactivity, _sweep
+from oracles import grid_der, perturbed_hypothesis, random_annotation, sweep_oracle
 
 
 def naive_matrix(ref, hyp):
@@ -174,6 +175,24 @@ def test_grid_oracle_equivalence():
             assert report.confusion == pytest.approx(sc, abs=tol)
             assert report.total_speech == pytest.approx(speech, abs=tol)
             assert report.der_pct == pytest.approx(der_pct, abs=0.1)
+
+
+def test_sweep_and_coactivity_equal_the_add_at_oracle_bit_for_bit():
+    rng = np.random.default_rng(21)
+
+    def unrounded(n):  # times off the millisecond grid
+        rows = zip(rng.uniform(0, 50, n), rng.uniform(0.01, 9, n), rng.integers(0, 4, n))
+        return Annotation("u", [(onset, duration, f"s{label}") for onset, duration, label in rows])
+
+    for trial in range(40):
+        ref = random_annotation(rng, max_segments=30) if trial % 4 else unrounded(400)
+        hyp = perturbed_hypothesis(rng, ref) if trial % 2 else unrounded(int(rng.integers(0, 400)))
+        regions = None if trial % 3 == 0 else [(float(a), float(a + rng.uniform(1, 30))) for a in rng.uniform(0, 40, 2)]
+        collar = (0.0, 0.25, 0.5)[trial % 3]
+        sweep = _sweep(ref, hyp, collar, regions)
+        got = (sweep.ref_active, sweep.hyp_active, sweep.length, sweep.in_region, sweep.scored, _coactivity(sweep))
+        for array, want in zip(got, sweep_oracle(ref, hyp, collar, regions)):
+            assert (array.dtype, array.shape, array.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def test_eval_regions_restrict_scoring():

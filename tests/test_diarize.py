@@ -464,3 +464,13 @@ def test_pooled_embeddings_fallback_tiers():
     # the same solo runs, with single_speaker_segments' own threshold in seconds
     assert single_speaker_segments(chunk, 0.25) == [(0.0, 0.4, 0)]
     assert single_speaker_segments(chunk, 0.0) == [(0.0, 0.4, 0), (0.4, 0.1, 1)]
+
+
+def test_pooled_embeddings_span_must_match_the_chunk_to_one_coarse_frame():
+    chunk = make_chunk(0.0, np.ones((500, 1), np.int8))  # 10 s at 50 Hz
+    # one frame of the coarser rate either way is accepted
+    for n_frames, rate in ((500, 50.0), (501, 50.0), (499, 50.0), (31, 3.0), (29, 3.0), (1000, 100.0)):
+        pooled_embeddings([chunk], [FeatureMatrix(np.ones((n_frames, 2), np.float32), rate)])
+    for n_frames, rate, span in ((502, 50.0, "10.04"), (37, 3.0, "12.3333"), (498, 100.0, "4.98")):
+        with pytest.raises(ValueError, match=rf"^chunk 0: features span {span} s \({n_frames} frames"):
+            pooled_embeddings([chunk], [FeatureMatrix(np.ones((n_frames, 2), np.float32), rate)])

@@ -153,3 +153,14 @@ def test_reader_fuzz_returns_stack_or_value_error(tmp_path_factory, length, flip
         return
     assert isinstance(stack, FeatureStack)
     assert stack.data.nbytes == length - 24
+
+
+def test_overwrite_cuts_a_longer_stack_file_to_the_new_length(tmp_path):
+    path = tmp_path / "reused.sslf"
+    write_feature_stack(FeatureStack(np.ones((4, 300, 16), np.float32), 50.0), path)
+    data = np.random.default_rng(5).standard_normal((2, 7, 3)).astype(np.float32)
+    write_feature_stack(FeatureStack(data, 25.0), path)
+    assert path.stat().st_size == 24 + data.nbytes
+    back = read_feature_stack(path)
+    assert back.data.tobytes() == data.tobytes()
+    assert back.frame_rate == 25.0
