@@ -19,7 +19,8 @@ from .audio import AudioBuffer, read_wav, write_wav
 from .der import DerReport, compute_der, total_der
 from .diarize import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
 from .diarize import chunks_from_stack, diarize_file, embeddings_from_stack
-from .features import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
+from .features import FeatureMatrix, FeatureStack, overwrite_file
+from .features import read_feature_stack, write_feature_stack
 from .fusion import normalize_weights, weighted_sum
 from .powerset import build_space, decode_class, encode_label
 from .resample import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
@@ -153,7 +154,7 @@ def _cmd_diarize(args) -> int:
     if args.output == "-":
         sys.stdout.write(rttm)
     else:
-        Path(args.output).write_text(rttm)
+        overwrite_file(args.output, rttm.encode())
         print(
             f"wrote {len(annotation.onsets)} segments for "
             f"{len(annotation.speakers())} speakers -> {args.output}"

@@ -1,6 +1,8 @@
 """Kaiser-windowed sinc FIR design and polyphase 8 kHz <-> 16 kHz conversion."""
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +17,7 @@ DEFAULT_TRANSITION_FRAC = 0.05
 
 @dataclass(frozen=True)
 class FirFilter:
-    """Linear-phase FIR: odd-length symmetric float32 taps.
+    """Linear-phase FIR: odd-length symmetric float32 taps, at most BLOCK of them.
 
     nominal_cutoff is the sinc prototype cutoff as a fraction of the
     operating (higher) sample rate.
@@ -29,6 +31,8 @@ class FirFilter:
         taps = np.asarray(self.taps, dtype=np.float32).reshape(-1)
         if taps.size % 2 == 0 or taps.size < 3:
             raise ValueError(f"tap count must be odd and >= 3, got {taps.size}")
+        if taps.size > BLOCK:
+            raise ValueError(f"tap count {taps.size} exceeds the limit of {BLOCK} (audio.BLOCK)")
         check_finite(taps, "taps")
         if not np.allclose(taps, taps[::-1], atol=1e-7, rtol=0):
             raise ValueError("taps must be symmetric (linear phase)")
@@ -51,7 +55,8 @@ def design_kaiser_sinc(
     Hz, the Kaiser shape follows beta = 0.1102 * (A - 8.7) for A > 50 dB and
     beta = 0.5842 * (A - 21)^0.4 + 0.07886 * (A - 21) for 40 <= A <= 50 dB, and
     the tap count is ceil((A - 7.95) / (2.285 * dw)) rounded up to odd with
-    dw = transition_frac * pi at the lower rate. The windowed sinc is scaled
+    dw = transition_frac * pi at the lower rate; a count above BLOCK raises
+    ValueError before anything is allocated. The windowed sinc is scaled
     to unit DC gain, then by the interpolation ratio (2 when upsampling, 1
     otherwise) so the DC gain matches the ratio.
     """
@@ -69,9 +74,16 @@ def design_kaiser_sinc(
     else:
         beta = 0.5842 * (stopband_db - 21) ** 0.4 + 0.07886 * (stopband_db - 21)
     delta_omega = transition_frac * math.pi
-    n_taps = math.ceil((stopband_db - 7.95) / (2.285 * delta_omega))
-    if n_taps % 2 == 0:
-        n_taps += 1
+    n_taps = (stopband_db - 7.95) / (2.285 * delta_omega)
+    if math.isfinite(n_taps):
+        n_taps = math.ceil(n_taps)
+        if n_taps % 2 == 0:
+            n_taps += 1
+    if n_taps > BLOCK:  # keeps each block's float64 input slice within two blocks
+        raise ValueError(
+            f"stopband_db={stopband_db} and transition_frac={transition_frac} need {n_taps} taps, "
+            f"more than the limit of {BLOCK} (audio.BLOCK)"
+        )
     cutoff_hz = 0.5 * (1.0 - transition_frac) * lower
 
     m = np.arange(n_taps) - (n_taps - 1) / 2
@@ -82,26 +94,65 @@ def design_kaiser_sinc(
     return FirFilter(taps.astype(np.float32), cutoff_hz / higher, float(stopband_db))
 
 
-def _convolve_blocks(x: np.ndarray, g: np.ndarray, offset: int, n_out: int):
-    """Yield (start, np.convolve(x, g)[offset + start : offset + stop]) per BLOCK outputs.
+def _convolve_block(x: np.ndarray, g: np.ndarray, offset: int, n_out: int, start: int) -> np.ndarray:
+    """Return np.convolve(x, g)[offset + start : offset + stop], stop = min(start + BLOCK, n_out).
 
-    Each block converts only its input slice, the block plus a
-    (len(g) - 1)-sample halo, to float64. The slice keeps at least len(g)
-    samples when x has them and reaches the end of x when the block needs
-    that end, so np.convolve forms every output from the same products, in
-    the same order, as on all of x: the values are identical. An empty x
-    convolves to zeros.
+    Only the block's input slice, the block plus a (len(g) - 1)-sample halo,
+    is converted to float64. The slice keeps at least len(g) samples when x
+    has them and reaches the end of x when the block needs that end, so
+    np.convolve forms every output from the same products, in the same order,
+    as on all of x: the values are identical. An empty x convolves to zeros.
     """
-    halo = g.size - 1
-    for start in range(0, n_out, BLOCK):
-        stop = min(start + BLOCK, n_out)
-        if x.size == 0:
-            yield start, np.zeros(stop - start)
-            continue
-        lo = max(0, min(offset + start - halo, x.size - g.size))
-        hi = min(x.size, offset + stop)
-        part = np.convolve(x[lo:hi].astype(np.float64), g)
-        yield start, part[offset + start - lo : offset + stop - lo]
+    stop = min(start + BLOCK, n_out)
+    if x.size == 0:
+        return np.zeros(stop - start)
+    lo = max(0, min(offset + start - (g.size - 1), x.size - g.size))
+    hi = min(x.size, offset + stop)
+    part = np.convolve(x[lo:hi].astype(np.float64), g)
+    return part[offset + start - lo : offset + stop - lo]
+
+
+def _run_blocks(job, n_out: int) -> None:
+    """Call job(start) for every start in range(0, n_out, BLOCK), on one thread per usable CPU.
+
+    The calling thread is one of the workers, so a 1-CPU process starts no
+    thread. Workers take the next start under a lock. The first exception a
+    job raises stops the others from taking new blocks and is raised here
+    once every thread has been joined.
+    """
+    starts = iter(range(0, n_out, BLOCK))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                start = None if errors else next(starts, None)
+            if start is None:
+                return
+            try:
+                job(start)
+            except BaseException as exc:  # re-raised in the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    try:
+        n_cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        n_cpus = os.cpu_count() or 1
+    n_workers = min(n_cpus, -(-n_out // BLOCK))
+    threads = []
+    try:
+        for _ in range(n_workers - 1):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> AudioBuffer:
@@ -112,7 +163,8 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
     zero-padded outside its support, so edge transients appear near the
     first and last (n_taps - 1) / 2 samples. Filtering runs in float64 on
     blocks of BLOCK outputs per phase, written straight into the float32
-    result.
+    result. Blocks run on one thread per usable CPU (``_run_blocks``); each
+    is computed alone, so the result does not depend on the thread count.
     """
     fs_in = audio.sample_rate
     if fs_out == fs_in:
@@ -131,22 +183,31 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
     # the odd taps; the phase and offset follow from the group delay. A
     # slice past the end of y is cut short, so a block of the wrong length
     # fails the assignment instead of leaving samples unset.
+    x = audio.samples
+    phases = []
     if fs_out > fs_in:
         # output 2i + r = convolve(x, h[p::2])[i + s] with delay + r = 2s + p
         y = np.empty(2 * n, dtype=np.float32)
         for r in (0, 1):
             s, p = divmod(delay + r, 2)
-            phase = y[r::2]
-            for start, block in _convolve_blocks(audio.samples, h[p::2], s, n):
-                phase[start : start + BLOCK] = block
+            phases.append((h[p::2], s, y[r::2]))
+
+        def job(start):
+            for g, s, phase in phases:
+                phase[start : start + BLOCK] = _convolve_block(x, g, s, n, start)
+
+        _run_blocks(job, n)
     else:
         # output i = sum over p of convolve(x[q::2], h[p::2])[i + s] with
         # delay - p = 2s + q; the odd input phase is empty for a 1-sample input
         y = np.empty((n + 1) // 2, dtype=np.float32)  # round(n / 2), halves up
-        phases = []
         for p in (0, 1):
             s, q = divmod(delay - p, 2)
-            phases.append(_convolve_blocks(audio.samples[q::2], h[p::2], s, y.size))
-        for (start, even), (_, odd) in zip(*phases):
+            phases.append((x[q::2], h[p::2], s))
+
+        def job(start):
+            even, odd = (_convolve_block(xq, g, s, y.size, start) for xq, g, s in phases)
             y[start : start + BLOCK] = even + odd
+
+        _run_blocks(job, y.size)
     return AudioBuffer(y, fs_out)

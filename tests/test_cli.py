@@ -218,6 +218,20 @@ def test_resample_command(tmp_path, capsys):
     assert len(read_wav(dst)) == 8000
 
 
+def test_resample_rejects_oversized_filter_designs(tmp_path, capsys):
+    # these designs used to ask np.arange for 10^13 and 3 * 10^12 taps and
+    # exit with a MemoryError traceback
+    src = tmp_path / "in.wav"
+    write_sine(src, 1000, rate=8000, seconds=0.1)
+    argv = ["resample", str(src), str(tmp_path / "out.wav"), "--rate", "16000"]
+    for flag, value in (("--transition-frac", "1e-12"), ("--stopband-db", "1e12")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "taps, more than the limit of 65536" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out.wav").exists()
+
+
 def test_resample_command_imports_no_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded by other tests;
     # score-der, 7-source score-sdr (the assignment path of PIT) and diarize
@@ -397,6 +411,19 @@ def test_diarize_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "diarize", str(scores_path))
     assert code == 1 and "need --features or --embeddings" in err
+
+
+def test_diarize_output_overwrites_a_longer_file(tmp_path, capsys):
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    argv = ["diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec"]
+    code, rttm, _ = run(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "out.rttm"
+    out_path.write_bytes(b"SPEAKER old 1 0.000 1.000 <NA> <NA> x <NA> <NA>\n" * 1000)
+    assert out_path.stat().st_size > len(rttm)
+    code, _, _ = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == rttm.encode()
 
 
 def test_diarize_command_with_embeddings(tmp_path, capsys):

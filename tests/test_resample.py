@@ -1,4 +1,8 @@
+import os
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from scipy.signal import firwin
 
 from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample
 from diarsep.audio import BLOCK
-from diarsep.resample import _convolve_blocks
+from diarsep.resample import _convolve_block, _run_blocks
 from oracles import polyphase_oracle, resample_oracle
 
 
@@ -69,6 +73,19 @@ def test_filter_validation():
     for value in (0.0, 0.5, -0.1, float("inf"), float("nan")):
         with pytest.raises(ValueError, match=re.escape(f"nominal_cutoff must be in (0, 0.5), got {value}")):
             FirFilter(taps, value, 80.0)
+
+
+def test_tap_count_is_limited_to_one_block():
+    # 10^13 and 3 * 10^12 taps used to reach np.arange and fail with MemoryError
+    for stopband_db, transition_frac, count in ((80.0, 1e-12, "10036860962601"), (1e12, 0.05, "2786082154761")):
+        with pytest.raises(ValueError, match=f"need {count} taps, more than the limit of {BLOCK}"):
+            design_kaiser_sinc(8000, 16000, stopband_db, transition_frac)
+    with pytest.raises(ValueError, match=f"need inf taps, more than the limit of {BLOCK}"):
+        design_kaiser_sinc(8000, 16000, 80.0, 1e-320)
+    assert design_kaiser_sinc(8000, 16000, 80.0, 0.0011).taps.size == 9125
+    assert FirFilter(np.ones(BLOCK - 1, np.float32), 0.25, 80.0).taps.size == BLOCK - 1
+    with pytest.raises(ValueError, match=f"tap count {BLOCK + 1} exceeds the limit of {BLOCK}"):
+        FirFilter(np.ones(BLOCK + 1, np.float32), 0.25, 80.0)
 
 
 def test_identity_returns_input_unchanged():
@@ -219,5 +236,80 @@ def test_convolve_blocks_equal_whole_convolution_in_float64():
         whole = np.convolve(x.astype(np.float64), g)
         for offset in (0, 1, 50, 100):
             n_out = min(n, whole.size - offset)
-            blocks = [block for _, block in _convolve_blocks(x, g, offset, n_out)]
+            blocks = [_convolve_block(x, g, offset, n_out, start) for start in range(0, n_out, BLOCK)]
             np.testing.assert_array_equal(np.concatenate(blocks), whole[offset : offset + n_out])
+
+
+def cpus(monkeypatch, n):
+    """Make the resampler see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_thread_starts(monkeypatch):
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    return started
+
+
+def test_threaded_blocks_match_whole_signal_oracle_for_any_cpu_count(monkeypatch):
+    # 3 blocks and a short fourth per phase; 1 CPU runs them all on the caller
+    rng = np.random.default_rng(11)
+    cases = [(8000, 16000, 3 * BLOCK + 17), (16000, 8000, 6 * BLOCK + 34), (16000, 8000, 6 * BLOCK + 35)]
+    for n_cpus, n_threads in ((1, 0), (4, 3)):
+        cpus(monkeypatch, n_cpus)
+        started = count_thread_starts(monkeypatch)
+        for fs_in, fs_out, n in cases:
+            fir = design_kaiser_sinc(fs_in, fs_out)
+            buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
+            got = resample(buf, fs_out, fir)
+            want = polyphase_oracle(buf, fs_out, fir)
+            np.testing.assert_array_equal(got.samples.view(np.int32), want.samples.view(np.int32))
+        assert len(started) == n_threads * len(cases)
+
+
+def test_cpu_count_is_used_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    started = count_thread_starts(monkeypatch)
+    seen = []
+    _run_blocks(seen.append, 5 * BLOCK)
+    assert sorted(seen) == [k * BLOCK for k in range(5)]
+    assert len(started) == 2
+
+
+def test_every_block_runs_exactly_once_under_contention(monkeypatch):
+    # more workers than cores and a short switch interval, so that a start
+    # taken twice or skipped by a racing worker would show
+    cpus(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_out in (1, BLOCK, 300 * BLOCK + 1):
+            seen = []
+            _run_blocks(seen.append, n_out)
+            assert sorted(seen) == list(range(0, n_out, BLOCK))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_block_error_reaches_the_caller_and_stops_the_workers(monkeypatch):
+    cpus(monkeypatch, 4)
+    before = threading.active_count()
+    seen = []
+
+    def job(start):
+        seen.append(start)
+        if start == 0:
+            raise KeyError("block 0")
+        time.sleep(0.005)
+
+    with pytest.raises(KeyError, match="block 0"):
+        _run_blocks(job, 64 * BLOCK)
+    assert threading.active_count() == before
+    assert len(seen) < 64  # no worker took every remaining block
