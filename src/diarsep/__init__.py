@@ -27,7 +27,14 @@ from .fusion import align_frames, concat_features, normalize_weights, weighted_s
 from .powerset import PowersetSpace, build_space, decode_class, decode_frames, encode_label
 from .resample import FirFilter, design_kaiser_sinc, resample
 from .sepmetrics import SepReport, pit, sdr, sdr_improvement, si_sdr
-from .tasnet import EncoderBasis, mirrored_dct_basis, oracle_masks, random_basis, separate_with_masks
+from .tasnet import (
+    EncoderBasis,
+    mirrored_dct_basis,
+    oracle_masks,
+    oracle_separation,
+    random_basis,
+    separate_with_masks,
+)
 
 __all__ = [
     "__version__",
@@ -58,6 +65,7 @@ __all__ = [
     "normalize_weights",
     "optimal_mapping",
     "oracle_masks",
+    "oracle_separation",
     "parse_rttm",
     "parse_uem",
     "pit",

@@ -26,7 +26,7 @@ from .powerset import build_space, decode_class, encode_label
 from .resample import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
 from .resample import design_kaiser_sinc, resample
 from .sepmetrics import sdr_improvement, si_sdr
-from .tasnet import basis_from_stack, oracle_masks, random_basis, separate_with_masks
+from .tasnet import basis_from_stack, oracle_masks, oracle_separation, random_basis
 
 
 def _fmt_db(value: float, cap: float | None = None) -> str:
@@ -106,9 +106,7 @@ def _cmd_separate_oracle(args) -> int:
     else:
         basis = random_basis(args.filters, args.kernel, args.stride, args.seed, args.nonlinearity)
 
-    masks = oracle_masks(sources, basis)  # also checks that the sources share one rate and length
-    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), sources[0].sample_rate)
-    estimates = separate_with_masks(mixture, masks, basis)
+    estimates = oracle_separation(sources, basis)  # also checks that the sources share one rate and length
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (src, est) in enumerate(zip(sources, estimates)):
@@ -119,7 +117,9 @@ def _cmd_separate_oracle(args) -> int:
         quality = si_sdr(src.samples, padded)
         print(f"source {i}: si_sdr={_fmt_db(quality)} dB -> {path}")
     if args.save_masks:
-        write_feature_stack(FeatureStack(masks, mixture.sample_rate / basis.stride), args.save_masks)
+        # a second pass over the sources: only this output needs the whole (S, T, N) masks
+        masks = oracle_masks(sources, basis)
+        write_feature_stack(FeatureStack(masks, sources[0].sample_rate / basis.stride), args.save_masks)
         print(f"masks -> {args.save_masks}")
     return 0
 

@@ -87,7 +87,9 @@ def _latent_blocks(x: np.ndarray, basis: EncoderBasis):
         latent = windows[block].astype(np.float64) @ analysis_t
         if basis.nonlinearity == "relu":
             np.maximum(latent, 0.0, out=latent)
-        yield block, latent.astype(np.float32)
+        # rebound before the yield, so a waiting generator holds no float64 block
+        latent = latent.astype(np.float32)
+        yield block, latent
 
 
 def _masks_array(masks, n_frames: int, n_filters: int) -> np.ndarray:
@@ -135,12 +137,7 @@ def decode(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
     return _overlap_add(frames, basis, latent.frame_rate)
 
 
-def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
-    """Ratio masks from per-source relu encodings.
-
-    mask[s, t, n] = enc(source_s)[t, n] / (sum_j enc(source_j)[t, n] + DEFAULT_EPS),
-    clipped to [0, 1]. Sources must share one sample rate and one length.
-    """
+def _check_sources(sources: list[AudioBuffer]) -> None:
     if not sources:
         raise ValueError("need at least one source")
     rates = {s.sample_rate for s in sources}
@@ -149,17 +146,59 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     lengths = {len(s) for s in sources}
     if len(lengths) != 1:
         raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")
+
+
+def _mask_blocks(sources: list[AudioBuffer], basis: EncoderBasis):
+    """Yield (frame slice, float32 (S, frames, N) block) of oracle ratio masks.
+
+    Each block is computed from relu source encodings in float64 and rounded
+    once to float32, as a whole-array evaluation would.
+    """
     relu_basis = replace(basis, nonlinearity="relu")
-    n_frames = _frame_count(sources[0].samples, relu_basis)
-    masks = np.empty((len(sources), n_frames, basis.n_filters), dtype=np.float32)
     for parts in zip(*(_latent_blocks(s.samples, relu_basis) for s in sources)):
-        block = parts[0][0]
-        encodings = np.stack([latent for _, latent in parts])
-        check_finite(encodings, "source encodings")
-        enc = encodings.astype(np.float64)
-        enc /= enc.sum(axis=0) + DEFAULT_EPS
-        np.clip(enc, 0.0, 1.0, out=enc)
-        masks[:, block] = enc
+        yield parts[0][0], _ratio_masks([latent for _, latent in parts])
+
+
+def _ratio_masks(encodings: list[np.ndarray]) -> np.ndarray:
+    """float32 enc_s / (sum_j enc_j + DEFAULT_EPS), clipped to [0, 1], from float32 source encodings."""
+    ratio = np.array(encodings, dtype=np.float64)
+    check_finite(ratio, "source encodings")
+    denominator = ratio.sum(axis=0)
+    denominator += DEFAULT_EPS
+    ratio /= denominator
+    np.clip(ratio, 0.0, 1.0, out=ratio)
+    return ratio.astype(np.float32)
+
+
+def _separate_blocks(mixture: AudioBuffer, mask_blocks, n_sources: int, basis: EncoderBasis) -> list[AudioBuffer]:
+    """Mask each latent block of the mixture with the matching (S, frames, N) mask block, then decode.
+
+    ``mask_blocks`` yields (frame slice, mask block) over ``_frame_blocks`` of the
+    mixture's frame count; when it is a generator, one block of masks is alive at a time.
+    """
+    synthesis = basis.synthesis.astype(np.float64)
+    frames = np.empty((n_sources, _frame_count(mixture.samples, basis), basis.kernel_len), dtype=np.float64)
+    for (block, latent), (_, masks) in zip(_latent_blocks(mixture.samples, basis), mask_blocks, strict=True):
+        for s in range(n_sources):
+            # a non-finite latent makes the masked latent non-finite too
+            masked = latent * masks[s]
+            check_finite(masked, "masked latent")
+            np.matmul(masked.astype(np.float64), synthesis, out=frames[s, block])
+    frame_rate = mixture.sample_rate / basis.stride
+    return [_overlap_add(source_frames, basis, frame_rate) for source_frames in frames]
+
+
+def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
+    """Ratio masks from per-source relu encodings.
+
+    mask[s, t, n] = enc(source_s)[t, n] / (sum_j enc(source_j)[t, n] + DEFAULT_EPS),
+    clipped to [0, 1]. Sources must share one sample rate and one length.
+    """
+    _check_sources(sources)
+    n_frames = _frame_count(sources[0].samples, basis)
+    masks = np.empty((len(sources), n_frames, basis.n_filters), dtype=np.float32)
+    for block, values in _mask_blocks(sources, basis):
+        masks[:, block] = values
     return masks
 
 
@@ -170,16 +209,19 @@ def separate_with_masks(mixture: AudioBuffer, masks, basis: EncoderBasis) -> lis
     computed block by block without the whole latent.
     """
     m = _masks_array(masks, _frame_count(mixture.samples, basis), basis.n_filters)
-    synthesis = basis.synthesis.astype(np.float64)
-    frames = np.empty((m.shape[0], m.shape[1], basis.kernel_len), dtype=np.float64)
-    for block, latent in _latent_blocks(mixture.samples, basis):
-        for s in range(m.shape[0]):
-            # a non-finite latent makes the masked latent non-finite too
-            masked = latent * m[s, block]
-            check_finite(masked, "masked latent")
-            np.matmul(masked.astype(np.float64), synthesis, out=frames[s, block])
-    frame_rate = mixture.sample_rate / basis.stride
-    return [_overlap_add(source_frames, basis, frame_rate) for source_frames in frames]
+    mask_blocks = ((block, m[:, block]) for block in _frame_blocks(m.shape[1]))
+    return _separate_blocks(mixture, mask_blocks, m.shape[0], basis)
+
+
+def oracle_separation(sources: list[AudioBuffer], basis: EncoderBasis) -> list[AudioBuffer]:
+    """Separate the sum of ``sources`` with their oracle ratio masks, one block of masks at a time.
+
+    Equal to separate_with_masks(mixture, oracle_masks(sources, basis), basis)
+    for the float32 sum ``mixture`` of the sources, without the (S, T, N) masks.
+    """
+    _check_sources(sources)
+    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), sources[0].sample_rate)
+    return _separate_blocks(mixture, _mask_blocks(sources, basis), len(sources), basis)
 
 
 def random_basis(

@@ -248,7 +248,8 @@ def test_parse_uem_fuzz_returns_regions_or_value_error(text):
 @given(ref=_fuzz_text(_RTTM_LINE), hyp=_fuzz_text(_RTTM_LINE), uem=st.none() | _fuzz_text(_UEM_LINE))
 def test_score_der_fuzz_exits_0_or_1(tmp_path_factory, ref, hyp, uem):
     """score-der on fuzzed files: a score or an error message, never a traceback."""
-    folder = tmp_path_factory.getbasetemp()
+    # fresh files per example: rewriting one path stalls on some filesystems (ext4 truncate-on-rewrite)
+    folder = tmp_path_factory.mktemp("fuzz")
     argv = ["score-der", str(folder / "ref.rttm"), str(folder / "hyp.rttm"), "--collar", "0.25"]
     (folder / "ref.rttm").write_text(ref)
     (folder / "hyp.rttm").write_text(hyp)

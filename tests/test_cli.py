@@ -15,6 +15,8 @@ from diarsep import (
     AudioBuffer,
     FeatureStack,
     mirrored_dct_basis,
+    oracle_masks,
+    random_basis,
     read_feature_stack,
     read_wav,
     write_feature_stack,
@@ -343,19 +345,66 @@ def test_separate_oracle_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_save_masks_changes_no_estimate(tmp_path, capsys):
+    """--save-masks adds the masks file and its line; the estimates and the other lines stay byte-identical."""
+    rng = np.random.default_rng(12)
+    paths = []
+    for i in range(2):
+        paths.append(tmp_path / f"s{i}.wav")
+        write_wav(AudioBuffer(rng.uniform(-0.4, 0.4, 3000).astype(np.float32), 8000), paths[-1])
+    argv = ["separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"), "--seed", "7"]
+    masks_path = tmp_path / "masks.sslf"
+
+    runs = []
+    for extra in ([], ["--save-masks", str(masks_path)]):
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, "")
+        runs.append((out, [(tmp_path / "est" / f"est{i}.wav").read_bytes() for i in range(2)]))
+    (plain_out, plain_wavs), (saved_out, saved_wavs) = runs
+    assert saved_wavs == plain_wavs
+    assert saved_out == plain_out + f"masks -> {masks_path}\n"
+    assert plain_out.count("source ") == 2
+
+    sources = [read_wav(p) for p in paths]
+    expected = tmp_path / "expected.sslf"
+    write_feature_stack(FeatureStack(oracle_masks(sources, random_basis(128, 16, 8, 7)), 8000 / 8), expected)
+    assert masks_path.read_bytes() == expected.read_bytes()
+
+
+def test_separate_oracle_rejects_non_finite_source_encodings(tmp_path, capsys):
+    # 16-bit PCM cannot hold NaN, but finite weights can overflow the float32 encodings
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    write_sine(paths[0], 440)
+    write_sine(paths[1], 660)
+    basis_path = tmp_path / "basis.sslf"
+    write_feature_stack(FeatureStack(np.full((2, 4, 16), 3e38, np.float32), 1.0), basis_path)
+    with np.errstate(over="ignore"):
+        code, out, err = run(
+            capsys,
+            "separate-oracle",
+            "--sources", *map(str, paths),
+            "--output-dir", str(tmp_path / "est"),
+            "--basis", str(basis_path),
+            "--save-masks", str(tmp_path / "masks.sslf"),
+        )
+    assert (code, out) == (1, "")
+    assert "source encodings must be finite" in err
+    assert not (tmp_path / "est").exists() and not (tmp_path / "masks.sslf").exists()
+
+
 def test_mixed_sample_rates_exit_1(tmp_path, capsys):
     narrow, wide = tmp_path / "narrow.wav", tmp_path / "wide.wav"
     write_sine(narrow, 440, rate=8000)
     write_sine(wide, 660, rate=16000)
     for argv in (
         ("separate-oracle", "--sources", str(narrow), str(wide),
-         "--output-dir", str(tmp_path / "est"), "--seed", "7"),
+         "--output-dir", str(tmp_path / "est"), "--seed", "7", "--save-masks", str(tmp_path / "masks.sslf")),
         ("score-sdr", "--refs", str(narrow), "--ests", str(narrow), "--mix", str(wide)),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert "disagree on sample rate: [8000, 16000]" in err
-    assert not (tmp_path / "est").exists()
+    assert not (tmp_path / "est").exists() and not (tmp_path / "masks.sslf").exists()
 
 
 def test_separate_oracle_rejects_unequal_lengths(tmp_path, capsys):
@@ -370,10 +419,11 @@ def test_separate_oracle_rejects_unequal_lengths(tmp_path, capsys):
         "--sources", *map(str, paths),
         "--output-dir", str(tmp_path / "est"),
         "--seed", "7",
+        "--save-masks", str(tmp_path / "masks.sslf"),
     )
     assert (code, out) == (1, "")
     assert "sources must have equal lengths, got [1600, 1700]" in err
-    assert not (tmp_path / "est").exists()
+    assert not (tmp_path / "est").exists() and not (tmp_path / "masks.sslf").exists()
 
 
 def diarize_fixtures(tmp_path):
@@ -731,7 +781,8 @@ _CONFIG_LINE = st.one_of(
 @given(st.lists(_CONFIG_LINE, max_size=5).map("\n".join))
 def test_config_fuzz_exits_0_or_1(tmp_path_factory, text):
     """score-der under a fuzzed --config file: a score or an error message, never a traceback."""
-    folder = tmp_path_factory.getbasetemp()
+    # fresh files per example: rewriting one path stalls on some filesystems (ext4 truncate-on-rewrite)
+    folder = tmp_path_factory.mktemp("fuzz")
     rttm = folder / "ref.rttm"
     rttm.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
     cfg = folder / "fuzz.cfg"

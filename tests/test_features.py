@@ -145,7 +145,8 @@ def test_reader_fuzz_returns_stack_or_value_error(tmp_path_factory, length, flip
     raw = bytearray(_VALID)
     for index, mask in flips:
         raw[index] ^= mask
-    path = tmp_path_factory.getbasetemp() / "fuzz.sslf"
+    # a fresh file per example: rewriting one path stalls on some filesystems (ext4 truncate-on-rewrite)
+    path = tmp_path_factory.mktemp("fuzz") / "fuzz.sslf"
     path.write_bytes(bytes(raw[:length]))
     try:
         stack = read_feature_stack(path)

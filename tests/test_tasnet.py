@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from scipy.fft import dct
 
-from diarsep import AudioBuffer, EncoderBasis, mirrored_dct_basis, oracle_masks, random_basis, si_sdr
+from diarsep import (
+    AudioBuffer,
+    EncoderBasis,
+    mirrored_dct_basis,
+    oracle_masks,
+    oracle_separation,
+    random_basis,
+    si_sdr,
+)
 from diarsep.tasnet import (
     BLOCK_FRAMES,
     _frame_blocks,
@@ -259,7 +267,12 @@ def test_blockwise_equals_whole_array_oracles(n_frames, kind, nonlinearity):
         assert np.array_equal(decode(latent, basis).samples, decode_oracle(expected, basis).samples)
 
         masks = oracle_masks(sources, basis)
-        assert np.array_equal(masks, oracle_masks_oracle(sources, basis))
+        expected_masks = oracle_masks_oracle(sources, basis)
+        assert np.array_equal(masks, expected_masks)
+        fused = oracle_separation(sources, basis)
+        for est, ref in zip(fused, separate_oracle(mixture, expected_masks, basis), strict=True):
+            assert est.sample_rate == ref.sample_rate == 8000
+            assert np.array_equal(est.samples, ref.samples)
         # masks outside [0, 1] as well, as a masks file may hold
         for m in (masks, rng.uniform(-0.5, 1.5, masks.shape).astype(np.float32)):
             estimates = separate_with_masks(mixture, m, basis)
@@ -320,3 +333,45 @@ def test_separation_transient_memory_does_not_grow_with_length():
         return peak - masks.nbytes - sum(e.samples.nbytes for e in estimates)
 
     assert transient_bytes(8) - transient_bytes(2) <= 20e6
+
+
+def test_oracle_separation_checks_sources():
+    basis = mirrored_dct_basis(8)
+    a = AudioBuffer(np.ones(80, np.float32), 8000)
+    with pytest.raises(ValueError, match="need at least one source"):
+        oracle_separation([], basis)
+    with pytest.raises(ValueError, match=r"equal lengths, got \[72, 80\]"):
+        oracle_separation([a, AudioBuffer(np.ones(72, np.float32), 8000)], basis)
+    with pytest.raises(ValueError, match=r"sources disagree on sample rate: \[8000, 16000\]"):
+        oracle_separation([a, AudioBuffer(np.ones(80, np.float32), 16000)], basis)
+    with pytest.raises(ValueError, match="shorter than one kernel"):
+        oracle_separation([AudioBuffer(np.ones(4, np.float32), 8000)] * 2, basis)
+
+
+def test_oracle_separation_rejects_non_finite_source_encodings():
+    # finite float32 weights whose products overflow float32: the relu source
+    # encodings, rounded once to float32, become inf
+    basis = EncoderBasis(np.full((2, 4), 3e38), np.ones((2, 4)), 4, "linear")
+    sources = [AudioBuffer(np.full(16, 0.5, np.float32), 8000)] * 2
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="source encodings must be finite"):
+        oracle_separation(sources, basis)
+
+
+def test_oracle_separation_holds_one_block_of_masks():
+    """Peak traced bytes of oracle_separation beyond its estimates, 2 sources of 8 s at 16 kHz.
+
+    The whole (S, T, N) float32 masks are 16.4 MB here. The fused pass holds one
+    block of masks, the (S, T, kernel_len) float64 synthesis frames (4.1 MB) and
+    the mixture; masks built whole first, then applied, exceed the masks' size.
+    """
+    basis = random_basis(128, 16, 8, seed=0)
+    rng = np.random.default_rng(8)
+    sources = [AudioBuffer(rng.uniform(-0.3, 0.3, 8 * 16000).astype(np.float32), 16000) for _ in range(2)]
+    masks_nbytes = len(sources) * ((8 * 16000 - 16) // 8 + 1) * 128 * 4
+    tracemalloc.start()
+    try:
+        estimates = oracle_separation(sources, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(e.samples.nbytes for e in estimates) < masks_nbytes
