@@ -8,6 +8,8 @@ stitches the relabeled chunks into one annotation. Here the chunks and
 embeddings are constructed, so the output can be checked exactly.
 """
 
+import math
+
 import numpy as np
 
 from diarsep import (
@@ -17,17 +19,18 @@ from diarsep import (
     compute_der,
     diarize_file,
     emit_rttm,
-    slide_chunks,
 )
 
 FRAME_RATE = 50.0
 TOTAL = 20.0
+WINDOW, HOP = 10.0, 5.0
 TRUTH = {"alice": (0.0, 8.0), "bob": (12.0, 18.0)}
 VECTORS = {"alice": np.array([1.0, 0, 0, 0], np.float32), "bob": np.array([0, 1.0, 0, 0], np.float32)}
 
 # -- build per-chunk activities and features from the ground truth ------------
 
-layout = slide_chunks(TOTAL, window=10.0, hop=5.0)
+# as in a chunk tensor: every chunk spans WINDOW seconds and chunk ci starts at ci * HOP
+layout = [(ci * HOP, WINDOW) for ci in range(math.ceil((TOTAL - WINDOW) / HOP) + 1)]
 print("chunk layout:", layout)
 
 chunks, feats = [], []

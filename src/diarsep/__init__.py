@@ -1,8 +1,8 @@
 """diarsep: evaluation toolkit for speaker diarization and speech separation.
 
-A numpy/scipy library (plus a small CLI) covering the deterministic core of
+A numpy library (plus a small CLI) covering the deterministic core of
 diarization and separation evaluation: powerset segmentation codec, weighted
-layer fusion, sliding-window stitching with agglomerative clustering,
+layer fusion, chunk stitching with agglomerative clustering,
 TasNet-style encode/mask/decode, Kaiser-sinc resampling, and exact DER and
 SDR/SI-SDR scorers with permutation-invariant matching.
 """
@@ -18,8 +18,6 @@ from .diarize import (
     ahc_cluster,
     diarize_file,
     pooled_embeddings,
-    single_speaker_segments,
-    slide_chunks,
     stitch,
 )
 from .features import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
@@ -78,8 +76,6 @@ __all__ = [
     "sdr_improvement",
     "separate_with_masks",
     "si_sdr",
-    "single_speaker_segments",
-    "slide_chunks",
     "stitch",
     "total_der",
     "weighted_sum",

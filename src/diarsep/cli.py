@@ -125,10 +125,9 @@ def _cmd_separate_oracle(args) -> int:
 
 
 def _cmd_diarize(args) -> int:
-    stack = read_feature_stack(args.scores)
-    chunks = chunks_from_stack(stack, args.num_speakers, args.hop)
     if not (args.features or args.embeddings):
         raise ValueError("need --features or --embeddings to identify speakers across chunks")
+    chunks = chunks_from_stack(read_feature_stack(args.scores), args.num_speakers, args.hop)
 
     features = None
     embeddings = None

@@ -1,6 +1,6 @@
 """Global diarization around a pluggable local segmenter.
 
-Sliding chunks, single-speaker runs, embedding pooling, agglomerative
+Chunk decoding, embedding pooling over single-speaker runs, agglomerative
 clustering and stitching of local windows into one file-level annotation.
 """
 
@@ -14,7 +14,6 @@ from .annotation import Annotation, Segment
 from .features import FeatureMatrix, FeatureStack, check_finite
 from .powerset import build_space, decode_frames
 
-DEFAULT_WINDOW = 10.0
 DEFAULT_HOP = 5.0
 DEFAULT_MIN_SEG = 0.25
 DEFAULT_AHC_THRESHOLD = 0.5
@@ -59,7 +58,7 @@ class Embedding(NamedTuple):
     source: tuple[int, int]  # (chunk index, local slot)
 
 
-def check_hop(window: float, hop: float) -> None:
+def _check_hop(window: float, hop: float) -> None:
     """Raise ValueError unless 0 < hop <= window, so chunks spanning ``window`` s tile without gaps."""
     if not 0 < hop <= window:
         raise ValueError(f"hop must satisfy 0 < hop <= window (the chunk span), got hop={hop} window={window}")
@@ -75,28 +74,6 @@ def _check_min_duration(min_duration: float) -> None:
         raise ValueError(f"minimum single-speaker run must be finite, got {min_duration}")
 
 
-def slide_chunks(total_duration: float, window: float = DEFAULT_WINDOW, hop: float = DEFAULT_HOP):
-    """Chunk onsets/durations covering [0, total_duration].
-
-    A file no longer than one window yields a single chunk; otherwise onsets
-    advance by ``hop`` and trailing chunks shrink to fit.
-    """
-    check_hop(window, hop)
-    if total_duration < 0:
-        raise ValueError(f"total_duration must be >= 0, got {total_duration}")
-    if total_duration == 0:
-        return []
-    if total_duration <= window:
-        return [(0.0, float(total_duration))]
-    chunks = []
-    k = 0
-    while k * hop < total_duration:
-        onset = k * hop
-        chunks.append((onset, min(window, total_duration - onset)))
-        k += 1
-    return chunks
-
-
 def chunks_from_stack(
     stack: FeatureStack, num_speakers: int, hop: float = DEFAULT_HOP
 ) -> list[ChunkSegmentation]:
@@ -108,17 +85,21 @@ def chunks_from_stack(
     and spans ``n_frames / frame_rate`` seconds; a hop beyond that span
     would leave gaps and is rejected. Errors in one chunk name it.
     """
-    check_hop(stack.n_frames / stack.frame_rate, hop)
-    space = build_space(num_speakers)
-    if stack.dim not in (space.n_classes, num_speakers):
+    _check_hop(stack.n_frames / stack.frame_rate, hop)
+    if num_speakers < 1:
+        raise ValueError(f"num_speakers must be >= 1, got {num_speakers}")
+    # the class count, without building a catalogue that grows with num_speakers^2
+    n_classes = 1 + num_speakers + num_speakers * (num_speakers - 1) // 2
+    if stack.dim not in (n_classes, num_speakers):
         raise ValueError(
-            f"tensor dim {stack.dim} matches neither {space.n_classes} powerset "
+            f"tensor dim {stack.dim} matches neither {n_classes} powerset "
             f"classes nor {num_speakers} speaker slots"
         )
+    space = build_space(num_speakers) if stack.dim == n_classes else None
     chunks = []
     for ci, plane in enumerate(stack.data):
         try:
-            activity = decode_frames(space, plane) if stack.dim == space.n_classes else plane
+            activity = plane if space is None else decode_frames(space, plane)
             chunks.append(ChunkSegmentation(ci * hop, stack.frame_rate, activity))
         except ValueError as exc:
             raise ValueError(f"chunk {ci}: {exc}") from None
@@ -156,24 +137,6 @@ def _solo_runs(chunk: ChunkSegmentation) -> list[list[tuple[int, int]]]:
     """Per local slot, the maximal frame runs where that slot is the only active speaker."""
     solo = chunk.activity.sum(axis=1) == 1
     return [_runs((chunk.activity[:, slot] == 1) & solo) for slot in range(chunk.n_slots)]
-
-
-def single_speaker_segments(
-    chunk: ChunkSegmentation, min_duration: float = DEFAULT_MIN_SEG
-) -> list[tuple[float, float, int]]:
-    """Maximal runs where exactly one local speaker is active, in absolute seconds.
-
-    Returns (onset_s, duration_s, slot) tuples, slot-major then time-ordered,
-    keeping runs of at least ``min_duration`` seconds (finite).
-    """
-    _check_min_duration(min_duration)
-    out = []
-    for slot, runs in enumerate(_solo_runs(chunk)):
-        for start, end in runs:
-            duration = (end - start) / chunk.frame_rate
-            if duration >= min_duration:
-                out.append((chunk.onset + start / chunk.frame_rate, duration, slot))
-    return out
 
 
 def ahc_cluster(embeddings, threshold: float) -> list[int]:

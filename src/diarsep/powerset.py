@@ -74,4 +74,4 @@ def decode_frames(space: PowersetSpace, scores) -> np.ndarray:
         raise ValueError(f"expected scores of shape (T, {space.n_classes}), got {mat.shape}")
     check_finite(mat, "scores")
     best = np.argmax(mat, axis=1)
-    return space.class_matrix[best].copy()
+    return space.class_matrix[best]

@@ -245,10 +245,15 @@ def mirrored_dct_basis(kernel_len: int, stride: int | None = None, nonlinearity:
     synthesis^T @ relu(analysis @ x) reconstructs x exactly; handy for
     deterministic oracle-mask experiments.
     """
-    # imported here, not at module level: only this basis needs a DCT
-    from scipy.fft import dct
-
-    q = dct(np.eye(kernel_len), norm="ortho", axis=0)
+    if kernel_len < 1:
+        raise ValueError(f"kernel_len must be >= 1, got {kernel_len}")
+    # orthonormal DCT-II: q[k, n] = s_k cos(pi k (2n + 1) / 2L), s_0 = sqrt(1/L), s_k = sqrt(2/L)
+    # for k > 0; an odd multiple of pi/2 is set to exactly 0, where np.cos leaves ~1e-16
+    k = np.arange(kernel_len)[:, None]
+    m = k * (2 * np.arange(kernel_len) + 1)
+    scale = np.where(k == 0, np.sqrt(1.0 / kernel_len), np.sqrt(2.0 / kernel_len))
+    q = scale * np.cos(np.pi * m / (2 * kernel_len))
+    q[m % (2 * kernel_len) == kernel_len] = 0.0
     bank = np.vstack([q, -q])
     return EncoderBasis(bank, bank, kernel_len if stride is None else stride, nonlinearity)
 

@@ -236,8 +236,9 @@ def test_resample_rejects_oversized_filter_designs(tmp_path, capsys):
 
 def test_resample_command_imports_no_scipy(tmp_path):
     # a fresh interpreter, since this one has scipy loaded by other tests;
-    # score-der, 7-source score-sdr (the assignment path of PIT) and diarize
-    # with two embeddings to cluster load none either
+    # score-der, 7-source score-sdr (the assignment path of PIT), diarize
+    # with two embeddings to cluster, the mirrored DCT basis and
+    # separate-oracle on a file of it load none either
     scores_path, feats_path = diarize_fixtures(tmp_path)
     src = tmp_path / "in.wav"
     write_sine(src, 1000, rate=8000, seconds=0.1)
@@ -247,16 +248,21 @@ def test_resample_command_imports_no_scipy(tmp_path):
     for k, path in enumerate(sources):
         write_sine(path, 300 + 200 * k, rate=8000, seconds=0.1)
     write_sine(tmp_path / "mix.wav", 1000, rate=8000, seconds=0.1)
+    basis_path = tmp_path / "dct16.sslf"
     calls = [
         ["resample", str(src), str(tmp_path / "out.wav"), "--rate", "16000"],
         ["score-der", str(tmp_path / "ref.rttm"), str(tmp_path / "hyp.rttm")],
         ["score-sdr", "--refs", *map(str, sources), "--ests", *map(str, sources[::-1]),
          "--mix", str(tmp_path / "mix.wav")],
         ["diarize", str(scores_path), "--features", str(feats_path), "--output", str(tmp_path / "out.rttm")],
+        ["separate-oracle", "--sources", *map(str, sources[:2]), "--output-dir", str(tmp_path / "est"),
+         "--basis", str(basis_path)],
     ]
     script = (
         "import sys\n"
         "import diarsep, diarsep.cli\n"
+        "from diarsep.tasnet import basis_to_stack\n"
+        f"diarsep.write_feature_stack(basis_to_stack(diarsep.mirrored_dct_basis(16)), {str(basis_path)!r})\n"
         f"code = max(diarsep.cli.main(argv) for argv in {calls!r})\n"
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
@@ -461,6 +467,17 @@ def test_diarize_command(tmp_path, capsys):
 
     code, _, err = run(capsys, "diarize", str(scores_path))
     assert code == 1 and "need --features or --embeddings" in err
+
+
+def test_diarize_checks_embedding_flags_before_reading_scores(tmp_path, capsys):
+    scores_path, _ = diarize_fixtures(tmp_path)
+    truncated = tmp_path / "truncated.sslf"
+    truncated.write_bytes(scores_path.read_bytes()[:-7])
+    code, out, err = run(capsys, "diarize", str(truncated))
+    assert (code, out) == (1, "")
+    assert "need --features or --embeddings" in err
+    code, _, err = run(capsys, "diarize", str(truncated), "--embeddings", str(truncated))
+    assert code == 1 and "size mismatch" in err
 
 
 def test_diarize_output_overwrites_a_longer_file(tmp_path, capsys):

@@ -12,48 +12,11 @@ from diarsep import (
     compute_der,
     diarize_file,
     pooled_embeddings,
-    single_speaker_segments,
-    slide_chunks,
     stitch,
 )
+import diarsep.diarize
 from diarsep.diarize import chunks_from_stack
 from oracles import ahc_oracle, linkage_oracle
-
-
-def test_slide_single_window():
-    assert slide_chunks(10.0, window=10.0, hop=5.0) == [(0.0, 10.0)]
-
-
-def test_slide_zero_duration():
-    assert slide_chunks(0.0) == []
-
-
-def test_slide_23s():
-    assert slide_chunks(23.0, window=10.0, hop=5.0) == [
-        (0.0, 10.0),
-        (5.0, 10.0),
-        (10.0, 10.0),
-        (15.0, 8.0),
-        (20.0, 3.0),
-    ]
-
-
-def test_slide_covers_exactly():
-    for total in (0.5, 7.0, 10.0, 12.3, 31.0):
-        chunks = slide_chunks(total, window=10.0, hop=5.0)
-        assert chunks[0][0] == 0.0
-        assert max(o + d for o, d in chunks) == pytest.approx(total)
-        onsets = [o for o, _ in chunks]
-        assert onsets == [i * 5.0 for i in range(len(onsets))]
-
-
-def test_slide_errors():
-    with pytest.raises(ValueError, match="hop"):
-        slide_chunks(10.0, window=10.0, hop=0.0)
-    with pytest.raises(ValueError, match="hop"):
-        slide_chunks(10.0, window=5.0, hop=6.0)
-    with pytest.raises(ValueError, match="total_duration"):
-        slide_chunks(-1.0)
 
 
 def make_chunk(onset, activity, frame_rate=50.0):
@@ -69,33 +32,6 @@ def test_chunk_validation():
         ChunkSegmentation(0.0, 0.0, np.zeros((5, 2), np.int8))
 
 
-def test_single_speaker_silent_chunk():
-    chunk = make_chunk(0.0, np.zeros((100, 2)))
-    assert single_speaker_segments(chunk) == []
-
-
-def test_single_speaker_unit_conversion():
-    activity = np.zeros((100, 2), np.int8)
-    activity[0:50, 0] = 1
-    chunk = make_chunk(10.0, activity)
-    assert single_speaker_segments(chunk, min_duration=0.25) == [(10.0, 1.0, 0)]
-
-
-def test_single_speaker_excludes_overlap():
-    activity = np.zeros((50, 2), np.int8)
-    activity[0:50, 0] = 1  # speaker 0 active throughout
-    activity[20:31, 1] = 1  # speaker 1 overlaps frames 20..30
-    chunk = make_chunk(0.0, activity)
-    segs = single_speaker_segments(chunk, min_duration=0.1)
-    assert segs == [(0.0, 0.4, 0), (0.62, 0.38, 0)]
-
-
-def test_single_speaker_min_duration_filter():
-    activity = np.zeros((100, 1), np.int8)
-    activity[0:5, 0] = 1  # 0.1 s, below the default threshold
-    assert single_speaker_segments(make_chunk(0.0, activity)) == []
-
-
 def test_non_finite_minimum_run_rejected():
     activity = np.zeros((100, 1), np.int8)
     activity[0:50, 0] = 1
@@ -103,8 +39,6 @@ def test_non_finite_minimum_run_rejected():
     feats = [FeatureMatrix(np.ones((100, 2), np.float32), 50.0)]
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=f"minimum single-speaker run must be finite, got {value}"):
-            single_speaker_segments(chunk, min_duration=value)
-        with pytest.raises(ValueError, match="must be finite"):
             pooled_embeddings([chunk], feats, min_seg=value)
         with pytest.raises(ValueError, match="must be finite"):
             diarize_file([chunk], feats, min_seg=value)
@@ -414,6 +348,22 @@ def test_accepted_hops_leave_no_gap(n_frames, frame_rate, n_chunks, hop_fraction
     assert abs(segment.onset + segment.duration - total) <= 0.5 / frame_rate + 1e-9
 
 
+def test_dim_check_builds_no_class_catalogue(monkeypatch):
+    """The dim is compared with the class count by arithmetic: a huge K fails
+    without building its K^2 catalogue, and K < 1 is rejected by name."""
+
+    def no_build(max_speakers):
+        raise AssertionError(f"built a class space for K={max_speakers}")
+
+    monkeypatch.setattr(diarsep.diarize, "build_space", no_build)
+    stack = FeatureStack(np.zeros((2, 10, 7), np.float32), 50.0)
+    with pytest.raises(ValueError, match="tensor dim 7 matches neither 500000500001 powerset classes"):
+        chunks_from_stack(stack, num_speakers=10**6, hop=0.1)
+    for k in (0, -5):
+        with pytest.raises(ValueError, match=f"num_speakers must be >= 1, got {k}"):
+            chunks_from_stack(stack, num_speakers=k, hop=0.1)
+
+
 def test_diarize_empty_chunks():
     assert diarize_file([], uri="u").segments == ()
     silent = make_chunk(0.0, np.zeros((500, 2), np.int8))
@@ -461,9 +411,6 @@ def test_pooled_embeddings_fallback_tiers():
         1: list(range(20, 25)),
         2: list(range(25, 30)) + list(range(40, 45)),
     }
-    # the same solo runs, with single_speaker_segments' own threshold in seconds
-    assert single_speaker_segments(chunk, 0.25) == [(0.0, 0.4, 0)]
-    assert single_speaker_segments(chunk, 0.0) == [(0.0, 0.4, 0), (0.4, 0.1, 1)]
 
 
 def test_pooled_embeddings_span_must_match_the_chunk_to_one_coarse_frame():

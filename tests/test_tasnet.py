@@ -31,6 +31,19 @@ def ortho_basis(kernel_len, nonlinearity="linear"):
     return EncoderBasis(q, q, kernel_len, nonlinearity)
 
 
+def test_mirrored_dct_basis_equals_scipy_dct_bit_for_bit():
+    for kernel_len in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 128, 256, 512):
+        q = dct(np.eye(kernel_len), norm="ortho", axis=0)
+        bank = np.vstack([q, -q])
+        expected = EncoderBasis(bank, bank, kernel_len)
+        basis = mirrored_dct_basis(kernel_len)
+        assert basis.analysis.tobytes() == expected.analysis.tobytes(), kernel_len
+        assert basis.synthesis.tobytes() == expected.synthesis.tobytes(), kernel_len
+    for kernel_len in (0, -1):
+        with pytest.raises(ValueError, match=f"kernel_len must be >= 1, got {kernel_len}"):
+            mirrored_dct_basis(kernel_len)
+
+
 def test_encode_identity_basis():
     basis = EncoderBasis([[1.0]], [[1.0]], 1, "linear")
     x = AudioBuffer(np.array([0.5, -0.25, 0.125], np.float32), 8000)
