@@ -1,14 +1,13 @@
 """Kaiser-windowed sinc FIR design and polyphase 8 kHz <-> 16 kHz conversion."""
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import BLOCK, AudioBuffer
 from .features import check_finite
+from .workers import run_blocks
 
 SUPPORTED_RATES = (8000, 16000)
 DEFAULT_STOPBAND_DB = 80.0
@@ -112,49 +111,6 @@ def _convolve_block(x: np.ndarray, g: np.ndarray, offset: int, n_out: int, start
     return part[offset + start - lo : offset + stop - lo]
 
 
-def _run_blocks(job, n_out: int) -> None:
-    """Call job(start) for every start in range(0, n_out, BLOCK), on one thread per usable CPU.
-
-    The calling thread is one of the workers, so a 1-CPU process starts no
-    thread. Workers take the next start under a lock. The first exception a
-    job raises stops the others from taking new blocks and is raised here
-    once every thread has been joined.
-    """
-    starts = iter(range(0, n_out, BLOCK))
-    lock = threading.Lock()
-    errors = []
-
-    def work():
-        while True:
-            with lock:
-                start = None if errors else next(starts, None)
-            if start is None:
-                return
-            try:
-                job(start)
-            except BaseException as exc:  # re-raised in the caller below
-                with lock:
-                    errors.append(exc)
-                return
-
-    try:
-        n_cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        n_cpus = os.cpu_count() or 1
-    n_workers = min(n_cpus, -(-n_out // BLOCK))
-    threads = []
-    try:
-        for _ in range(n_workers - 1):
-            threads.append(threading.Thread(target=work))
-            threads[-1].start()
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> AudioBuffer:
     """Polyphase 1:2 / 2:1 rate conversion with group-delay compensation.
 
@@ -163,8 +119,8 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
     zero-padded outside its support, so edge transients appear near the
     first and last (n_taps - 1) / 2 samples. Filtering runs in float64 on
     blocks of BLOCK outputs per phase, written straight into the float32
-    result. Blocks run on one thread per usable CPU (``_run_blocks``); each
-    is computed alone, so the result does not depend on the thread count.
+    result. Blocks run on one thread per usable CPU (``workers.run_blocks``);
+    each is computed alone, so the result does not depend on the thread count.
     """
     fs_in = audio.sample_rate
     if fs_out == fs_in:
@@ -196,7 +152,7 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
             for g, s, phase in phases:
                 phase[start : start + BLOCK] = _convolve_block(x, g, s, n, start)
 
-        _run_blocks(job, n)
+        run_blocks(job, n)
     else:
         # output i = sum over p of convolve(x[q::2], h[p::2])[i + s] with
         # delay - p = 2s + q; the odd input phase is empty for a 1-sample input
@@ -209,5 +165,5 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
             even, odd = (_convolve_block(xq, g, s, y.size, start) for xq, g, s in phases)
             y[start : start + BLOCK] = even + odd
 
-        _run_blocks(job, y.size)
+        run_blocks(job, y.size)
     return AudioBuffer(y, fs_out)

@@ -4,19 +4,27 @@ No masking network lives here; masks come from files or from oracle ratios of
 per-source encodings.
 """
 
-from dataclasses import dataclass, replace
+import math
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .features import FeatureMatrix, FeatureStack, check_finite
+from .workers import run_blocks, worker_count
 
 DEFAULT_EPS = 1e-8
 # frames per block: a block's float64 windows and latent, 1024 x (16 + 128) x 8 B = 1.2 MB
 # at L=16, N=128, fit a 2 MB L2 cache (on a 2-vCPU Xeon with 2 MB L2 per core, 60 s of
 # 2-source separation ran fastest at 512-1024 of the sizes 256-4096)
 BLOCK_FRAMES = 1024
+# OpenBLAS runs a dgemm on the calling thread when m * n * k <= 2**18 and on its own
+# thread pool above that; two separation workers whose products also start BLAS
+# threads fight over the cores (2 vCPUs, 2 x 60 s: 115-123 ms against 93-97 ms for
+# one serial pass), so each worker's products go in tiles within this size
+GEMM_SERIAL_MNK = 1 << 18
 NONLINEARITIES = ("relu", "linear")
 
 
@@ -55,41 +63,78 @@ class EncoderBasis:
         return self.analysis.shape[1]
 
 
-def _frame_count(x: np.ndarray, basis: EncoderBasis) -> int:
+def _windows(x: np.ndarray, basis: EncoderBasis) -> np.ndarray:
+    """Strided (T, kernel_len) view of the analysis windows of x."""
     if x.size < basis.kernel_len:
         raise ValueError(f"audio ({x.size} samples) shorter than one kernel ({basis.kernel_len})")
-    return (x.size - basis.kernel_len) // basis.stride + 1
+    return sliding_window_view(x, basis.kernel_len)[:: basis.stride]
 
 
-def _frame_blocks(n_frames: int):
-    """Slices of min(n_frames, BLOCK_FRAMES) frames covering range(n_frames).
+def _frame_blocks(n_frames: int, size: int = BLOCK_FRAMES):
+    """Slices of min(n_frames, size) frames covering range(n_frames).
 
     The last block ends at n_frames and may overlap the one before it, so every
     matmul has the same row count: BLAS may take another kernel for a short
     tail (a single row goes to gemv), which rounds differently from the
     whole-array product.
     """
-    size = min(n_frames, BLOCK_FRAMES)
+    size = min(n_frames, size)
     for start in range(0, n_frames, size):
         start = min(start, n_frames - size)
         yield slice(start, start + size)
 
 
-def _latent_blocks(x: np.ndarray, basis: EncoderBasis):
-    """Yield (frame slice, float32 latent block) with latent[t] = g(analysis @ window(t)).
+class _Scratch(threading.local):
+    """Named buffers of each thread, reused from block to block.
 
-    Each block is computed in float64 and rounded once to float32, as a
-    whole-array encode would; only blocks of frames are held at a time.
+    glibc malloc hands a freed block-sized temporary (about 1 MB) back to the
+    kernel, so fresh temporaries fault in again on every block: separating
+    2 x 60 s that way took 140k page faults and 0.1 s of system time.
     """
-    windows = sliding_window_view(x, basis.kernel_len)[:: basis.stride]
-    analysis_t = basis.analysis.T.astype(np.float64)
-    for block in _frame_blocks(len(windows)):
-        latent = windows[block].astype(np.float64) @ analysis_t
-        if basis.nonlinearity == "relu":
-            np.maximum(latent, 0.0, out=latent)
-        # rebound before the yield, so a waiting generator holds no float64 block
-        latent = latent.astype(np.float32)
-        yield block, latent
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.__dict__.get(name)
+        if flat is None or flat.size < size:
+            flat = self.__dict__[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
+def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratch: _Scratch, out) -> None:
+    """Write float32 g(analysis @ window(t)) for the frames t in ``rows`` into ``out``.
+
+    The float64 product runs in ``_frame_blocks`` tiles of ``tile`` rows and is
+    rounded once to float32, as a whole-array encode would.
+    """
+    n_rows = rows.stop - rows.start
+    w = scratch.get("windows", (n_rows, windows.shape[1]))
+    np.copyto(w, windows[rows])
+    latent = scratch.get("latent", (n_rows, analysis_t.shape[1]))
+    for t in _frame_blocks(n_rows, tile):
+        np.matmul(w[t], analysis_t, out=latent[t])
+    if relu:
+        np.maximum(latent, 0.0, out=latent)
+    np.copyto(out, latent, casting="same_kind")
+
+
+def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratch: _Scratch, out) -> None:
+    """Write the float32 (S, frames, N) oracle ratio masks of the frames in ``rows`` into ``out``.
+
+    out[s] = enc_s / (sum_j enc_j + DEFAULT_EPS), clipped to [0, 1], from the
+    float32 relu source encodings: sum, ratio and clip in float64, then one
+    rounding to float32.
+    """
+    for w, encoding in zip(source_windows, out, strict=True):
+        _encode_rows(w, analysis_t, True, rows, tile, scratch, encoding)
+    ratio = scratch.get("ratio", out.shape)
+    np.copyto(ratio, out)
+    check_finite(ratio, "source encodings")
+    denominator = scratch.get("latent", out.shape[1:])  # free once every source is encoded
+    np.sum(ratio, axis=0, out=denominator)
+    denominator += DEFAULT_EPS
+    ratio /= denominator
+    np.clip(ratio, 0.0, 1.0, out=ratio)
+    np.copyto(out, ratio, casting="same_kind")
 
 
 def _masks_array(masks, n_frames: int, n_filters: int) -> np.ndarray:
@@ -99,13 +144,56 @@ def _masks_array(masks, n_frames: int, n_filters: int) -> np.ndarray:
     return m
 
 
-def _overlap_add(frames: np.ndarray, basis: EncoderBasis, frame_rate: float) -> AudioBuffer:
-    """Sum synthesis frames (T, kernel_len) placed at t * stride, in float64."""
-    n_frames = len(frames)
-    out = np.zeros((n_frames - 1) * basis.stride + basis.kernel_len, dtype=np.float64)
-    for k in range(basis.kernel_len):
-        out[k : k + n_frames * basis.stride : basis.stride] += frames[:, k]
-    return AudioBuffer(out.astype(np.float32), round(frame_rate * basis.stride))
+def _synthesize(
+    masked_rows, n_sources: int, n_frames: int, basis: EncoderBasis, frame_rate: float
+) -> list[AudioBuffer]:
+    """Overlap-add synthesis^T @ latent[t] at t * stride for each source's masked latent.
+
+    ``masked_rows(rows, tile, scratch)`` returns the (S, frames, N) float32
+    masked latents of the frame slice ``rows``, its float64 products in tiles
+    of ``tile`` rows. Each ``_frame_blocks`` block of frames is one job of
+    ``workers.run_blocks``: it also takes the ceil(kernel_len / stride) - 1
+    frames before the block as a halo, synthesises in float64, adds the taps
+    k = 0..kernel_len-1 in ascending order from 0.0, and writes the samples
+    whose latest frame starts in the block (the last block also the tail)
+    into the float32 outputs. So every sample sums the same terms in the
+    same order as one whole-array overlap-add, whatever the thread count.
+    """
+    stride, kernel_len = basis.stride, basis.kernel_len
+    size = min(n_frames, BLOCK_FRAMES)
+    halo = -(-kernel_len // stride) - 1
+    tile = size + halo  # one product per block: BLAS may thread it
+    if worker_count(n_frames, size) > 1:
+        tile = max(2, GEMM_SERIAL_MNK // (basis.n_filters * kernel_len))
+    synthesis = basis.synthesis.astype(np.float64)
+    n_out = (n_frames - 1) * stride + kernel_len
+    outputs = [np.empty(n_out, dtype=np.float32) for _ in range(n_sources)]
+    scratch = _Scratch()
+
+    def job(start):
+        stop = min(start + size, n_frames)
+        rows = slice(max(0, stop - size - halo), stop)  # stop - size: the _frame_blocks block
+        n_rows = rows.stop - rows.start
+        offset = rows.start * stride
+        first, last = start * stride, (stop * stride if stop < n_frames else n_out)
+        latent = scratch.get("latent", (n_rows, basis.n_filters))
+        frames = scratch.get("frames", (n_rows, kernel_len))
+        # span[row, r] is sample offset + row * stride + r; tap k = q * stride + r of
+        # frame t lands in row t + q, so adding q = 0, 1, ... adds each sample's taps
+        # in ascending k
+        span = scratch.get("span", (n_rows + halo, stride))
+        for out, masked in zip(outputs, masked_rows(rows, tile, scratch), strict=True):
+            np.copyto(latent, masked)
+            for t in _frame_blocks(n_rows, tile):
+                np.matmul(latent[t], synthesis, out=frames[t])
+            span.fill(0.0)
+            for q in range(halo + 1):
+                taps = frames[:, q * stride : (q + 1) * stride]
+                span[q : q + n_rows, : taps.shape[1]] += taps
+            out[first:last] = span.reshape(-1)[first - offset : last - offset]
+
+    run_blocks(job, n_frames, size)
+    return [AudioBuffer(out, round(frame_rate * stride)) for out in outputs]
 
 
 def encode(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
@@ -113,9 +201,13 @@ def encode(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
 
     T = floor((len - kernel_len) / stride) + 1 frames; g is relu or identity.
     """
-    latent = np.empty((_frame_count(audio.samples, basis), basis.n_filters), dtype=np.float32)
-    for block, values in _latent_blocks(audio.samples, basis):
-        latent[block] = values
+    windows = _windows(audio.samples, basis)
+    analysis_t = basis.analysis.T.astype(np.float64)
+    relu = basis.nonlinearity == "relu"
+    scratch = _Scratch()
+    latent = np.empty((len(windows), basis.n_filters), dtype=np.float32)
+    for block in _frame_blocks(len(windows)):
+        _encode_rows(windows, analysis_t, relu, block, BLOCK_FRAMES, scratch, latent[block])
     return FeatureMatrix(latent, audio.sample_rate / basis.stride)
 
 
@@ -130,11 +222,10 @@ def decode(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
 
     Output length is (T - 1) * stride + kernel_len.
     """
-    synthesis = basis.synthesis.astype(np.float64)
-    frames = np.empty((latent.n_frames, basis.kernel_len), dtype=np.float64)
-    for block in _frame_blocks(latent.n_frames):
-        np.matmul(latent.data[block].astype(np.float64), synthesis, out=frames[block])
-    return _overlap_add(frames, basis, latent.frame_rate)
+    (out,) = _synthesize(
+        lambda rows, tile, scratch: latent.data[None, rows], 1, latent.n_frames, basis, latent.frame_rate
+    )
+    return out
 
 
 def _check_sources(sources: list[AudioBuffer]) -> None:
@@ -148,46 +239,6 @@ def _check_sources(sources: list[AudioBuffer]) -> None:
         raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")
 
 
-def _mask_blocks(sources: list[AudioBuffer], basis: EncoderBasis):
-    """Yield (frame slice, float32 (S, frames, N) block) of oracle ratio masks.
-
-    Each block is computed from relu source encodings in float64 and rounded
-    once to float32, as a whole-array evaluation would.
-    """
-    relu_basis = replace(basis, nonlinearity="relu")
-    for parts in zip(*(_latent_blocks(s.samples, relu_basis) for s in sources)):
-        yield parts[0][0], _ratio_masks([latent for _, latent in parts])
-
-
-def _ratio_masks(encodings: list[np.ndarray]) -> np.ndarray:
-    """float32 enc_s / (sum_j enc_j + DEFAULT_EPS), clipped to [0, 1], from float32 source encodings."""
-    ratio = np.array(encodings, dtype=np.float64)
-    check_finite(ratio, "source encodings")
-    denominator = ratio.sum(axis=0)
-    denominator += DEFAULT_EPS
-    ratio /= denominator
-    np.clip(ratio, 0.0, 1.0, out=ratio)
-    return ratio.astype(np.float32)
-
-
-def _separate_blocks(mixture: AudioBuffer, mask_blocks, n_sources: int, basis: EncoderBasis) -> list[AudioBuffer]:
-    """Mask each latent block of the mixture with the matching (S, frames, N) mask block, then decode.
-
-    ``mask_blocks`` yields (frame slice, mask block) over ``_frame_blocks`` of the
-    mixture's frame count; when it is a generator, one block of masks is alive at a time.
-    """
-    synthesis = basis.synthesis.astype(np.float64)
-    frames = np.empty((n_sources, _frame_count(mixture.samples, basis), basis.kernel_len), dtype=np.float64)
-    for (block, latent), (_, masks) in zip(_latent_blocks(mixture.samples, basis), mask_blocks, strict=True):
-        for s in range(n_sources):
-            # a non-finite latent makes the masked latent non-finite too
-            masked = latent * masks[s]
-            check_finite(masked, "masked latent")
-            np.matmul(masked.astype(np.float64), synthesis, out=frames[s, block])
-    frame_rate = mixture.sample_rate / basis.stride
-    return [_overlap_add(source_frames, basis, frame_rate) for source_frames in frames]
-
-
 def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     """Ratio masks from per-source relu encodings.
 
@@ -195,11 +246,36 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     clipped to [0, 1]. Sources must share one sample rate and one length.
     """
     _check_sources(sources)
-    n_frames = _frame_count(sources[0].samples, basis)
-    masks = np.empty((len(sources), n_frames, basis.n_filters), dtype=np.float32)
-    for block, values in _mask_blocks(sources, basis):
-        masks[:, block] = values
+    windows = [_windows(s.samples, basis) for s in sources]
+    analysis_t = basis.analysis.T.astype(np.float64)
+    scratch = _Scratch()
+    masks = np.empty((len(sources), len(windows[0]), basis.n_filters), dtype=np.float32)
+    for block in _frame_blocks(len(windows[0])):
+        _oracle_mask_rows(windows, analysis_t, block, BLOCK_FRAMES, scratch, masks[:, block])
     return masks
+
+
+def _separate(mixture: AudioBuffer, n_sources: int, basis: EncoderBasis, write_masks) -> list[AudioBuffer]:
+    """Encode the mixture, mask its latent and decode each source, one block of frames per job.
+
+    ``write_masks(rows, tile, scratch, out)`` writes the float32 (S, frames, N)
+    masks of the frame slice ``rows`` into ``out``, which is then masked in place.
+    """
+    windows = _windows(mixture.samples, basis)
+    analysis_t = basis.analysis.T.astype(np.float64)
+    relu = basis.nonlinearity == "relu"
+
+    def masked_rows(rows, tile, scratch):
+        masked = scratch.get("masked", (n_sources, rows.stop - rows.start, basis.n_filters), np.float32)
+        write_masks(rows, tile, scratch, masked)
+        latent = scratch.get("mixture", masked.shape[1:], np.float32)
+        _encode_rows(windows, analysis_t, relu, rows, tile, scratch, latent)
+        np.multiply(latent, masked, out=masked)
+        # a non-finite latent makes the masked latent non-finite too
+        check_finite(masked, "masked latent")
+        return masked
+
+    return _synthesize(masked_rows, n_sources, len(windows), basis, mixture.sample_rate / basis.stride)
 
 
 def separate_with_masks(mixture: AudioBuffer, masks, basis: EncoderBasis) -> list[AudioBuffer]:
@@ -208,9 +284,20 @@ def separate_with_masks(mixture: AudioBuffer, masks, basis: EncoderBasis) -> lis
     Equal to decode(m, basis) for m in apply_masks(encode(mixture, basis), masks),
     computed block by block without the whole latent.
     """
-    m = _masks_array(masks, _frame_count(mixture.samples, basis), basis.n_filters)
-    mask_blocks = ((block, m[:, block]) for block in _frame_blocks(m.shape[1]))
-    return _separate_blocks(mixture, mask_blocks, m.shape[0], basis)
+    m = _masks_array(masks, len(_windows(mixture.samples, basis)), basis.n_filters)
+    return _separate(mixture, len(m), basis, lambda rows, tile, scratch, out: np.copyto(out, m[:, rows]))
+
+
+def _mixture(sources: list[AudioBuffer]) -> AudioBuffer:
+    """The float32 sum of the sources, added in source order into one array of zeros.
+
+    Bit-identical to np.sum([s.samples for s in sources], axis=0), which also
+    starts from 0.0 (so -0.0 + -0.0 gives 0.0), without its (S, n) copy.
+    """
+    total = np.zeros(len(sources[0]), dtype=np.float32)
+    for source in sources:
+        total += source.samples
+    return AudioBuffer(total, sources[0].sample_rate)
 
 
 def oracle_separation(sources: list[AudioBuffer], basis: EncoderBasis) -> list[AudioBuffer]:
@@ -220,8 +307,14 @@ def oracle_separation(sources: list[AudioBuffer], basis: EncoderBasis) -> list[A
     for the float32 sum ``mixture`` of the sources, without the (S, T, N) masks.
     """
     _check_sources(sources)
-    mixture = AudioBuffer(np.sum([s.samples for s in sources], axis=0), sources[0].sample_rate)
-    return _separate_blocks(mixture, _mask_blocks(sources, basis), len(sources), basis)
+    mixture = _mixture(sources)
+    source_windows = [_windows(s.samples, basis) for s in sources]
+    analysis_t = basis.analysis.T.astype(np.float64)
+
+    def write_masks(rows, tile, scratch, out):
+        _oracle_mask_rows(source_windows, analysis_t, rows, tile, scratch, out)
+
+    return _separate(mixture, len(sources), basis, write_masks)
 
 
 def random_basis(

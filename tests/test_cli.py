@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import io
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -808,3 +810,26 @@ def test_config_fuzz_exits_0_or_1(tmp_path_factory, text):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--config", str(cfg), "score-der", str(rttm), str(rttm)])
     assert (code, err.getvalue()[:7]) in ((0, ""), (1, "error: "))
+
+
+def test_main_leaves_the_collector_alone_and_the_script_entry_freezes_it(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "version") == (0, f"diarsep {diarsep.__version__}\n", "")
+    assert gc.get_freeze_count() == before
+    pyproject = Path(diarsep.__file__).resolve().parents[2] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {"diarsep": "diarsep.cli:run"}
+    script = (
+        "import atexit, gc, sys\n"
+        "from diarsep.cli import run\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['diarsep', *sys.argv[1:]]\n"
+        "run()\n"
+    )
+    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    for argv, code, out in ((["version"], 0, f"diarsep {diarsep.__version__}\n"), (["no-such-command"], 2, "")):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert (result.returncode, result.stdout) == (code, out + "frozen True\n"), result.stderr

@@ -10,7 +10,8 @@ from scipy.signal import firwin
 
 from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample
 from diarsep.audio import BLOCK
-from diarsep.resample import _convolve_block, _run_blocks
+from diarsep.resample import _convolve_block
+from diarsep.workers import run_blocks as _run_blocks
 from oracles import polyphase_oracle, resample_oracle
 
 

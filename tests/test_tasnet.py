@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from diarsep import (
 from diarsep.tasnet import (
     BLOCK_FRAMES,
     _frame_blocks,
+    _mixture,
     apply_masks,
     basis_from_stack,
     basis_to_stack,
@@ -24,6 +26,7 @@ from diarsep.tasnet import (
     separate_with_masks,
 )
 from oracles import decode_oracle, encode_oracle, oracle_masks_oracle, separate_oracle
+from test_resample import count_thread_starts, cpus
 
 
 def ortho_basis(kernel_len, nonlinearity="linear"):
@@ -321,13 +324,18 @@ def test_separate_with_masks_checks_masks():
         separate_with_masks(mixture, np.full((1, n_frames, 4), np.nan, np.float32), basis)
 
 
-def test_separation_transient_memory_does_not_grow_with_length():
+def test_separation_transient_memory_does_not_grow_with_length(monkeypatch):
     """Peak traced bytes beyond the returned masks and estimates, 2 s vs 8 s at 16 kHz.
 
     tracemalloc sees numpy's buffers. Whole-array float64 latents add about
-    73 MB from 2 s to 8 s; blockwise evaluation holds blocks of frames plus the
-    (S, T, kernel_len) float64 synthesis frames, and stays within a few MB.
+    73 MB from 2 s to 8 s; blockwise evaluation holds one block of frames
+    (plus its halo) per worker and grows by under 1 MB. The whole
+    (S, T, kernel_len) synthesis frames would grow by only 3.1 MB, below the
+    peak of oracle_masks, so test_oracle_separation_holds_no_synthesis_frames
+    bounds them instead. Two usable CPUs give both lengths the same worker
+    count.
     """
+    cpus(monkeypatch, 2)
     basis = random_basis(128, 16, 8, seed=0)
 
     def transient_bytes(seconds):
@@ -345,7 +353,7 @@ def test_separation_transient_memory_does_not_grow_with_length():
             tracemalloc.stop()
         return peak - masks.nbytes - sum(e.samples.nbytes for e in estimates)
 
-    assert transient_bytes(8) - transient_bytes(2) <= 20e6
+    assert transient_bytes(8) - transient_bytes(2) <= 4e6
 
 
 def test_oracle_separation_checks_sources():
@@ -370,13 +378,14 @@ def test_oracle_separation_rejects_non_finite_source_encodings():
         oracle_separation(sources, basis)
 
 
-def test_oracle_separation_holds_one_block_of_masks():
+def test_oracle_separation_holds_one_block_of_masks(monkeypatch):
     """Peak traced bytes of oracle_separation beyond its estimates, 2 sources of 8 s at 16 kHz.
 
-    The whole (S, T, N) float32 masks are 16.4 MB here. The fused pass holds one
-    block of masks, the (S, T, kernel_len) float64 synthesis frames (4.1 MB) and
-    the mixture; masks built whole first, then applied, exceed the masks' size.
+    The whole (S, T, N) float32 masks are 16.4 MB here. The fused pass holds the
+    mixture and one block of masks per worker; masks built whole first, then
+    applied, exceed the masks' size.
     """
+    cpus(monkeypatch, 2)
     basis = random_basis(128, 16, 8, seed=0)
     rng = np.random.default_rng(8)
     sources = [AudioBuffer(rng.uniform(-0.3, 0.3, 8 * 16000).astype(np.float32), 16000) for _ in range(2)]
@@ -388,3 +397,91 @@ def test_oracle_separation_holds_one_block_of_masks():
     finally:
         tracemalloc.stop()
     assert peak - sum(e.samples.nbytes for e in estimates) < masks_nbytes
+
+
+PARALLEL_BASES = {
+    "stride-8": random_basis(128, 16, 8, seed=16),  # 128-row tiles on several workers
+    "stride-1": random_basis(32, 16, 1, seed=17),  # a halo of 15 frames
+    "stride-5": random_basis(24, 16, 5, seed=18),  # a stride that does not divide L
+    "stride-16": random_basis(64, 16, 16, seed=19),  # stride == L: no halo
+}
+
+
+def bits(buffers):
+    return [b.samples.view(np.int32) for b in buffers]
+
+
+@pytest.mark.parametrize("kind", sorted(PARALLEL_BASES))
+def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
+    basis = PARALLEL_BASES[kind]
+    rng = np.random.default_rng(20)
+    frame_counts = [k * BLOCK_FRAMES + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    cases = []
+    for n_frames in frame_counts:
+        n = (n_frames - 1) * basis.stride + basis.kernel_len
+        sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
+        mixture = AudioBuffer(sources[0].samples + sources[1].samples, 8000)
+        masks = oracle_masks_oracle(sources, basis)
+        latent = encode_oracle(mixture, basis)
+        want = bits(separate_oracle(mixture, masks, basis))
+        cases.append((sources, mixture, masks, latent, want, bits([decode_oracle(latent, basis)])))
+    for n_cpus in (1, 2, 4):
+        cpus(monkeypatch, n_cpus)
+        started = count_thread_starts(monkeypatch)
+        for sources, mixture, masks, latent, want, want_decoded in cases:
+            for got in (oracle_separation(sources, basis), separate_with_masks(mixture, masks, basis)):
+                for g, w in zip(bits(got), want, strict=True):
+                    np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(bits([decode(latent, basis)])[0], want_decoded[0])
+        blocks = [-(-n_frames // BLOCK_FRAMES) for n_frames in frame_counts]
+        assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), n_cpus
+
+
+def test_worker_error_reaches_the_caller_after_every_thread_joins(monkeypatch):
+    cpus(monkeypatch, 4)
+    basis = random_basis(16, 8, 4, seed=21)
+    n_frames = 6 * BLOCK_FRAMES
+    mixture = AudioBuffer(np.ones((n_frames - 1) * 4 + 8, np.float32), 8000)
+    masks = np.ones((2, n_frames, 16), np.float32)
+    masks[1, 4 * BLOCK_FRAMES + 7, 3] = np.nan  # in block 4
+    before = threading.active_count()
+    started = count_thread_starts(monkeypatch)
+    with pytest.raises(ValueError, match="masked latent must be finite"):
+        separate_with_masks(mixture, masks, basis)
+    assert len(started) == 3
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_sources", [1, 2, 3])
+def test_mixture_equals_numpy_sum_bit_for_bit(n_sources):
+    rng = np.random.default_rng(n_sources)
+    # magnitudes far apart, so that another summation order would round differently
+    scales = rng.choice([1e-8, 1e-3, 1.0, 1e4, 1e8], size=(n_sources, 4096))
+    samples = (rng.standard_normal((n_sources, 4096)) * scales).astype(np.float32)
+    samples[:, :3] = [-0.0, 0.0, -0.0]
+    mixture = _mixture([AudioBuffer(row, 16000) for row in samples])
+    assert mixture.sample_rate == 16000
+    np.testing.assert_array_equal(mixture.samples.view(np.int32), np.sum(samples, axis=0).view(np.int32))
+
+
+@pytest.mark.parametrize("n_cpus", [1, 4])
+def test_oracle_separation_holds_no_synthesis_frames(monkeypatch, n_cpus):
+    """Peak traced bytes of oracle_separation beyond its estimates, 2 sources of 60 s at 16 kHz.
+
+    The (S, T, kernel_len) float64 synthesis frames of the whole input would be
+    30.7 MB here. The pass holds the float32 mixture (3.8 MB) and one block of
+    frames, with its halo, per worker: about 5 MB each at N=128.
+    """
+    cpus(monkeypatch, n_cpus)
+    basis = random_basis(128, 16, 8, seed=0)
+    rng = np.random.default_rng(22)
+    sources = [AudioBuffer(rng.uniform(-0.3, 0.3, 60 * 16000).astype(np.float32), 16000) for _ in range(2)]
+    frames_nbytes = len(sources) * ((60 * 16000 - 16) // 8 + 1) * 16 * 8
+    tracemalloc.start()
+    try:
+        estimates = oracle_separation(sources, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(e.samples.nbytes for e in estimates) < frames_nbytes
