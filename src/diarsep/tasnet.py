@@ -20,10 +20,12 @@ DEFAULT_EPS = 1e-8
 # at L=16, N=128, fit a 2 MB L2 cache (on a 2-vCPU Xeon with 2 MB L2 per core, 60 s of
 # 2-source separation ran fastest at 512-1024 of the sizes 256-4096)
 BLOCK_FRAMES = 1024
-# OpenBLAS runs a dgemm on the calling thread when m * n * k <= 2**18 and on its own
-# thread pool above that; two separation workers whose products also start BLAS
-# threads fight over the cores (2 vCPUs, 2 x 60 s: 115-123 ms against 93-97 ms for
-# one serial pass), so each worker's products go in tiles within this size
+# OpenBLAS (as bundled with numpy's wheels) runs a dgemm on the calling thread when
+# m * n * k <= 2**18 and on its own thread pool above that; two separation workers
+# whose products also start BLAS threads fight over the cores (2 vCPUs, 2 x 60 s:
+# 115-123 ms against 93-97 ms for one serial pass), so each worker's products go in
+# tiles within this size. Another BLAS, or another OpenBLAS build, may switch at
+# another size.
 GEMM_SERIAL_MNK = 1 << 18
 NONLINEARITIES = ("relu", "linear")
 
@@ -85,7 +87,7 @@ def _frame_blocks(n_frames: int, size: int = BLOCK_FRAMES):
 
 
 class _Scratch(threading.local):
-    """Named buffers of each thread, reused from block to block.
+    """Named buffers of each thread, reused from block to block; each name has one role.
 
     glibc malloc hands a freed block-sized temporary (about 1 MB) back to the
     kernel, so fresh temporaries fault in again on every block: separating
@@ -96,6 +98,7 @@ class _Scratch(threading.local):
         size = math.prod(shape)
         flat = self.__dict__.get(name)
         if flat is None or flat.size < size:
+            flat = self.__dict__[name] = None  # free the smaller buffer before its successor exists
             flat = self.__dict__[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
@@ -103,38 +106,39 @@ class _Scratch(threading.local):
 def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratch: _Scratch, out) -> None:
     """Write float32 g(analysis @ window(t)) for the frames t in ``rows`` into ``out``.
 
-    The float64 product runs in ``_frame_blocks`` tiles of ``tile`` rows and is
+    The float64 product runs in ``_frame_blocks`` tiles of ``tile`` rows, each
     rounded once to float32, as a whole-array encode would.
     """
-    n_rows = rows.stop - rows.start
-    w = scratch.get("windows", (n_rows, windows.shape[1]))
+    w = scratch.get("windows", (rows.stop - rows.start, windows.shape[1]))
     np.copyto(w, windows[rows])
-    latent = scratch.get("latent", (n_rows, analysis_t.shape[1]))
-    for t in _frame_blocks(n_rows, tile):
-        np.matmul(w[t], analysis_t, out=latent[t])
-    if relu:
-        np.maximum(latent, 0.0, out=latent)
-    np.copyto(out, latent, casting="same_kind")
+    product = scratch.get("product", (min(len(w), tile), analysis_t.shape[1]))
+    for t in _frame_blocks(len(w), tile):
+        np.matmul(w[t], analysis_t, out=product)
+        if relu:
+            np.maximum(product, 0.0, out=out[t], casting="same_kind")
+        else:
+            np.copyto(out[t], product, casting="same_kind")
 
 
 def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratch: _Scratch, out) -> None:
     """Write the float32 (S, frames, N) oracle ratio masks of the frames in ``rows`` into ``out``.
 
     out[s] = enc_s / (sum_j enc_j + DEFAULT_EPS), clipped to [0, 1], from the
-    float32 relu source encodings: sum, ratio and clip in float64, then one
-    rounding to float32.
+    float32 relu source encodings: the sum (in source order) and the ratio in
+    float64, rounded once to float32. Clipping after that rounding gives what
+    clipping before it would: rounding is monotonic and keeps 0 and 1.
     """
     for w, encoding in zip(source_windows, out, strict=True):
         _encode_rows(w, analysis_t, True, rows, tile, scratch, encoding)
-    ratio = scratch.get("ratio", out.shape)
-    np.copyto(ratio, out)
-    check_finite(ratio, "source encodings")
-    denominator = scratch.get("latent", out.shape[1:])  # free once every source is encoded
-    np.sum(ratio, axis=0, out=denominator)
+    check_finite(out, "source encodings")
+    denominator = scratch.get("denominator", out.shape[1:])
+    np.copyto(denominator, out[0])
+    for encoding in out[1:]:
+        denominator += encoding
     denominator += DEFAULT_EPS
-    ratio /= denominator
-    np.clip(ratio, 0.0, 1.0, out=ratio)
-    np.copyto(out, ratio, casting="same_kind")
+    for encoding in out:
+        np.divide(encoding, denominator, out=encoding, casting="same_kind")
+        np.clip(encoding, 0.0, 1.0, out=encoding)
 
 
 def _masks_array(masks, n_frames: int, n_filters: int) -> np.ndarray:
@@ -173,19 +177,20 @@ def _synthesize(
     def job(start):
         stop = min(start + size, n_frames)
         rows = slice(max(0, stop - size - halo), stop)  # stop - size: the _frame_blocks block
-        n_rows = rows.stop - rows.start
         offset = rows.start * stride
         first, last = start * stride, (stop * stride if stop < n_frames else n_out)
-        latent = scratch.get("latent", (n_rows, basis.n_filters))
+        masked = masked_rows(rows, tile, scratch)
+        n_rows = masked.shape[1]
+        latent = scratch.get("synthesis_in", (min(n_rows, tile), basis.n_filters))
         frames = scratch.get("frames", (n_rows, kernel_len))
         # span[row, r] is sample offset + row * stride + r; tap k = q * stride + r of
         # frame t lands in row t + q, so adding q = 0, 1, ... adds each sample's taps
         # in ascending k
         span = scratch.get("span", (n_rows + halo, stride))
-        for out, masked in zip(outputs, masked_rows(rows, tile, scratch), strict=True):
-            np.copyto(latent, masked)
+        for out, m in zip(outputs, masked, strict=True):
             for t in _frame_blocks(n_rows, tile):
-                np.matmul(latent[t], synthesis, out=frames[t])
+                np.copyto(latent, m[t])
+                np.matmul(latent, synthesis, out=frames[t])
             span.fill(0.0)
             for q in range(halo + 1):
                 taps = frames[:, q * stride : (q + 1) * stride]
@@ -222,6 +227,8 @@ def decode(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
 
     Output length is (T - 1) * stride + kernel_len.
     """
+    if latent.dim != basis.n_filters:
+        raise ValueError(f"latent dim {latent.dim} != basis n_filters {basis.n_filters}")
     (out,) = _synthesize(
         lambda rows, tile, scratch: latent.data[None, rows], 1, latent.n_frames, basis, latent.frame_rate
     )

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -8,6 +9,7 @@ from scipy.fft import dct
 from diarsep import (
     AudioBuffer,
     EncoderBasis,
+    FeatureMatrix,
     mirrored_dct_basis,
     oracle_masks,
     oracle_separation,
@@ -25,6 +27,7 @@ from diarsep.tasnet import (
     encode,
     separate_with_masks,
 )
+from diarsep.workers import worker_count
 from oracles import decode_oracle, encode_oracle, oracle_masks_oracle, separate_oracle
 from test_resample import count_thread_starts, cpus
 
@@ -130,6 +133,15 @@ def test_decode_zero_latent_length():
     assert len(out) == (latent.n_frames - 1) * 4 + 8
     assert np.array_equal(out.samples, np.zeros(len(out), np.float32))
     assert out.sample_rate == 8000
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_decode_rejects_a_latent_of_another_dim(dim):
+    # a 1-dim latent would broadcast across all filters instead of failing
+    basis = random_basis(4, 8, 4, seed=5)
+    latent = FeatureMatrix(np.ones((6, dim), np.float32), 2000.0)
+    with pytest.raises(ValueError, match=f"latent dim {dim} != basis n_filters 4"):
+        decode(latent, basis)
 
 
 def test_decode_linearity():
@@ -332,8 +344,9 @@ def test_separation_transient_memory_does_not_grow_with_length(monkeypatch):
     (plus its halo) per worker and grows by under 1 MB. The whole
     (S, T, kernel_len) synthesis frames would grow by only 3.1 MB, below the
     peak of oracle_masks, so test_oracle_separation_holds_no_synthesis_frames
-    bounds them instead. Two usable CPUs give both lengths the same worker
-    count.
+    bounds them instead. Both lengths run on two usable CPUs: the buffers
+    grow with the worker count, not with the length, and
+    test_oracle_separation_holds_one_block_of_masks bounds them per worker.
     """
     cpus(monkeypatch, 2)
     basis = random_basis(128, 16, 8, seed=0)
@@ -378,25 +391,32 @@ def test_oracle_separation_rejects_non_finite_source_encodings():
         oracle_separation(sources, basis)
 
 
-def test_oracle_separation_holds_one_block_of_masks(monkeypatch):
+def test_oracle_separation_holds_one_block_of_masks():
     """Peak traced bytes of oracle_separation beyond its estimates, 2 sources of 8 s at 16 kHz.
 
-    The whole (S, T, N) float32 masks are 16.4 MB here. The fused pass holds the
-    mixture and one block of masks per worker; masks built whole first, then
-    applied, exceed the masks' size.
+    The whole (S, T, N) float32 masks are 16.4 MB here; masks built whole first,
+    then applied, exceed them. The fused pass holds the float32 mixture (and,
+    while AudioBuffer checks it, one byte per sample) and, per worker, the
+    buffers of one block of frames plus its halo: 3.4 MB each on several
+    workers, whose products go in tiles, and 5.4 MB on one, whose products
+    are whole-block. So the bound is four blocks of masks (4.2 MB) per worker
+    of this host, plus two: below the whole masks on one to three workers.
     """
-    cpus(monkeypatch, 2)
     basis = random_basis(128, 16, 8, seed=0)
     rng = np.random.default_rng(8)
-    sources = [AudioBuffer(rng.uniform(-0.3, 0.3, 8 * 16000).astype(np.float32), 16000) for _ in range(2)]
-    masks_nbytes = len(sources) * ((8 * 16000 - 16) // 8 + 1) * 128 * 4
+    n = 8 * 16000
+    sources = [AudioBuffer(rng.uniform(-0.3, 0.3, n).astype(np.float32), 16000) for _ in range(2)]
+    n_frames = (n - 16) // 8 + 1
+    masks_nbytes = len(sources) * n_frames * 128 * 4
+    workers = worker_count(n_frames, BLOCK_FRAMES)
     tracemalloc.start()
     try:
         estimates = oracle_separation(sources, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - sum(e.samples.nbytes for e in estimates) < masks_nbytes
+    bound = 5 * n + (4 * workers + 2) * masks_nbytes * BLOCK_FRAMES // n_frames
+    assert peak - sum(e.samples.nbytes for e in estimates) < bound
 
 
 PARALLEL_BASES = {
@@ -425,14 +445,19 @@ def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
         latent = encode_oracle(mixture, basis)
         want = bits(separate_oracle(mixture, masks, basis))
         cases.append((sources, mixture, masks, latent, want, bits([decode_oracle(latent, basis)])))
+    interval = sys.getswitchinterval()
     for n_cpus in (1, 2, 4):
         cpus(monkeypatch, n_cpus)
         started = count_thread_starts(monkeypatch)
-        for sources, mixture, masks, latent, want, want_decoded in cases:
-            for got in (oracle_separation(sources, basis), separate_with_masks(mixture, masks, basis)):
-                for g, w in zip(bits(got), want, strict=True):
-                    np.testing.assert_array_equal(g, w)
-            np.testing.assert_array_equal(bits([decode(latent, basis)])[0], want_decoded[0])
+        sys.setswitchinterval(1e-5)  # switch threads often, so overlapping writes would show
+        try:
+            for sources, mixture, masks, latent, want, want_decoded in cases:
+                for got in (oracle_separation(sources, basis), separate_with_masks(mixture, masks, basis)):
+                    for g, w in zip(bits(got), want, strict=True):
+                        np.testing.assert_array_equal(g, w)
+                np.testing.assert_array_equal(bits([decode(latent, basis)])[0], want_decoded[0])
+        finally:
+            sys.setswitchinterval(interval)
         blocks = [-(-n_frames // BLOCK_FRAMES) for n_frames in frame_counts]
         assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), n_cpus
 
@@ -470,8 +495,9 @@ def test_oracle_separation_holds_no_synthesis_frames(monkeypatch, n_cpus):
     """Peak traced bytes of oracle_separation beyond its estimates, 2 sources of 60 s at 16 kHz.
 
     The (S, T, kernel_len) float64 synthesis frames of the whole input would be
-    30.7 MB here. The pass holds the float32 mixture (3.8 MB) and one block of
-    frames, with its halo, per worker: about 5 MB each at N=128.
+    30.7 MB here. The pass holds the float32 mixture (3.8 MB) and the buffers
+    of one block of frames, with its halo, per worker: 5.4 MB on one worker and
+    3.4 MB each on several at N=128.
     """
     cpus(monkeypatch, n_cpus)
     basis = random_basis(128, 16, 8, seed=0)
