@@ -98,8 +98,19 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
     Samples are clipped to [-1, 1] and quantized as round(sample * 32767),
     halves to even, which stays inside the int16 range. The conversion runs
     in float64 on BLOCK samples at a time into one int16 array. An existing
-    file at ``path`` is overwritten in place (``overwrite_file``).
+    file at ``path`` is overwritten in place (``overwrite_file``). Raises
+    ValueError, before writing, when the byte rate or the RIFF size does not
+    fit its 32-bit header field.
     """
+    if 2 * buffer.sample_rate > 0xFFFFFFFF:
+        raise ValueError(
+            f"sample rate {buffer.sample_rate} Hz too high for WAV: "
+            f"byte rate {2 * buffer.sample_rate} does not fit in 32 bits"
+        )
+    if 36 + 2 * len(buffer) > 0xFFFFFFFF:
+        raise ValueError(
+            f"{len(buffer)} samples too many for WAV: RIFF size {36 + 2 * len(buffer)} does not fit in 32 bits"
+        )
     pcm = np.empty(len(buffer), dtype="<i2")
     for start in range(0, pcm.size, BLOCK):
         x = buffer.samples[start : start + BLOCK].astype(np.float64)

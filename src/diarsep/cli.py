@@ -5,6 +5,10 @@ stdout, diagnostics to stderr. An optional ``--config FILE`` (key=value lines)
 sets flag defaults; explicit flags override the file. A key must name an
 option of some subcommand, so one file can serve several, and its value is
 checked like that flag; a misspelt key or a bad value is an error.
+
+This module imports only the stdlib at module level; each ``_cmd_*`` imports
+what its subcommand runs, so a child loads no numpy for ``version``, ``--help``
+or a usage error, and no library module that its subcommand does not call.
 """
 
 import argparse
@@ -12,22 +16,9 @@ import gc
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .annotation import Annotation, emit_rttm, parse_rttm, parse_uem
-from .audio import AudioBuffer, read_wav, write_wav
-from .der import DerReport, compute_der, total_der
-from .diarize import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
-from .diarize import chunks_from_stack, diarize_file, embeddings_from_stack
-from .features import FeatureMatrix, FeatureStack, overwrite_file
-from .features import read_feature_stack, write_feature_stack
-from .fusion import normalize_weights, weighted_sum
-from .powerset import build_space, decode_class, encode_label
-from .resample import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
-from .resample import design_kaiser_sinc, resample
-from .sepmetrics import sdr_improvement, si_sdr
-from .tasnet import basis_from_stack, oracle_masks, oracle_separation, random_basis
+from .defaults import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
+from .defaults import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
 
 
 def _fmt_db(value: float, cap: float | None = None) -> str:
@@ -46,6 +37,9 @@ def _cmd_version(args) -> int:
 
 
 def _cmd_resample(args) -> int:
+    from .audio import read_wav, write_wav
+    from .resample import design_kaiser_sinc, resample
+
     buf = read_wav(args.input)
     fir = None
     if buf.sample_rate != args.rate:
@@ -60,6 +54,8 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_powerset(args) -> int:
+    from .powerset import build_space, decode_class, encode_label
+
     space = build_space(args.num_speakers)
     if args.encode is not None:
         bits = args.encode.strip()
@@ -80,6 +76,9 @@ def _cmd_powerset(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    from .features import FeatureStack, read_feature_stack, write_feature_stack
+    from .fusion import normalize_weights, weighted_sum
+
     stack = read_feature_stack(args.stack)
     logits = []
     for lineno, line in enumerate(Path(args.weights).read_text().splitlines(), start=1):
@@ -100,11 +99,19 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_separate_oracle(args) -> int:
+    import numpy as np
+
+    from .audio import AudioBuffer, read_wav, write_wav
+    from .features import FeatureStack, read_feature_stack, write_feature_stack
+    from .sepmetrics import si_sdr
+    from .tasnet import basis_from_stack, check_kernel_fits, oracle_masks, oracle_separation, random_basis
+
     sources = [read_wav(p) for p in args.sources]
 
     if args.basis:
         basis = basis_from_stack(read_feature_stack(args.basis), args.stride, args.nonlinearity)
     else:
+        check_kernel_fits(min(len(src) for src in sources), args.kernel)  # before the basis is allocated
         basis = random_basis(args.filters, args.kernel, args.stride, args.seed, args.nonlinearity)
 
     estimates = oracle_separation(sources, basis)  # also checks that the sources share one rate and length
@@ -126,6 +133,10 @@ def _cmd_separate_oracle(args) -> int:
 
 
 def _cmd_diarize(args) -> int:
+    from .annotation import emit_rttm
+    from .diarize import chunks_from_stack, diarize_file, embeddings_from_stack
+    from .features import FeatureMatrix, overwrite_file, read_feature_stack
+
     if not (args.features or args.embeddings):
         raise ValueError("need --features or --embeddings to identify speakers across chunks")
     chunks = chunks_from_stack(read_feature_stack(args.scores), args.num_speakers, args.hop)
@@ -162,19 +173,22 @@ def _cmd_diarize(args) -> int:
     return 0
 
 
-def _der_text_row(uri: str, r: DerReport) -> str:
+def _der_text_row(uri: str, r) -> str:
     return (
         f"{uri} DER {r.der_pct:.3f}% FA {r.fa_pct:.3f}% MD {r.md_pct:.3f}% SC {r.sc_pct:.3f}% "
         f"speech {r.total_speech:.3f}s"
     )
 
 
-def _der_csv_row(uri: str, r: DerReport) -> str:
+def _der_csv_row(uri: str, r) -> str:
     values = (r.false_alarm, r.missed, r.confusion, r.total_speech, r.fa_pct, r.md_pct, r.sc_pct, r.der_pct)
     return uri + "," + ",".join(f"{v:.6f}" for v in values)
 
 
 def _cmd_score_der(args) -> int:
+    from .annotation import Annotation, parse_rttm, parse_uem
+    from .der import compute_der, total_der
+
     ref_map = parse_rttm(Path(args.ref).read_text())
     hyp_map = parse_rttm(Path(args.hyp).read_text())
     uem = parse_uem(Path(args.uem).read_text()) if args.uem else {}
@@ -200,6 +214,9 @@ def _cmd_score_der(args) -> int:
 
 
 def _cmd_score_sdr(args) -> int:
+    from .audio import read_wav
+    from .sepmetrics import sdr_improvement
+
     # "not > 0" also catches NaN, which min/max in _fmt_db would pass through unnoticed
     if args.cap_db is not None and not args.cap_db > 0:
         raise ValueError(f"--cap-db must be positive (inf for no cap), got {args.cap_db}")
@@ -401,12 +418,14 @@ def main(argv=None) -> int:
 def run() -> None:
     """Console entry point: exit with main()'s code.
 
-    gc.freeze() first moves every object made while importing into the
-    permanent generation, so no collection, at exit or before, walks them
-    again; main() itself stays free of that side effect for in-process callers.
+    gc.freeze() after main() moves every object still alive, the subcommand's
+    modules included, into the permanent generation, so the collections at
+    exit do not walk them; main() itself stays free of that side effect for
+    in-process callers.
     """
+    code = main()
     gc.freeze()
-    sys.exit(main())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .annotation import Annotation, Segment
+from .defaults import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
 from .features import FeatureMatrix, FeatureStack, check_finite
 from .powerset import build_space, decode_frames
-
-DEFAULT_HOP = 5.0
-DEFAULT_MIN_SEG = 0.25
-DEFAULT_AHC_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import BLOCK, AudioBuffer
+from .defaults import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
 from .features import check_finite
 from .workers import run_blocks
-
-SUPPORTED_RATES = (8000, 16000)
-DEFAULT_STOPBAND_DB = 80.0
-DEFAULT_TRANSITION_FRAC = 0.05
 
 
 @dataclass(frozen=True)

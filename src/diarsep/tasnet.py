@@ -65,10 +65,15 @@ class EncoderBasis:
         return self.analysis.shape[1]
 
 
+def check_kernel_fits(n_samples: int, kernel_len: int) -> None:
+    """Raise ValueError when audio of n_samples holds no whole analysis window."""
+    if n_samples < kernel_len:
+        raise ValueError(f"audio ({n_samples} samples) shorter than one kernel ({kernel_len})")
+
+
 def _windows(x: np.ndarray, basis: EncoderBasis) -> np.ndarray:
     """Strided (T, kernel_len) view of the analysis windows of x."""
-    if x.size < basis.kernel_len:
-        raise ValueError(f"audio ({x.size} samples) shorter than one kernel ({basis.kernel_len})")
+    check_kernel_fits(x.size, basis.kernel_len)
     return sliding_window_view(x, basis.kernel_len)[:: basis.stride]
 
 

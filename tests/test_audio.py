@@ -204,6 +204,20 @@ def test_rejects_odd_data_size(tmp_path):
         read_wav(path)
 
 
+def test_write_rejects_header_fields_beyond_32_bits(tmp_path):
+    path = tmp_path / "f.wav"
+    write_wav(AudioBuffer(np.zeros(4, np.float32), 2**31 - 1), path)  # byte rate 2^32 - 2 still fits
+    assert read_wav(path).sample_rate == 2**31 - 1
+    with pytest.raises(ValueError, match="sample rate 2147483648 Hz too high for WAV: byte rate 4294967296 does"):
+        write_wav(AudioBuffer(np.zeros(4, np.float32), 2**31), tmp_path / "rate.wav")
+    # 2^31 samples as a zero-stride view: the check must come before any per-sample work
+    huge = AudioBuffer(np.zeros(1, np.float32), 8000)
+    object.__setattr__(huge, "samples", np.broadcast_to(np.float32(0), (2**31,)))
+    with pytest.raises(ValueError, match="2147483648 samples too many for WAV: RIFF size 4294967332 does"):
+        write_wav(huge, tmp_path / "long.wav")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.wav"]
+
+
 def test_write_unwritable_path(tmp_path):
     with pytest.raises(OSError):
         write_wav(AudioBuffer(np.zeros(4, np.float32), 8000), tmp_path / "no_such_dir" / "f.wav")

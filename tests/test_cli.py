@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import json
 import os
 import re
 import subprocess
@@ -38,6 +39,19 @@ def run(capsys, *argv):
 def write_sine(path, freq, rate=8000, seconds=0.5, amp=0.4):
     t = np.arange(int(rate * seconds)) / rate
     write_wav(AudioBuffer((amp * np.sin(2 * np.pi * freq * t)).astype(np.float32), rate), path)
+
+
+def fresh_python(script, *argv):
+    """Run ``script`` in a new interpreter that imports this checkout's diarsep."""
+    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
 
 
 def test_version(capsys):
@@ -268,17 +282,61 @@ def test_resample_command_imports_no_scipy(tmp_path):
         f"code = max(diarsep.cli.main(argv) for argv in {calls!r})\n"
         "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
+    result = fresh_python(script)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "0 []"
+
+
+# prints main(argv)'s code (None without argv) and the numpy and diarsep modules loaded
+LOADED_MODULES = (
+    "import contextlib, io, json, sys\n"
+    "from diarsep.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:]) if sys.argv[1:] else None\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'diarsep')]))\n"
+)
+
+
+def loaded_modules(*argv):
+    result = fresh_python(LOADED_MODULES, *argv)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+CLI_MODULES = ["diarsep", "diarsep.cli", "diarsep.defaults"]
+
+
+def test_cli_without_a_subcommand_to_run_loads_no_numpy():
+    for argv, code in (((), None), (("version",), 0), (("--help",), 0), (("no-such-command",), 2)):
+        assert loaded_modules(*argv) == [code, CLI_MODULES], argv
+
+
+def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    wavs = [tmp_path / f"s{k}.wav" for k in range(3)]
+    for k, path in enumerate(wavs):
+        write_sine(path, 300 + 200 * k, seconds=0.1)
+    (tmp_path / "weights.txt").write_text("0.0\n0.0\n")  # one logit per layer of feats_path
+    (tmp_path / "ref.rttm").write_text("SPEAKER u 1 0.0 2.0 <NA> <NA> A <NA> <NA>\n")
+    cases = [
+        (["resample", str(wavs[0]), str(tmp_path / "up.wav"), "--rate", "16000"],
+         ["audio", "defaults", "features", "resample", "workers"]),
+        (["powerset", "--num-speakers", "2"], ["features", "powerset"]),
+        (["fuse", str(feats_path), str(tmp_path / "weights.txt"), str(tmp_path / "fused.sslf")],
+         ["features", "fusion"]),
+        (["separate-oracle", "--sources", str(wavs[0]), str(wavs[1]), "--output-dir", str(tmp_path / "est"),
+          "--seed", "7"],
+         ["assignment", "audio", "features", "sepmetrics", "tasnet", "workers"]),
+        (["diarize", str(scores_path), "--features", str(feats_path), "--output", str(tmp_path / "out.rttm")],
+         ["annotation", "defaults", "diarize", "features", "powerset"]),
+        (["score-der", str(tmp_path / "ref.rttm"), str(tmp_path / "ref.rttm")],
+         ["annotation", "assignment", "der", "features"]),
+        (["score-sdr", "--refs", *map(str, wavs), "--ests", *map(str, wavs), "--mix", str(wavs[0])],
+         ["assignment", "audio", "features", "sepmetrics"]),
+    ]
+    for argv, modules in cases:
+        expected = sorted({*CLI_MODULES, *(f"diarsep.{m}" for m in modules), "numpy"})
+        assert loaded_modules(*argv) == [0, expected], argv[0]
 
 
 def test_powerset_command(capsys):
@@ -432,6 +490,38 @@ def test_separate_oracle_rejects_unequal_lengths(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert "sources must have equal lengths, got [1600, 1700]" in err
     assert not (tmp_path / "est").exists() and not (tmp_path / "masks.sslf").exists()
+
+
+def test_separate_oracle_rejects_a_rate_beyond_the_wav_header(tmp_path, capsys):
+    # 3 GHz fits the 32-bit rate field that read_wav parses, but not the byte
+    # rate field of the estimates; write_wav used to raise struct.error
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    for path, freq in zip(paths, (440, 660)):
+        write_sine(path, freq)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = (3_000_000_000).to_bytes(4, "little")
+        path.write_bytes(raw)
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
+        "--seed", "7",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: sample rate 3000000000 Hz too high for WAV: byte rate 6000000000 does not fit in 32 bits\n"
+    assert not list((tmp_path / "est").iterdir())
+
+
+def test_separate_oracle_checks_the_kernel_before_allocating_the_basis(tmp_path, capsys):
+    # 128 filters x 10^8 taps used to ask numpy for 95.4 GiB: a MemoryError traceback
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    write_sine(paths[0], 440)
+    write_sine(paths[1], 660)
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
+        "--seed", "7", "--kernel", "100000000",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: audio (4000 samples) shorter than one kernel (100000000)\n"
+    assert not (tmp_path / "est").exists()
 
 
 def diarize_fixtures(tmp_path):
@@ -818,18 +908,23 @@ def test_main_leaves_the_collector_alone_and_the_script_entry_freezes_it(capsys)
     assert gc.get_freeze_count() == before
     pyproject = Path(diarsep.__file__).resolve().parents[2] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {"diarsep": "diarsep.cli:run"}
+    # at exit: was anything frozen, and is the namespace of every diarsep module, the ones
+    # the subcommand loaded included, in the permanent generation (gc.get_objects() omits it)
     script = (
         "import atexit, gc, sys\n"
         "from diarsep.cli import run\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "def report():\n"
+        "    live = {id(o) for o in gc.get_objects()}\n"
+        "    names = sorted(m for m in sys.modules if m.startswith('diarsep'))\n"
+        "    print('frozen', gc.get_freeze_count() > 0, [m for m in names if id(vars(sys.modules[m])) in live])\n"
+        "atexit.register(report)\n"
         "sys.argv = ['diarsep', *sys.argv[1:]]\n"
         "run()\n"
     )
-    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": pythonpath}
-    for argv, code, out in ((["version"], 0, f"diarsep {diarsep.__version__}\n"), (["no-such-command"], 2, "")):
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120, env=env
-        )
-        assert (result.returncode, result.stdout) == (code, out + "frozen True\n"), result.stderr
+    for argv, code, out in (
+        (["version"], 0, f"diarsep {diarsep.__version__}\n"),
+        (["no-such-command"], 2, ""),
+        (["powerset", "--num-speakers", "1"], 0, "0\t-\n1\ts0\n"),
+    ):
+        result = fresh_python(script, *argv)
+        assert (result.returncode, result.stdout) == (code, out + "frozen True []\n"), result.stderr

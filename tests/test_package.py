@@ -1,9 +1,10 @@
-"""Static checks over the package source."""
+"""Static checks over the package source, and the lazy public namespace."""
 
 import ast
 from pathlib import Path
 
 import diarsep
+from test_cli import fresh_python
 
 PACKAGE = Path(diarsep.__file__).resolve().parent
 
@@ -28,3 +29,75 @@ def test_package_source_imports_no_scipy():
     assert modules
     found = {str(path.relative_to(PACKAGE)): scipy_imports(path) for path in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def module_level_imports(path: Path) -> set[str]:
+    """Modules that importing ``path`` imports: absolute names, and package modules as
+    ".name" ("." for the package itself); imports inside function bodies excluded."""
+    found = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                dot = "." * bool(node.level)
+                if node.module:
+                    found.add(dot + node.module)
+                else:  # from . import name: a submodule, or a name of the package
+                    found.update(
+                        f".{a.name}" if (PACKAGE / f"{a.name}.py").exists() else "." for a in node.names
+                    )
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(path.read_text(), str(path)).body)
+    return found
+
+
+def imports_numpy(module: str, seen: set[str]) -> bool:
+    """Whether importing the package module ``module`` (".der", "." for __init__) imports numpy."""
+    if module in seen:
+        return False
+    seen.add(module)
+    path = PACKAGE / ("__init__.py" if module == "." else f"{module[1:]}.py")
+    names = module_level_imports(path)
+    return any(n == "numpy" or n.startswith("numpy.") for n in names) or any(
+        imports_numpy(n, seen) for n in names if n.startswith(".")
+    )
+
+
+def test_package_and_cli_import_no_numpy_at_module_level():
+    # a CLI child imports __init__ and cli.py before argparse runs; numpy and the
+    # modules that need it load inside the subcommand that calls them
+    assert imports_numpy(".der", set())  # the check sees through package imports
+    assert {name: imports_numpy(name, set()) for name in (".", ".cli")} == {".": False, ".cli": False}
+
+
+def test_public_names_resolve_lazily():
+    # a fresh interpreter: nothing in the package is loaded yet; the submodule named
+    # like the function diarsep.resample loads first, and must not hide that function
+    script = (
+        "import sys\n"
+        "import diarsep\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('diarsep')))\n"
+        "import diarsep.resample\n"
+        "star = {}\n"
+        "exec('from diarsep import *', star)\n"
+        "del star['__builtins__']\n"
+        "print(sorted(star) == sorted(diarsep.__all__), set(diarsep.__all__) <= set(dir(diarsep)))\n"
+        "print([n for n in diarsep.__all__ if n != '__version__' and not getattr(diarsep, n) is star[n]\n"
+        "       is getattr(sys.modules[star[n].__module__], n)])\n"
+        "try:\n"
+        "    diarsep.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = fresh_python(script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "['diarsep']",
+        "True True",
+        "[]",
+        "module 'diarsep' has no attribute 'no_such_name'",
+    ]
