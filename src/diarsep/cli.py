@@ -13,6 +13,7 @@ or a usage error, and no library module that its subcommand does not call.
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -413,16 +414,24 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an allocation no input check bounds, e.g. a huge --filters
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:
     """Console entry point: exit with main()'s code.
 
-    gc.freeze() after main() moves every object still alive, the subcommand's
-    modules included, into the permanent generation, so the collections at
-    exit do not walk them; main() itself stays free of that side effect for
-    in-process callers.
+    OPENBLAS_NUM_THREADS=1, set before main() loads numpy, keeps OpenBLAS from
+    starting a thread pool that diarsep never uses: the parallel passes run on
+    workers.run_blocks, and an idle pool thread spins beside them. It also fixes
+    how a long dot product is split, so the output bits do not depend on the
+    CPU count or on the caller's environment. gc.freeze() after main() moves
+    every object still alive, the subcommand's modules included, into the
+    permanent generation, so the collections at exit do not walk them. main()
+    itself stays free of both side effects for in-process callers.
     """
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     code = main()
     gc.freeze()
     sys.exit(code)

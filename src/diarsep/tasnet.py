@@ -24,8 +24,9 @@ BLOCK_FRAMES = 1024
 # m * n * k <= 2**18 and on its own thread pool above that; two separation workers
 # whose products also start BLAS threads fight over the cores (2 vCPUs, 2 x 60 s:
 # 115-123 ms against 93-97 ms for one serial pass), so each worker's products go in
-# tiles within this size. Another BLAS, or another OpenBLAS build, may switch at
-# another size.
+# tiles within this size. The CLI pins that pool to one thread (cli.run); the tiles
+# serve library callers, whose pool may be threaded and whose size numpy does not
+# report. Another BLAS, or another OpenBLAS build, may switch at another size.
 GEMM_SERIAL_MNK = 1 << 18
 NONLINEARITIES = ("relu", "linear")
 

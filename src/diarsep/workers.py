@@ -22,9 +22,10 @@ def run_blocks(job, n_out: int, block: int = BLOCK) -> None:
     """Call job(start) for every start in range(0, n_out, block), on worker_count(n_out, block) threads.
 
     The calling thread is one of the workers, so a 1-CPU process starts no
-    thread. Workers take the next start under a lock. The first exception a
-    job raises stops the others from taking new blocks and is raised here
-    once every thread has been joined.
+    thread. In a CLI child, whose OpenBLAS pool cli.run pins to one thread,
+    these workers are the only compute threads. Workers take the next start
+    under a lock. The first exception a job raises stops the others from
+    taking new blocks and is raised here once every thread has been joined.
     """
     starts = iter(range(0, n_out, block))
     lock = threading.Lock()

@@ -10,6 +10,7 @@ import tomllib
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from diarsep import (
 from diarsep.cli import main
 from diarsep.der import compute_der, total_der
 from diarsep.tasnet import basis_to_stack
+from diarsep.workers import worker_count
 
 
 def run(capsys, *argv):
@@ -41,8 +43,11 @@ def write_sine(path, freq, rate=8000, seconds=0.5, amp=0.4):
     write_wav(AudioBuffer((amp * np.sin(2 * np.pi * freq * t)).astype(np.float32), rate), path)
 
 
-def fresh_python(script, *argv):
-    """Run ``script`` in a new interpreter that imports this checkout's diarsep."""
+def fresh_python(script, *argv, env=None):
+    """Run ``script`` in a new interpreter that imports this checkout's diarsep.
+
+    ``env`` adds to or overrides the caller's environment variables.
+    """
     package_root = str(Path(diarsep.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -50,7 +55,7 @@ def fresh_python(script, *argv):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env={**os.environ, **(env or {}), "PYTHONPATH": pythonpath},
     )
 
 
@@ -524,6 +529,19 @@ def test_separate_oracle_checks_the_kernel_before_allocating_the_basis(tmp_path,
     assert not (tmp_path / "est").exists()
 
 
+def test_separate_oracle_maps_an_allocation_beyond_memory_to_exit_1(tmp_path, capsys):
+    # 10^15 filters x 16 taps of float64 is 114 PiB, beyond any 47-bit address space
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    write_sine(paths[0], 440)
+    write_sine(paths[1], 660)
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
+        "--seed", "7", "--filters", str(10**15),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
 def diarize_fixtures(tmp_path):
     fr = 50.0
     n = 500
@@ -928,3 +946,41 @@ def test_main_leaves_the_collector_alone_and_the_script_entry_freezes_it(capsys)
     ):
         result = fresh_python(script, *argv)
         assert (result.returncode, result.stdout) == (code, out + "frozen True []\n"), result.stderr
+
+
+def run_with_main(body, openblas_threads):
+    """Call cli.run() in a new interpreter whose cli.main runs ``body``, with the caller's
+    OPENBLAS_NUM_THREADS set to ``openblas_threads``; return its stdout."""
+    script = (
+        "import os\n"
+        "from diarsep import cli\n"
+        f"assert os.environ['OPENBLAS_NUM_THREADS'] == {openblas_threads!r}  # import sets nothing\n"
+        "def main():\n"
+        "    import numpy as np\n"
+        f"    {body}\n"
+        "    return 0\n"
+        "cli.main = main\n"
+        "cli.run()\n"
+    )
+    result = fresh_python(script, env={"OPENBLAS_NUM_THREADS": openblas_threads})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.skipif(worker_count(2, 1) < 2, reason="OpenBLAS starts no pool thread on one usable CPU")
+def test_run_pins_the_blas_pool_to_one_thread_before_numpy_loads(monkeypatch, capsys):
+    assert run_with_main("print(len(os.listdir('/proc/self/task')))", "2") == "1\n"
+    # main() itself, for in-process callers, leaves the environment alone
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run(capsys, "version")[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_cli_blas_results_do_not_depend_on_the_callers_environment():
+    # OpenBLAS splits a ddot over more than 10,000 elements across its threads
+    body = (
+        "rng = np.random.default_rng(3); x, y = rng.standard_normal((2, 20_000)); "
+        "print(np.dot(x, y).hex())"
+    )
+    assert run_with_main(body, "1") == run_with_main(body, "2")
