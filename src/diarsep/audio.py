@@ -7,14 +7,12 @@ from pathlib import Path
 import numpy as np
 
 from .features import check_finite, overwrite_file
+from .workers import BLOCK
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # KSDATAFORMAT_SUBTYPE_PCM, 00000001-0000-0010-8000-00aa00389b71, in file byte order
 PCM_SUBFORMAT = bytes.fromhex("0100000000001000800000aa00389b71")
-# samples per block in write_wav and resample: 512 KiB as float64, about a
-# core's L2 cache, so no whole-signal float64 array is ever built
-BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -120,10 +120,10 @@ def _cmd_separate_oracle(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (src, est) in enumerate(zip(sources, estimates)):
         # decoding yields (T - 1) * stride + kernel_len <= len(src) samples
-        padded = np.pad(est.samples, (0, len(src) - len(est)))
+        padded = AudioBuffer(np.pad(est.samples, (0, len(src) - len(est))), est.sample_rate)
         path = out_dir / f"est{i}.wav"
-        write_wav(AudioBuffer(padded, est.sample_rate), path)
-        quality = si_sdr(src.samples, padded)
+        write_wav(padded, path)
+        quality = si_sdr(src, padded)
         print(f"source {i}: si_sdr={_fmt_db(quality)} dB -> {path}")
     if args.save_masks:
         # a second pass over the sources: only this output needs the whole (S, T, N) masks
@@ -189,6 +189,7 @@ def _der_csv_row(uri: str, r) -> str:
 def _cmd_score_der(args) -> int:
     from .annotation import Annotation, parse_rttm, parse_uem
     from .der import compute_der, total_der
+    from .workers import run_blocks
 
     ref_map = parse_rttm(Path(args.ref).read_text())
     hyp_map = parse_rttm(Path(args.hyp).read_text())
@@ -197,11 +198,23 @@ def _cmd_score_der(args) -> int:
     if not uris:
         raise ValueError("no recordings found in either RTTM file")
 
-    reports = []
-    for uri in uris:
+    # one pool job per recording; every job runs, so the lowest-index error is raised
+    outcomes = [None] * len(uris)
+
+    def score(k):
+        uri = uris[k]
         ref = ref_map.get(uri, Annotation(uri, ()))
         hyp = hyp_map.get(uri, Annotation(uri, ()))
-        reports.append((uri, compute_der(ref, hyp, collar=args.collar, eval_regions=uem.get(uri))))
+        try:
+            outcomes[k] = compute_der(ref, hyp, collar=args.collar, eval_regions=uem.get(uri))
+        except Exception as exc:  # raised below, in URI order
+            outcomes[k] = exc
+
+    run_blocks(score, len(uris), 1)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    reports = list(zip(uris, outcomes))
 
     rows = reports if args.mode != "aggregate" else []
     if args.mode != "per-file":

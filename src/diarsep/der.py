@@ -65,9 +65,14 @@ def _sweep(
     regions = np.array(eval_regions or [], dtype=float).reshape(-1, 2)
     # a region that ends before it starts covers nothing rather than a negative span
     region_on, region_off = regions[:, 0], np.maximum(regions[:, 0], regions[:, 1])
-    edges = np.unique(
+    edges = np.sort(
         np.concatenate([ref_on, ref_off, hyp_on, hyp_off, zone_on, zone_off, region_on, region_off])
     )
+    # distinct values, as np.unique gives them; np.unique would load numpy.ma
+    distinct = np.empty(edges.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
+    edges = edges[distinct]
 
     def covered(onsets, offsets, codes=0, width=1):
         # +1 and -1 counts on the flattened (edge, column) grid

@@ -3,7 +3,9 @@
 import os
 import threading
 
-from .audio import BLOCK
+# samples per block in write_wav, resample and the separation scores: 512 KiB
+# as float64, about a core's L2 cache, so no whole-signal float64 array is built
+BLOCK = 1 << 16
 
 
 def worker_count(n_out: int, block: int = BLOCK) -> int:

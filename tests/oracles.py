@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diarsep import Annotation, AudioBuffer, EncoderBasis, FeatureMatrix, FirFilter, Segment
-from diarsep.sepmetrics import INF_SUBSTITUTE_DB, sdr, si_sdr
+from diarsep.sepmetrics import INF_SUBSTITUTE_DB
 from diarsep.tasnet import DEFAULT_EPS, apply_masks
 
 
@@ -241,16 +241,103 @@ def assignment_oracle(weights):
     return linear_sum_assignment(weights, maximize=True)
 
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
+
+def _oracle_signal(x) -> np.ndarray:
+    return np.asarray(x.samples if isinstance(x, AudioBuffer) else x, dtype=np.float64).reshape(-1)
+
+
+def _check_pair(ref: np.ndarray, est: np.ndarray) -> None:
+    if ref.size != est.size:
+        raise ValueError(f"length mismatch: {ref.size} vs {est.size}")
+    if ref.size == 0:
+        raise ValueError("signals must be non-empty")
+
+
+def _check_energies(*energies: float) -> None:
+    if not all(map(math.isfinite, energies)):
+        raise ValueError("signal energy overflows float64")
+
+
+def _unit_peak(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2**-e, e) with the scaled peak magnitude in [0.5, 1); an all-zero x gives (x, 0)."""
+    if not x.any():
+        return x, 0
+    exponent = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -exponent), exponent
+
+
+def _energy_db(x: np.ndarray) -> float:
+    unit, exponent = _unit_peak(x)
+    return 10.0 * np.log10(np.dot(unit, unit)) + 20.0 * math.log10(2.0) * exponent
+
+
+def _ratio_db(num: np.ndarray, num_energy: float, den: np.ndarray, den_energy: float) -> float:
+    if num_energy >= _TINY and den_energy >= _TINY and _TINY <= num_energy / den_energy < math.inf:
+        return 10.0 * np.log10(num_energy / den_energy)
+    return _energy_db(num) - _energy_db(den)
+
+
+def sdr_oracle(ref, est) -> float:
+    """Whole-array SDR, the reference for ``diarsep.sdr``: float64 copies, one ``np.dot`` per energy.
+
+    Same special cases: +inf for a zero residual, ValueError for an all-zero
+    reference or an energy beyond float64, unit-peak rescaling for energies
+    or ratios outside float64's normal range.
+    """
+    s, s_hat = _oracle_signal(ref), _oracle_signal(est)
+    _check_pair(s, s_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_energy = float(np.dot(s, s))
+        residual = s - s_hat
+        res_energy = float(np.dot(residual, residual))
+    _check_energies(ref_energy, res_energy)
+    if not s.any():
+        raise ValueError("reference signal is all zeros")
+    if not residual.any():
+        return float("inf")
+    return _ratio_db(s, ref_energy, residual, res_energy)
+
+
+def si_sdr_oracle(ref, est) -> float:
+    """Whole-array SI-SDR, the reference for ``diarsep.si_sdr``, with the same special cases."""
+    s, s_hat = _oracle_signal(ref), _oracle_signal(est)
+    _check_pair(s, s_hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_energy = float(np.dot(s, s))
+        projection = float(np.dot(s_hat, s))
+        _check_energies(ref_energy, projection)
+        if not s.any():
+            raise ValueError("reference signal is all zeros")
+        if ref_energy < _TINY or abs(projection) < _TINY:
+            s, s_hat = _unit_peak(s)[0], _unit_peak(s_hat)[0]
+            ref_energy = float(np.dot(s, s))
+            projection = float(np.dot(s_hat, s))
+        if projection == 0.0:
+            return float("-inf")
+        target = (projection / ref_energy) * s
+        residual = s_hat - target
+        target_energy = float(np.dot(target, target))
+        res_energy = float(np.dot(residual, residual))
+    _check_energies(target_energy, res_energy)
+    if not residual.any():
+        return float("inf")
+    if not target.any():
+        raise ValueError("signal energy underflows float64")
+    return _ratio_db(target, target_energy, residual, res_energy)
+
+
 def pit_oracle(refs, ests, metric: str = "si_sdr") -> tuple[tuple[int, ...], float]:
     """Exhaustive permutation-invariant matching: the n! reference for ``diarsep.pit``.
 
-    Scores every (reference, estimate) pair with the public metric, then tries
+    Scores every (reference, estimate) pair with the whole-array oracles, then tries
     every permutation of the +-300 dB substituted scores; ties resolve to the
     lexicographically smallest permutation. Returns (permutation, mean score)
     like ``pit``, the mean being +inf if any matched score is +inf, else -inf
     if any is -inf.
     """
-    fn = {"sdr": sdr, "si_sdr": si_sdr}[metric]
+    fn = {"sdr": sdr_oracle, "si_sdr": si_sdr_oracle}[metric]
     scores = np.array([[fn(r, e) for e in ests] for r in refs])
     n = len(scores)
     selectable = np.clip(scores, -INF_SUBSTITUTE_DB, INF_SUBSTITUTE_DB)

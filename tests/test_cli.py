@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tomllib
 from pathlib import Path
 
@@ -26,10 +27,12 @@ from diarsep import (
     write_feature_stack,
     write_wav,
 )
+from diarsep import emit_rttm
 from diarsep.cli import main
 from diarsep.der import compute_der, total_der
 from diarsep.tasnet import basis_to_stack
 from diarsep.workers import worker_count
+from oracles import perturbed_hypothesis, random_annotation
 
 
 def run(capsys, *argv):
@@ -335,9 +338,9 @@ def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
         (["diarize", str(scores_path), "--features", str(feats_path), "--output", str(tmp_path / "out.rttm")],
          ["annotation", "defaults", "diarize", "features", "powerset"]),
         (["score-der", str(tmp_path / "ref.rttm"), str(tmp_path / "ref.rttm")],
-         ["annotation", "assignment", "der", "features"]),
+         ["annotation", "assignment", "der", "features", "workers"]),
         (["score-sdr", "--refs", *map(str, wavs), "--ests", *map(str, wavs), "--mix", str(wavs[0])],
-         ["assignment", "audio", "features", "sepmetrics"]),
+         ["assignment", "audio", "features", "sepmetrics", "workers"]),
     ]
     for argv, modules in cases:
         expected = sorted({*CLI_MODULES, *(f"diarsep.{m}" for m in modules), "numpy"})
@@ -730,6 +733,63 @@ def test_score_der_rejects_non_finite_collar(tmp_path, capsys):
         code, out, err = run(capsys, "score-der", str(rttm), str(rttm), "--collar", collar)
         assert code == 1 and out == ""
         assert "collar must be finite" in err
+
+
+def der_corpus(tmp_path, n_recordings=6):
+    """Reference and hypothesis RTTM files and a UEM file over several recordings."""
+    rng = np.random.default_rng(21)
+    refs = [random_annotation(rng, uri=f"rec{k}") for k in range(n_recordings)]
+    paths = tmp_path / "ref.rttm", tmp_path / "hyp.rttm", tmp_path / "all.uem"
+    paths[0].write_text("".join(emit_rttm(r) for r in refs))
+    paths[1].write_text("".join(emit_rttm(perturbed_hypothesis(rng, r)) for r in refs))
+    paths[2].write_text("".join(f"rec{k} 1 1.0 55.0\n" for k in range(n_recordings)))
+    return [str(p) for p in paths]
+
+
+def test_score_der_output_does_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    ref, hyp, uem = der_corpus(tmp_path)
+    outputs = []
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)), raising=False)
+        assert worker_count(6, 1) == n_cpus
+        argv = ("score-der", ref, hyp, "--uem", uem, "--collar", "0.25", "--format", "csv")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 8  # header, six recordings, OVERALL
+
+
+def test_score_der_reports_the_lowest_failing_recording(tmp_path, capsys, monkeypatch):
+    # rec1 fails last in time on two workers, rec3 first; the serial order reports rec1
+    ref, hyp, _ = der_corpus(tmp_path)
+
+    def failing_compute_der(ref, hyp, **kwargs):
+        if ref.uri == "rec1":
+            time.sleep(0.2)
+        if ref.uri in ("rec1", "rec3"):
+            raise ValueError(f"{ref.uri} is broken")
+        return compute_der(ref, hyp, **kwargs)
+
+    monkeypatch.setattr("diarsep.der.compute_der", failing_compute_der)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, out, err = run(capsys, "score-der", ref, hyp)
+    assert (code, out, err) == (1, "", "error: rec1 is broken\n")
+
+
+def test_score_der_loads_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma on its first call; the DER sweep does not use it
+    ref, hyp, uem = der_corpus(tmp_path)
+    script = (
+        "import contextlib, io, sys\n"
+        "from diarsep.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    result = fresh_python(script, "score-der", ref, hyp, "--uem", uem, "--collar", "0.25")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
 
 
 def test_diarize_rejects_bad_hop(tmp_path, capsys):

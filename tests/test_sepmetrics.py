@@ -1,11 +1,19 @@
 import itertools
+import json
+import os
+import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diarsep import AudioBuffer, pit, sdr, sdr_improvement, si_sdr
+from diarsep.audio import BLOCK
 from diarsep.sepmetrics import INF_SUBSTITUTE_DB
-from oracles import pit_oracle
+from diarsep.workers import worker_count
+from oracles import pit_oracle, sdr_oracle, si_sdr_oracle
+from test_cli import fresh_python
 
 
 def test_sdr_perfect_estimate():
@@ -141,7 +149,9 @@ def test_pit_hungarian_equals_exhaustive():
         shuffled = [ests[i] for i in order]
         exhaustive = pit_oracle(refs, shuffled, metric="sdr")
         hungarian = pit(refs, shuffled, metric="sdr")
-        assert exhaustive == hungarian
+        # the oracle scores with whole-array dot products, pit with block partials
+        assert exhaustive[0] == hungarian[0]
+        assert exhaustive[1] == pytest.approx(hungarian[1], abs=1e-9)
         # the clean source dominates its own estimate, so PIT must undo the shuffle
         assert list(exhaustive[0]) == np.argsort(order).tolist()
 
@@ -290,3 +300,200 @@ def test_energy_overflow_is_an_error():
     for metric in ("sdr", "si_sdr"):
         with pytest.raises(ValueError, match="energy overflows float64"):
             pit(refs, refs[::-1], metric)
+
+
+def cpus(monkeypatch, n):
+    """Make the worker pool see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_same_outcome(fn, oracle, ref, est):
+    """fn(ref, est) within 1e-9 dB of oracle(ref, est), or both raise the same ValueError."""
+    try:
+        expected = oracle(ref, est)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            fn(ref, est)
+        return
+    value = fn(ref, est)
+    if np.isinf(expected):
+        assert value == expected
+    else:
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
+# at, beside and across the edges of the blocks the scores are summed over
+BLOCK_EDGE_LENGTHS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_LENGTHS)
+def test_blockwise_scores_match_the_whole_array_oracles(n):
+    rng = np.random.default_rng(n)
+    refs = [AudioBuffer(rng.uniform(-0.4, 0.4, n).astype(np.float32), 16000) for _ in range(2)]
+    mixture = AudioBuffer(refs[0].samples + refs[1].samples, 16000)
+    ests = [
+        AudioBuffer(refs[1].samples + 0.2 * mixture.samples, 16000),
+        AudioBuffer(0.7 * refs[0].samples - 0.1 * rng.standard_normal(n), 16000),
+    ]
+    for metric, fn, oracle in (("sdr", sdr, sdr_oracle), ("si_sdr", si_sdr, si_sdr_oracle)):
+        expected = [[oracle(r, e) for e in (*ests, mixture)] for r in refs]
+        for r in refs:
+            for e in (*ests, mixture):
+                assert_same_outcome(fn, oracle, r, e)
+                # the same values as a strided float64 view and a float32 array: the same bits
+                assert fn(r, e) == fn(np.repeat(r.samples.astype(np.float64), 2)[::2], e.samples)
+        report = sdr_improvement(refs, ests, mixture, metric=metric)
+        for i, (v, vi) in enumerate(zip(report.per_source_sdr, report.per_source_sdri)):
+            a, b = expected[i][report.permutation[i]], expected[i][2]
+            assert v == pytest.approx(a, rel=1e-12, abs=1e-9)
+            assert vi == pytest.approx(0.0 if a == b and np.isinf(a) else a - b, rel=1e-12, abs=1e-9)
+
+
+def multi_block_special_cases():
+    """(reference, estimate) pairs of 3 * BLOCK + 7 samples whose special cases span blocks."""
+    n = 3 * BLOCK + 7
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal(n)
+    sparse_ref, sparse_est = np.zeros(n), np.zeros(n)
+    sparse_ref[[5, n - 1]] = 1e-200, 2e-200
+    sparse_est[BLOCK + 3] = 1.0
+    early, late = np.zeros(n), np.zeros(n)
+    early[: BLOCK // 2] = x[: BLOCK // 2]
+    late[2 * BLOCK :] = x[2 * BLOCK :]
+    huge_tail = np.ones(n)
+    huge_tail[-1] = 1e200
+    return [
+        (sparse_ref, sparse_est),  # energy below float64 range, the peaks in different blocks
+        (1e-200 * x, 1e-200 * (x + 0.1 * late)),  # both signals rescaled to a unit peak
+        (x, 1e-300 * x + late),  # a projection below float64's normal range
+        (np.ones(n), huge_tail),  # the residual's energy overflows in the last block
+        (huge_tail, np.ones(n)),
+        (np.zeros(n), x),  # an all-zero reference
+        (early, late),  # orthogonal: no overlap between the two
+        (x, x.copy()),  # a zero residual
+        (x, -4.0 * x),  # an exact dyadic scale
+    ]
+
+
+SPECIAL_CASES = [
+    ([0.3, -0.2, 0.1], [0.3, -0.2, 0.1]),
+    ([1.0, 0.0], [1.0, 0.1]),
+    ([0.5, -0.25, 0.125, 0.75], [1.0, -0.5, 0.25, 1.5]),
+    ([1.0, 0.0], [1.0]),
+    ([0.0, 0.0], [1.0, 0.0]),
+    ([], []),
+    ([1.0, 0.0], [1.0, 1.0]),
+    ([1.0, 0.0], [0.0, 1.0]),
+    ([1.0, 0.0], [0.5, 0.4]),
+    ([1e-200, 0.0], [1.0, 0.0]),
+    ([1e-150, 0.0], [1e50, 0.0]),
+    ([1e50, 0.0], [1e50, 1e-150]),
+    ([1e-200, 1e-200], [1e-200, 0.0]),
+    ([1e-200, 0.0], [3e-200, 0.0]),
+    ([1.0, 0.0], [1e-300, 1.0]),
+    ([0.0, 0.0], [1e-300, 0.0]),
+    ([1e200, 1.0], [1e200, 2.0]),
+    ([1.0, 2.0], [1e200, 0.0]),
+    ([1.0, 2.0], [1e200, -1e200]),
+    ([1e308, 1.0], [-1e308, 1.0]),
+]
+
+
+@pytest.mark.parametrize("ref, est", SPECIAL_CASES + multi_block_special_cases())
+def test_special_values_and_errors_match_the_whole_array_oracles(ref, est):
+    for fn, oracle in ((sdr, sdr_oracle), (si_sdr, si_sdr_oracle)):
+        assert_same_outcome(fn, oracle, ref, est)
+
+
+def test_multi_block_special_cases_keep_their_values():
+    cases = multi_block_special_cases()
+    # reference energy 5e-400 against a residual energy of 1
+    assert sdr(*cases[0]) == pytest.approx(10 * np.log10(5.0) - 4000.0, rel=1e-12)
+    assert si_sdr(*cases[1]) == pytest.approx(si_sdr(cases[1][0] * 1e200, cases[1][1] * 1e200), rel=1e-12)
+    for ref, est in cases[3:5]:
+        with pytest.raises(ValueError, match="energy overflows float64"):
+            sdr(ref, est)
+    with pytest.raises(ValueError, match="all zeros"):
+        si_sdr(*cases[5])
+    assert si_sdr(*cases[6]) == float("-inf")
+    assert sdr(*cases[7]) == si_sdr(*cases[7]) == si_sdr(*cases[8]) == float("inf")
+
+
+def test_scores_do_not_depend_on_the_worker_count(monkeypatch):
+    # more workers than cores and a short switch interval: each block's partials go to its own slot
+    n = 8 * BLOCK + 7
+    rng = np.random.default_rng(16)
+    refs = [AudioBuffer(rng.uniform(-0.4, 0.4, n).astype(np.float32), 16000) for _ in range(2)]
+    mixture = AudioBuffer(refs[0].samples + refs[1].samples, 16000)
+    ests = [AudioBuffer(r.samples + 0.3 * mixture.samples, 16000) for r in refs[::-1]]
+
+    def bits():
+        report = sdr_improvement(refs, ests, mixture, metric="si_sdr")
+        values = [sdr(refs[0], ests[1]), si_sdr(refs[1], mixture), pit(refs, ests, "sdr")[1]]
+        return [float(v).hex() for v in (*values, *report.per_source_sdr, *report.per_source_sdri)]
+
+    cpus(monkeypatch, 1)
+    one = bits()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n_cpus in (2, 9):
+            cpus(monkeypatch, n_cpus)
+            assert worker_count(n) == n_cpus
+            assert bits() == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# prints the bits of library scores over signals longer than a BLAS-threaded dot product
+SCORE_BITS = (
+    "import json\n"
+    "import numpy as np\n"
+    "from diarsep import sdr, sdr_improvement, si_sdr\n"
+    "x, y, z = np.random.default_rng(17).standard_normal((3, 200_000))\n"
+    "report = sdr_improvement([x, y], [y + 0.1 * z, x - 0.2 * z], x + y, metric='si_sdr')\n"
+    "values = [sdr(x, x + z), si_sdr(x, 0.5 * x + z), *report.per_source_sdr, *report.per_source_sdri]\n"
+    "print(json.dumps([float(v).hex() for v in values]))\n"
+)
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count():
+    outputs = []
+    for threads in ("1", "2"):
+        result = fresh_python(SCORE_BITS, env={"OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        outputs.append(json.loads(result.stdout.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_scores_hold_a_few_blocks_per_worker(monkeypatch, n_cpus):
+    """Peak traced bytes of si_sdr and sdr_improvement on float32 buffers of 8 blocks.
+
+    A job holds the float64 block of each of its signals plus one temporary
+    block: three blocks for si_sdr, four for sdr_improvement of one source
+    (reference, estimate and mixture). The whole-array scorers held float64
+    copies of both signals plus a target and a residual, 32 blocks here.
+    """
+    cpus(monkeypatch, n_cpus)
+    n = 8 * BLOCK
+    block_bytes = 8 * BLOCK
+    rng = np.random.default_rng(18)
+    ref, est = (AudioBuffer(rng.uniform(-0.4, 0.4, n).astype(np.float32), 16000) for _ in range(2))
+    mixture = AudioBuffer(ref.samples + est.samples, 16000)
+    workers = worker_count(n)
+    assert workers == n_cpus
+    for signals, score in (
+        (2, lambda: si_sdr(ref, est)),
+        (3, lambda: sdr_improvement([ref], [est], mixture)),
+        (3, lambda: sdr_improvement([ref], [est], mixture, metric="si_sdr")),
+    ):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ((signals + 1) * workers + 0.5) * block_bytes
+        if workers == 1:
+            assert peak < n * 8  # below one whole-signal float64 copy
