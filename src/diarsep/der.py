@@ -138,14 +138,19 @@ def optimal_mapping(
     return _assign(_sweep(ref, hyp, eval_regions=eval_regions))[2]
 
 
-def _report(false_alarm: float, missed: float, confusion: float, total_speech: float, mapping) -> DerReport:
+def _report(
+    false_alarm: float, missed: float, confusion: float, total_speech: float, mapping, uri: str
+) -> DerReport:
     """The one percentage convention: each is 100 * seconds / speech, der_pct their literal sum.
 
-    Zero speech gives all-zero percentages, or ValueError when false alarm is present.
+    Zero speech gives all-zero percentages, or a ValueError naming ``uri``
+    when false alarm is present.
     """
     if total_speech == 0.0:
         if false_alarm > 0.0:
-            raise ValueError("no scored reference speech but hypothesis speech present; rates undefined")
+            raise ValueError(
+                f"{uri}: no scored reference speech but hypothesis speech present; rates undefined"
+            )
         return DerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, mapping)
     pcts = [100.0 * seconds / total_speech for seconds in (false_alarm, missed, confusion)]
     return DerReport(false_alarm, missed, confusion, total_speech, *pcts, sum(pcts), mapping)
@@ -169,8 +174,8 @@ def compute_der(
         confusion   += d * (min(N_ref, N_hyp) - N_correct)
         speech      += d * N_ref
 
-    Raises ValueError when no reference speech is scored but hypothesis
-    activity is; two empty annotations score 0.
+    Raises ValueError naming ``ref.uri`` when no reference speech is scored
+    but hypothesis activity is; two empty annotations score 0.
     """
     if not 0 <= collar < np.inf:  # also false for nan
         raise ValueError(f"collar must be finite and >= 0, got {collar}")
@@ -187,7 +192,7 @@ def compute_der(
     false_alarm = float(d @ np.maximum(n_hyp - n_ref, 0))
     confusion = float(d @ (np.minimum(n_ref, n_hyp) - n_correct))
     total_speech = float(d @ n_ref)
-    return _report(false_alarm, missed, confusion, total_speech, mapping)
+    return _report(false_alarm, missed, confusion, total_speech, mapping, ref.uri)
 
 
 def total_der(reports) -> DerReport:
@@ -198,5 +203,5 @@ def total_der(reports) -> DerReport:
     reports = list(reports)
     return _report(
         sum(r.false_alarm for r in reports), sum(r.missed for r in reports),
-        sum(r.confusion for r in reports), sum(r.total_speech for r in reports), {},
+        sum(r.confusion for r in reports), sum(r.total_speech for r in reports), {}, "OVERALL",
     )

@@ -57,10 +57,12 @@ def encode_label(space: PowersetSpace, multilabel) -> int:
 
 
 def decode_class(space: PowersetSpace, index: int) -> np.ndarray:
-    """Return the K-bit indicator vector of class ``index``."""
+    """Return the K-bit indicator vector of class ``index``, without building ``class_matrix``."""
     if not 0 <= index < space.n_classes:
         raise ValueError(f"class index {index} out of range [0, {space.n_classes})")
-    return space.class_matrix[index].copy()
+    vector = np.zeros(space.max_speakers, dtype=np.int8)
+    vector[list(space.classes[index])] = 1
+    return vector
 
 
 def decode_frames(space: PowersetSpace, scores) -> np.ndarray:

@@ -104,10 +104,6 @@ def _check_energies(*energies: float) -> None:
         raise ValueError("signal energy overflows float64")
 
 
-def _energy_and_projection(s: np.ndarray, s_hat: np.ndarray) -> tuple[float, float]:
-    return _dot(s, s), _dot(s_hat, s)
-
-
 def _scaled(x: np.ndarray, exponent: int) -> np.ndarray:
     return np.ldexp(x, -exponent) if exponent else x
 
@@ -146,139 +142,101 @@ def _outcome(score, *args):
         return exc
 
 
-def _sdr_scores(signals: list[np.ndarray], pairs: list[tuple[int, int]]) -> list:
-    """SDR of each (reference, estimate) index pair into the equal-length ``signals``, or its ValueError.
+def _scores(signals: list[np.ndarray], pairs: list[tuple[int, int]], metric: str) -> list:
+    """metric of each (reference, estimate) index pair into the equal-length ``signals``, or its ValueError.
 
-    One pass: the energy of each reference and of each pair's residual.
+    Both metrics are 10*log10 of the energy ratio of two signals derived per
+    block: s and s - s_hat for SDR, the target alpha * s and the residual
+    s_hat - alpha * s for SI-SDR. SI-SDR first takes each reference's energy
+    and each pair's projection <s_hat, s>. Where either is below float64's
+    normal range, a peak pass and a second projection pass rescale the
+    pair's signals to a unit peak, which leaves SI-SDR unchanged. A last
+    pass, shared by both metrics, takes the two energies of each pair.
     """
-    refs = sorted({i for i, _ in pairs})
-
-    def partials(b):
-        return [
-            *_energies(b[i] for i in refs),
-            *_energies(b[i] - b[j] for i, j in pairs),
-        ]
-
-    sums = _block_sums(signals, partials)
-    ref_sums = dict(zip(refs, _pairs_of(sums[: 2 * len(refs)])))
-    res_sums = _pairs_of(sums[2 * len(refs) :])
-
-    def score(i, j, res_energy, res_nonzero):
-        ref_energy, ref_nonzero = ref_sums[i]
-        _check_energies(ref_energy, res_energy)
-        if not ref_nonzero:
-            raise ValueError("reference signal is all zeros")
-        if not res_nonzero:
-            return float("inf")
-        return _ratio_db(ref_energy, res_energy, signals, lambda b: [b[i], b[i] - b[j]])
-
-    return [_outcome(score, i, j, *res) for (i, j), res in zip(pairs, res_sums)]
-
-
-def _si_sdr_scores(signals: list[np.ndarray], pairs: list[tuple[int, int]]) -> list:
-    """SI-SDR of each (reference, estimate) index pair into the equal-length ``signals``, or its ValueError.
-
-    A first pass takes each reference's energy and each pair's projection
-    <s_hat, s>. Where either is below float64's normal range, a peak pass and
-    a second projection pass rescale the pair's signals to a unit peak, which
-    leaves SI-SDR unchanged. A last pass takes the energies of each pair's
-    target alpha * s and residual s_hat - alpha * s.
-    """
-    refs = sorted({i for i, _ in pairs})
-    sums = _block_sums(
-        signals, lambda b: [*_energies(b[i] for i in refs), *(_dot(b[j], b[i]) for i, j in pairs)]
-    )
-    ref_sums = dict(zip(refs, _pairs_of(sums[: 2 * len(refs)])))
-    energies = [ref_sums[i][0] for i, _ in pairs]
-    projections = sums[2 * len(refs) :]
     outcomes = [None] * len(pairs)
-    for k, (i, _) in enumerate(pairs):
-        if not (math.isfinite(energies[k]) and math.isfinite(projections[k])):
-            outcomes[k] = ValueError("signal energy overflows float64")
-        elif not ref_sums[i][1]:
-            outcomes[k] = ValueError("reference signal is all zeros")
+    if metric == "sdr":
+        zero_numerator = "reference signal is all zeros"
 
-    exponents = {}  # rescaled pair -> the peak exponents of its reference and estimate
-
-    def units(b, k):
-        """The pair's reference and estimate blocks, rescaled if the pair is."""
-        (i, j), (e_ref, e_est) = pairs[k], exponents.get(k, (0, 0))
-        return _scaled(b[i], e_ref), _scaled(b[j], e_est)
-
-    rescaled = [
-        k for k in range(len(pairs)) if outcomes[k] is None and min(energies[k], abs(projections[k])) < _TINY
-    ]
-    if rescaled:
-        # either sum may have underflowed: unit-peak signals leave SI-SDR unchanged
-        peaks = _peak_exponents(signals, lambda b: b)
-        exponents.update((k, (peaks[pairs[k][0]], peaks[pairs[k][1]])) for k in rescaled)
+        def derive(b, k):
+            i, j = pairs[k]
+            return b[i], b[i] - b[j]
+    else:
+        zero_numerator = "signal energy underflows float64"  # a projection coefficient below float64 range
+        refs = sorted({i for i, _ in pairs})
         sums = _block_sums(
-            signals, lambda b: [v for k in rescaled for v in _energy_and_projection(*units(b, k))]
+            signals, lambda b: [*_energies(b[i] for i in refs), *(_dot(b[j], b[i]) for i, j in pairs)]
         )
-        for k, (energy, projection) in zip(rescaled, _pairs_of(sums)):
-            energies[k], projections[k] = energy, projection
-            if projection == 0.0:
-                outcomes[k] = float("-inf")
-    alphas = {k: projections[k] / energies[k] for k in range(len(pairs)) if outcomes[k] is None}
-    if not alphas:
+        ref_sums = dict(zip(refs, _pairs_of(sums[: 2 * len(refs)])))
+        energies = [ref_sums[i][0] for i, _ in pairs]
+        projections = sums[2 * len(refs) :]
+        for k, (i, _) in enumerate(pairs):
+            if not (math.isfinite(energies[k]) and math.isfinite(projections[k])):
+                outcomes[k] = ValueError("signal energy overflows float64")
+            elif not ref_sums[i][1]:
+                outcomes[k] = ValueError("reference signal is all zeros")
+
+        exponents = {}  # rescaled pair -> the peak exponents of its reference and estimate
+
+        def units(b, k):
+            """The pair's reference and estimate blocks, rescaled if the pair is."""
+            (i, j), (e_ref, e_est) = pairs[k], exponents.get(k, (0, 0))
+            return _scaled(b[i], e_ref), _scaled(b[j], e_est)
+
+        rescaled = [
+            k for k, outcome in enumerate(outcomes)
+            if outcome is None and min(energies[k], abs(projections[k])) < _TINY
+        ]
+        if rescaled:
+            # either sum may have underflowed: unit-peak signals leave SI-SDR unchanged
+            peaks = _peak_exponents(signals, lambda b: b)
+            exponents.update((k, (peaks[pairs[k][0]], peaks[pairs[k][1]])) for k in rescaled)
+
+            def rescaled_sums(b):
+                """Each rescaled pair's reference energy, then its projection."""
+                blocks = (units(b, k) for k in rescaled)
+                return [v for s, s_hat in blocks for v in (_dot(s, s), _dot(s_hat, s))]
+
+            sums = _block_sums(signals, rescaled_sums)
+            for k, (energy, projection) in zip(rescaled, _pairs_of(sums)):
+                energies[k], projections[k] = energy, projection
+                if projection == 0.0:
+                    outcomes[k] = float("-inf")
+        alphas = {k: projections[k] / energies[k] for k in range(len(pairs)) if outcomes[k] is None}
+
+        def derive(b, k):
+            """Yields the pair's target block, then the residual block written over it: one temporary."""
+            s, s_hat = units(b, k)
+            target = alphas[k] * s
+            yield target
+            yield np.subtract(s_hat, target, out=target)
+
+    open_pairs = [k for k in range(len(pairs)) if outcomes[k] is None]
+    if not open_pairs:
         return outcomes
+    sums = _block_sums(signals, lambda b: [v for k in open_pairs for v in _energies(derive(b, k))])
 
-    def target_and_residual(b, k):
-        """Yields the pair's target block, then the residual block written over it: one temporary."""
-        s, s_hat = units(b, k)
-        target = alphas[k] * s
-        yield target
-        yield np.subtract(s_hat, target, out=target)
-
-    sums = _block_sums(signals, lambda b: [v for k in alphas for v in _energies(target_and_residual(b, k))])
-
-    def score(k, target_energy, target_nonzero, res_energy, res_nonzero):
-        _check_energies(target_energy, res_energy)
+    def score(k, num_energy, num_nonzero, res_energy, res_nonzero):
+        _check_energies(num_energy, res_energy)
+        if not num_nonzero:
+            raise ValueError(zero_numerator)
         if not res_nonzero:
             return float("inf")
-        if not target_nonzero:  # a projection coefficient below float64 range
-            raise ValueError("signal energy underflows float64")
-        return _ratio_db(target_energy, res_energy, signals, lambda b: target_and_residual(b, k))
+        return _ratio_db(num_energy, res_energy, signals, lambda b: derive(b, k))
 
-    for n, k in enumerate(alphas):
+    for n, k in enumerate(open_pairs):
         outcomes[k] = _outcome(score, k, *sums[4 * n : 4 * n + 4])
     return outcomes
 
 
-# metric name (with the CLI spelling "si-sdr") -> scorer of index pairs into equal-length signals
-_SCORERS = {"sdr": _sdr_scores, "si_sdr": _si_sdr_scores, "si-sdr": _si_sdr_scores}
-
-
-def _scorer(metric: str):
-    try:
-        return _SCORERS[metric]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}; expected 'sdr' or 'si_sdr'") from None
-
-
-def _pair_scores(scorer, refs: list[np.ndarray], ests: list[np.ndarray], pairs) -> list:
-    """scorer's value of refs[i] against ests[j] for each (i, j) in pairs, or the ValueError it raises.
-
-    The pairs of one length share their passes, so each signal is converted
-    to float64 once per block and pass, not once per pair.
-    """
-    outcomes = [None] * len(pairs)
-    groups = {}  # length -> pair indices
-    for k, (i, j) in enumerate(pairs):
-        if refs[i].size != ests[j].size:
-            outcomes[k] = ValueError(f"length mismatch: {refs[i].size} vs {ests[j].size}")
-        elif refs[i].size == 0:
-            outcomes[k] = ValueError("signals must be non-empty")
-        else:
-            groups.setdefault(refs[i].size, []).append(k)
-    for group in groups.values():
-        slots = {}  # (0, i) for refs[i], (1, j) for ests[j] -> position in the group's signals
-        local = [(slots.setdefault((0, i), len(slots)), slots.setdefault((1, j), len(slots)))
-                 for i, j in (pairs[k] for k in group)]
-        signals = [(refs, ests)[side][index] for side, index in slots]
-        for k, outcome in zip(group, scorer(signals, local)):
-            outcomes[k] = outcome
-    return outcomes
+def _one_length(signals: list[np.ndarray]) -> list[np.ndarray]:
+    """``signals``, once they share one non-zero length; else ValueError."""
+    n = signals[0].size
+    for x in signals:
+        if x.size != n:
+            raise ValueError(f"length mismatch: {n} vs {x.size}")
+    if not n:
+        raise ValueError("signals must be non-empty")
+    return signals
 
 
 def _values(outcomes: list) -> list:
@@ -297,7 +255,7 @@ def sdr(ref, est) -> float:
     a ratio outside its range, is taken in dB from the signals rescaled to
     a unit peak.
     """
-    return _score_pair(_sdr_scores, ref, est)
+    return _score_pair(ref, est, "sdr")
 
 
 def si_sdr(ref, est) -> float:
@@ -309,52 +267,52 @@ def si_sdr(ref, est) -> float:
     or projection is too small for float64 are rescaled to a unit peak
     first, which leaves the ratio unchanged.
     """
-    return _score_pair(_si_sdr_scores, ref, est)
+    return _score_pair(ref, est, "si_sdr")
 
 
-def _score_pair(scorer, ref, est) -> float:
-    refs, ests = [_signal(ref, "reference")], [_signal(est, "estimate")]
-    return _values(_pair_scores(scorer, refs, ests, [(0, 0)]))[0]
+def _score_pair(ref, est, metric: str) -> float:
+    signals = _one_length([_signal(ref, "reference"), _signal(est, "estimate")])
+    return _values(_scores(signals, [(0, 1)], metric))[0]
 
 
-def _score_matrix(refs, ests, metric: str, full: bool = True, mixtures=()):
+_NO_MIXTURE = object()  # pit's: an empty baseline
+
+
+def _score_matrix(refs, ests, metric: str, full: bool = True, mixture=_NO_MIXTURE):
     """(scores, baseline): scores[i, j] = metric(refs[i], ests[j]), baseline[i] = metric(refs[i], mixture).
 
-    The matrix and the baseline are scored in one set of blockwise passes,
-    so each signal is converted to float64 once per block and pass. The
-    ``AudioBuffer``s among the signals and ``mixture`` must share one sample
-    rate; plain arrays carry none. With ``full`` False only the diagonal is
-    scored and the other entries are NaN. ``mixtures`` holds the mixture, or
-    nothing for an empty baseline. A matrix entry's error is raised before
-    the mixture's.
+    Checks, in order: the counts, one sample rate among the ``AudioBuffer``s
+    (plain arrays carry none), the metric name, finite samples (references,
+    estimates, then the mixture) and one non-zero length for every signal.
+    One ``_scores`` call over [*refs, *ests, mixture] then scores the matrix
+    and the baseline in the same blockwise passes, so each signal is
+    converted to float64 once per block and pass. The first pair's error is
+    raised, the matrix pairs in row-major order before the baseline's. With
+    ``full`` False only the diagonal is scored and the other entries are
+    NaN; without a mixture the baseline is empty.
     """
     if len(refs) != len(ests):
         raise ValueError(f"count mismatch: {len(refs)} references vs {len(ests)} estimates")
     if not refs:
         raise ValueError("need at least one source")
+    mixtures = () if mixture is _NO_MIXTURE else (mixture,)
     rates = {x.sample_rate for x in (*refs, *ests, *mixtures) if isinstance(x, AudioBuffer)}
     if len(rates) > 1:
         raise ValueError(f"inputs disagree on sample rate: {sorted(rates)}")
-    scorer = _scorer(metric)
-    refs = [_signal(r, f"reference {i}") for i, r in enumerate(refs)]
-    ests = [_signal(e, f"estimate {j}") for j, e in enumerate(ests)]
+    if metric not in ("sdr", "si_sdr", "si-sdr"):  # "si-sdr" is the CLI's spelling
+        raise ValueError(f"unknown metric {metric!r}; expected 'sdr' or 'si_sdr'")
+    signals = _one_length([
+        *(_signal(r, f"reference {i}") for i, r in enumerate(refs)),
+        *(_signal(e, f"estimate {j}") for j, e in enumerate(ests)),
+        *(_signal(m, "mixture") for m in mixtures),
+    ])
     n = len(refs)
-    pairs = [(i, j) for i in range(n) for j in (range(n) if full else (i,))]
-    n_matrix = len(pairs)
-    mixture_error = None
-    for mixture in mixtures:
-        try:
-            ests.append(_signal(mixture, "mixture"))
-            pairs += [(i, n) for i in range(n)]
-        except ValueError as exc:
-            mixture_error = exc
-    outcomes = _pair_scores(scorer, refs, ests, pairs)
+    pairs = [(i, n + j) for i in range(n) for j in (range(n) if full else (i,))]
+    values = _values(_scores(signals, pairs + [(i, 2 * n) for i in range(n) if mixtures], metric))
     scores = np.full((n, n), np.nan)
-    for (i, j), value in zip(pairs, _values(outcomes[:n_matrix])):
-        scores[i, j] = value
-    if mixture_error is not None:
-        raise mixture_error
-    return scores, _values(outcomes[n_matrix:])
+    for (i, j), value in zip(pairs, values):
+        scores[i, j - n] = value
+    return scores, values[len(pairs) :]
 
 
 def _mean_db(values) -> float:
@@ -371,8 +329,8 @@ def pit(refs, ests, metric: str = "si_sdr") -> tuple[tuple[int, ...], float]:
 
     Solved by ``assignment.max_weight_assignment`` on the pairwise scores,
     with infinities substituted by +-300 dB during selection; a non-finite
-    sample in any signal, or ``AudioBuffer``s of different sample rates,
-    raise ValueError. Among permutations of exactly equal substituted
+    sample in any signal, signals of different lengths, or ``AudioBuffer``s
+    of different sample rates raise ValueError. Among permutations of exactly equal substituted
     total, the one the solver's order reaches first wins: references join
     in index order, and each path search takes the lowest-index estimate
     among equal reduced costs. That is not always the
@@ -397,9 +355,9 @@ def sdr_improvement(refs, ests, mixture, metric: str = "sdr", permute: bool = Tr
     ``permute`` is False. Improvement per source i is
     metric(ref_i, est_perm(i)) - metric(ref_i, mixture); matching infinities
     cancel to 0. ``AudioBuffer`` inputs, the mixture included, must share
-    one sample rate.
+    one sample rate, and every signal one length, even with ``permute`` False.
     """
-    scores, baseline = _score_matrix(refs, ests, metric, full=permute, mixtures=[mixture])
+    scores, baseline = _score_matrix(refs, ests, metric, full=permute, mixture=mixture)
     n = len(baseline)
     perm = _best_permutation(scores) if permute else tuple(range(n))
     per_sdr = [float(scores[i, perm[i]]) for i in range(n)]

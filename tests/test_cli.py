@@ -27,7 +27,7 @@ from diarsep import (
     write_feature_stack,
     write_wav,
 )
-from diarsep import emit_rttm
+from diarsep import Annotation, emit_rttm
 from diarsep.cli import main
 from diarsep.der import compute_der, total_der
 from diarsep.tasnet import basis_to_stack
@@ -775,6 +775,17 @@ def test_score_der_reports_the_lowest_failing_recording(tmp_path, capsys, monkey
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code, out, err = run(capsys, "score-der", ref, hyp)
     assert (code, out, err) == (1, "", "error: rec1 is broken\n")
+
+
+def test_score_der_names_the_lowest_recording_without_reference_speech(tmp_path, capsys):
+    # two recordings with hypothesis speech and no reference: both fail, the lower URI is named
+    ref, hyp, _ = der_corpus(tmp_path)
+    with open(hyp, "a") as f:
+        for uri in ("solo_b", "solo_a"):
+            f.write(emit_rttm(Annotation(uri, ((1.0, 2.0, "A"),))))
+    code, out, err = run(capsys, "score-der", ref, hyp)
+    message = "solo_a: no scored reference speech but hypothesis speech present; rates undefined"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_score_der_loads_no_masked_arrays(tmp_path):

@@ -31,6 +31,29 @@ def test_package_source_imports_no_scipy():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# numpy's products that run on BLAS, which splits a long sum over its own threads
+BLAS_PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot"}
+
+
+def blas_products(path: Path) -> list[int]:
+    """Line numbers of every ``@`` and every use or import of a name in BLAS_PRODUCTS in a module."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_PRODUCTS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in BLAS_PRODUCTS for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_separation_scoring_uses_no_blas_product():
+    # a BLAS product would let the thread count change the scores' bits
+    assert blas_products(PACKAGE / "der.py")  # the check sees der's `d @ ...` sums
+    assert blas_products(PACKAGE / "sepmetrics.py") == []
+
+
 def module_level_imports(path: Path) -> set[str]:
     """Modules that importing ``path`` imports: absolute names, and package modules as
     ".name" ("." for the package itself); imports inside function bodies excluded."""

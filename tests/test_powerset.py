@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,29 @@ def test_decode_examples():
 def test_decode_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         decode_class(build_space(3), 7)
+
+
+def test_decode_class_equals_the_class_matrix_rows():
+    for k in range(1, 9):
+        space = build_space(k)
+        for idx in range(space.n_classes):
+            row = decode_class(space, idx)
+            assert row.dtype == np.int8
+            assert np.array_equal(row, space.class_matrix[idx])
+
+
+def test_decode_class_builds_no_class_matrix():
+    # the dense class matrix at K = 200 is 20101 x 200 int8, about 4 MB
+    space = build_space(200)
+    tracemalloc.start()
+    try:
+        rows = [decode_class(space, idx) for idx in (0, 1, 200, space.n_classes - 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert [np.flatnonzero(row).tolist() for row in rows] == [[], [0], [199], [198, 199]]
+    assert "class_matrix" not in vars(space)  # the cached property was never computed
 
 
 def test_decode_encode_identity():

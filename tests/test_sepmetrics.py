@@ -302,6 +302,30 @@ def test_energy_overflow_is_an_error():
             pit(refs, refs[::-1], metric)
 
 
+def test_pit_checks_every_length_before_any_pair_is_scored():
+    x, zero = np.array([1.0, 0.5, -0.25]), np.zeros(3)
+    # pair (0, 0) would raise "all zeros", but the lengths are checked first
+    for metric in ("sdr", "si_sdr"):
+        with pytest.raises(ValueError, match=r"^length mismatch: 3 vs 2$"):
+            pit([zero, x], [x, x[:2]], metric)
+
+
+def test_improvement_without_pit_needs_one_length_for_all_pairs():
+    # refs[1] and ests[1] agree with each other, not with refs[0]
+    x = np.array([1.0, 0.5, -0.25])
+    refs, ests = [x, np.ones(4)], [x, np.ones(4)]
+    for metric in ("sdr", "si_sdr"):
+        with pytest.raises(ValueError, match=r"^length mismatch: 3 vs 4$"):
+            sdr_improvement(refs, ests, x, metric=metric, permute=False)
+
+
+def test_a_non_finite_mixture_is_reported_before_any_pair_error():
+    x, zero = np.array([1.0, 0.5]), np.zeros(2)
+    for permute in (True, False):
+        with pytest.raises(ValueError, match="^mixture must be finite"):
+            sdr_improvement([zero, x], [x, x], [np.nan, 1.0], permute=permute)
+
+
 def cpus(monkeypatch, n):
     """Make the worker pool see n usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
