@@ -11,12 +11,12 @@ import numpy as np
 
 from diarsep import build_space, decode_class, decode_frames, encode_label
 
-# -- the catalog ------------------------------------------------------------
+# -- the classes ------------------------------------------------------------
 
 space = build_space(3)
 print(f"K=3 speakers -> {space.n_classes} classes:")
-for idx, members in enumerate(space.classes):
-    label = " + ".join(f"speaker {m}" for m in members) or "silence"
+for idx in range(space.n_classes):
+    label = " + ".join(f"speaker {m}" for m in space.members(idx)) or "silence"
     print(f"  class {idx}: {label}")
 
 # -- encoding activity vectors ----------------------------------------------
@@ -26,9 +26,10 @@ for bits in ([0, 0, 0], [0, 1, 0], [1, 0, 1]):
     print(f"activity {bits} -> class {encode_label(space, bits)}")
 
 # Vectors with more than two active speakers are not classes; they project to
-# the nearest class by Hamming distance, lowest index on ties:
+# the nearest class by Hamming distance, lowest index on ties, which is the
+# pair of their first two active speakers:
 print(f"activity [1, 1, 1] -> class {encode_label(space, [1, 1, 1])} "
-      f"(= subset {space.classes[encode_label(space, [1, 1, 1])]})")
+      f"(= subset {space.members(encode_label(space, [1, 1, 1]))})")
 
 # -- decoding is the exact inverse on valid classes --------------------------
 

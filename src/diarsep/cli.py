@@ -70,8 +70,8 @@ def _cmd_powerset(args) -> int:
         vec = decode_class(space, args.decode)
         print("".join(str(int(v)) for v in vec))
         return 0
-    for idx, members in enumerate(space.classes):
-        names = "+".join(f"s{k}" for k in members) or "-"
+    for idx in range(space.n_classes):
+        names = "+".join(f"s{k}" for k in space.members(idx)) or "-"
         print(f"{idx}\t{names}")
     return 0
 
@@ -198,23 +198,16 @@ def _cmd_score_der(args) -> int:
     if not uris:
         raise ValueError("no recordings found in either RTTM file")
 
-    # one pool job per recording; every job runs, so the lowest-index error is raised
-    outcomes = [None] * len(uris)
+    # one pool job per recording; run_blocks raises the error of the lowest failing one
+    reports = [None] * len(uris)
 
     def score(k):
         uri = uris[k]
         ref = ref_map.get(uri, Annotation(uri, ()))
         hyp = hyp_map.get(uri, Annotation(uri, ()))
-        try:
-            outcomes[k] = compute_der(ref, hyp, collar=args.collar, eval_regions=uem.get(uri))
-        except Exception as exc:  # raised below, in URI order
-            outcomes[k] = exc
+        reports[k] = (uri, compute_der(ref, hyp, collar=args.collar, eval_regions=uem.get(uri)))
 
     run_blocks(score, len(uris), 1)
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    reports = list(zip(uris, outcomes))
 
     rows = reports if args.mode != "aggregate" else []
     if args.mode != "per-file":

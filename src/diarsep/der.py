@@ -1,5 +1,6 @@
 """Diarization error rate: interval-sweep scoring under an optimal speaker mapping."""
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,7 +62,8 @@ def _sweep(
     ref_on, hyp_on = ref.onsets, hyp.onsets
     ref_off, hyp_off = ref.onsets + ref.durations, hyp.onsets + hyp.durations
     boundaries = np.concatenate([ref_on, ref_off]) if collar > 0 else np.empty(0)
-    zone_on, zone_off = boundaries - collar, boundaries + collar
+    with np.errstate(over="ignore"):  # an edge beyond float64 range is reported below
+        zone_on, zone_off = boundaries - collar, boundaries + collar
     regions = np.array(eval_regions or [], dtype=float).reshape(-1, 2)
     # a region that ends before it starts covers nothing rather than a negative span
     region_on, region_off = regions[:, 0], np.maximum(regions[:, 0], regions[:, 1])
@@ -73,6 +75,13 @@ def _sweep(
     distinct[:1] = True
     np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
     edges = edges[distinct]
+    with np.errstate(over="ignore"):
+        length = np.diff(edges)
+    # segment edges and their spans are finite (Annotation checks them); zones and regions need not be
+    if not (np.isfinite(edges).all() and np.isfinite(length).all()):
+        raise ValueError(
+            f"{ref.uri}: collar zones and evaluation regions must have finite edges and spans"
+        )
 
     def covered(onsets, offsets, codes=0, width=1):
         # +1 and -1 counts on the flattened (edge, column) grid
@@ -90,7 +99,7 @@ def _sweep(
         hyp.labels,
         covered(ref_on, ref_off, ref.codes, len(ref.labels)),
         covered(hyp_on, hyp_off, hyp.codes, len(hyp.labels)),
-        np.diff(edges),
+        length,
         in_region,
         in_region & ~covered(zone_on, zone_off)[:, 0],
     )
@@ -144,7 +153,8 @@ def _report(
     """The one percentage convention: each is 100 * seconds / speech, der_pct their literal sum.
 
     Zero speech gives all-zero percentages, or a ValueError naming ``uri``
-    when false alarm is present.
+    when false alarm is present. A total or percentage beyond float64 range
+    is a ValueError naming ``uri`` too.
     """
     if total_speech == 0.0:
         if false_alarm > 0.0:
@@ -153,7 +163,10 @@ def _report(
             )
         return DerReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, mapping)
     pcts = [100.0 * seconds / total_speech for seconds in (false_alarm, missed, confusion)]
-    return DerReport(false_alarm, missed, confusion, total_speech, *pcts, sum(pcts), mapping)
+    values = (false_alarm, missed, confusion, total_speech, *pcts, sum(pcts))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{uri}: a DER total or percentage is not finite in float64")
+    return DerReport(*values, mapping)
 
 
 def compute_der(
@@ -175,7 +188,9 @@ def compute_der(
         speech      += d * N_ref
 
     Raises ValueError naming ``ref.uri`` when no reference speech is scored
-    but hypothesis activity is; two empty annotations score 0.
+    but hypothesis activity is, when a collar zone or evaluation region edge
+    or span is not finite, or when a total or percentage is not finite; two
+    empty annotations score 0.
     """
     if not 0 <= collar < np.inf:  # also false for nan
         raise ValueError(f"collar must be finite and >= 0, got {collar}")

@@ -85,18 +85,16 @@ def chunks_from_stack(
     _check_hop(stack.n_frames / stack.frame_rate, hop)
     if num_speakers < 1:
         raise ValueError(f"num_speakers must be >= 1, got {num_speakers}")
-    # the class count, without building a catalogue that grows with num_speakers^2
-    n_classes = 1 + num_speakers + num_speakers * (num_speakers - 1) // 2
-    if stack.dim not in (n_classes, num_speakers):
+    space = build_space(num_speakers)
+    if stack.dim not in (space.n_classes, num_speakers):
         raise ValueError(
-            f"tensor dim {stack.dim} matches neither {n_classes} powerset "
+            f"tensor dim {stack.dim} matches neither {space.n_classes} powerset "
             f"classes nor {num_speakers} speaker slots"
         )
-    space = build_space(num_speakers) if stack.dim == n_classes else None
     chunks = []
     for ci, plane in enumerate(stack.data):
         try:
-            activity = plane if space is None else decode_frames(space, plane)
+            activity = plane if stack.dim == num_speakers else decode_frames(space, plane)
             chunks.append(ChunkSegmentation(ci * hop, stack.frame_rate, activity))
         except ValueError as exc:
             raise ValueError(f"chunk {ci}: {exc}") from None

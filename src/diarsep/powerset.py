@@ -1,12 +1,13 @@
-"""Speaker-subset class space: bijective subset <-> index codec and frame decoding.
+"""Speaker-subset class space: a closed-form subset <-> index codec and frame decoding.
 
 Classes are ordered as the empty set, then singletons in speaker order, then
-speaker pairs in lexicographic order; speaker slots are 0-based.
+speaker pairs in lexicographic order; speaker slots are 0-based. Indices are
+computed from that ordering, so nothing is stored per class.
 """
 
-import itertools
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -16,52 +17,73 @@ from .features import check_finite
 @dataclass(frozen=True)
 class PowersetSpace:
     max_speakers: int
-    classes: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def class_matrix(self) -> np.ndarray:
-        """(n_classes, max_speakers) 0/1 indicator matrix of the class subsets."""
-        matrix = np.zeros((len(self.classes), self.max_speakers), dtype=np.int8)
-        for idx, members in enumerate(self.classes):
-            matrix[idx, list(members)] = 1
-        return matrix
+    def __post_init__(self):
+        if self.max_speakers < 1:
+            raise ValueError(f"max_speakers must be >= 1, got {self.max_speakers}")
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        k = self.max_speakers
+        return 1 + k + k * (k - 1) // 2
+
+    def index(self, active) -> int:
+        """Class index of an ascending list of active speaker slots.
+
+        Only the first two entries are read, so a longer list indexes the
+        pair of its two lowest slots.
+        """
+        k = self.max_speakers
+        if len(active) >= 2:
+            i, j = active[0], active[1]
+            if not 0 <= i < j < k:
+                raise ValueError(f"expected ascending speaker slots in [0, {k}), got {i}, {j}")
+            # the pairs led by 0 .. i-1 come first: (K-1) + (K-2) + ... + (K-i) of them
+            return 1 + k + i * (2 * k - i - 1) // 2 + (j - i - 1)
+        if len(active) == 1:
+            if not 0 <= active[0] < k:
+                raise ValueError(f"expected a speaker slot in [0, {k}), got {active[0]}")
+            return 1 + active[0]
+        return 0
+
+    def members(self, index) -> tuple[int, ...]:
+        """The ascending speaker slots of class ``index``, the inverse of ``index``."""
+        index = operator.index(index)
+        k = self.max_speakers
+        if not 0 <= index < self.n_classes:
+            raise ValueError(f"class index {index} out of range [0, {self.n_classes})")
+        if index <= k:
+            return () if index == 0 else (index - 1,)
+        # counted from the last pair, the pairs led by i are the T(n-1) .. T(n) - 1
+        # for n = K-1-i, where T(n) = n(n+1)/2 is the n-th triangular number
+        from_end = self.n_classes - 1 - index
+        i = k - 2 - (math.isqrt(8 * from_end + 1) - 1) // 2
+        j = index - (1 + k + i * (2 * k - i - 1) // 2) + i + 1
+        return (i, j)
 
 
 def build_space(max_speakers: int) -> PowersetSpace:
-    """Build the class catalog for up to ``max_speakers`` tracked speakers."""
-    if max_speakers < 1:
-        raise ValueError(f"max_speakers must be >= 1, got {max_speakers}")
-    classes: list[tuple[int, ...]] = [()]
-    classes.extend((k,) for k in range(max_speakers))
-    classes.extend(itertools.combinations(range(max_speakers), 2))
-    return PowersetSpace(max_speakers, tuple(classes))
+    """The class space of up to ``max_speakers`` tracked speakers."""
+    return PowersetSpace(max_speakers)
 
 
 def encode_label(space: PowersetSpace, multilabel) -> int:
     """Map a K-bit activity vector to its class index.
 
     Vectors whose active set is not a class (more than two active speakers)
-    project to the class at minimum Hamming distance, ties broken by the
-    lowest class index.
+    project to the pair of their first two active speakers: the class at
+    minimum Hamming distance, ties broken by the lowest class index.
     """
     vec = np.asarray(multilabel).reshape(-1)
     if vec.size != space.max_speakers:
         raise ValueError(f"expected a vector of length {space.max_speakers}, got {vec.size}")
-    active = (vec != 0).astype(np.int8)
-    distances = np.abs(space.class_matrix - active).sum(axis=1)
-    return int(np.argmin(distances))
+    return space.index(np.flatnonzero(vec)[:2].tolist())
 
 
 def decode_class(space: PowersetSpace, index: int) -> np.ndarray:
-    """Return the K-bit indicator vector of class ``index``, without building ``class_matrix``."""
-    if not 0 <= index < space.n_classes:
-        raise ValueError(f"class index {index} out of range [0, {space.n_classes})")
+    """Return the K-bit indicator vector of class ``index``."""
     vector = np.zeros(space.max_speakers, dtype=np.int8)
-    vector[list(space.classes[index])] = 1
+    vector[list(space.members(index))] = 1
     return vector
 
 
@@ -75,5 +97,14 @@ def decode_frames(space: PowersetSpace, scores) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[1] != space.n_classes:
         raise ValueError(f"expected scores of shape (T, {space.n_classes}), got {mat.shape}")
     check_finite(mat, "scores")
-    best = np.argmax(mat, axis=1)
-    return space.class_matrix[best]
+    # the (n_classes, K) class indicator matrix, built per call; the pair of
+    # rank r (in lexicographic order) is (i, j) with r = i(2K-i-1)/2 + (j-i-1)
+    k = space.max_speakers
+    first = np.repeat(np.arange(k), np.arange(k - 1, -1, -1))
+    second = np.arange(first.size) - first * (2 * k - first - 1) // 2 + first + 1
+    pairs = np.arange(k + 1, space.n_classes)
+    table = np.zeros((space.n_classes, k), dtype=np.int8)
+    table[np.arange(1, k + 1), np.arange(k)] = 1
+    table[pairs, first] = 1
+    table[pairs, second] = 1
+    return table[np.argmax(mat, axis=1)]

@@ -27,7 +27,10 @@ def run_blocks(job, n_out: int, block: int = BLOCK) -> None:
     thread. In a CLI child, whose OpenBLAS pool cli.run pins to one thread,
     these workers are the only compute threads. Workers take the next start
     under a lock. The first exception a job raises stops the others from
-    taking new blocks and is raised here once every thread has been joined.
+    taking new blocks. Once every thread has been joined, the exception of
+    the failing job with the lowest start is raised: every lower start was
+    taken before that job and ran to the end, so this is the error a serial
+    loop would raise, whatever the thread count or timing.
     """
     starts = iter(range(0, n_out, block))
     lock = threading.Lock()
@@ -43,7 +46,7 @@ def run_blocks(job, n_out: int, block: int = BLOCK) -> None:
                 job(start)
             except BaseException as exc:  # re-raised in the caller below
                 with lock:
-                    errors.append(exc)
+                    errors.append((start, exc))
                 return
 
     threads = []
@@ -56,4 +59,4 @@ def run_blocks(job, n_out: int, block: int = BLOCK) -> None:
         for thread in threads:
             thread.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]

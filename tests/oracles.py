@@ -1,4 +1,4 @@
-"""Independent brute-force oracles for the RTTM parser, DER, assignment, PIT, AHC, linkage, resampling, WAV, TasNet and acceptance tests."""
+"""Independent brute-force oracles for the RTTM parser, DER, assignment, PIT, AHC, linkage, resampling, WAV, TasNet, powerset codec and acceptance tests."""
 
 import itertools
 import math
@@ -239,6 +239,30 @@ def assignment_oracle(weights):
     from scipy.optimize import linear_sum_assignment  # only the oracle needs scipy.optimize
 
     return linear_sum_assignment(weights, maximize=True)
+
+
+def powerset_classes_oracle(max_speakers: int) -> tuple[tuple[int, ...], ...]:
+    """The powerset class catalogue: the empty set, each speaker, then every pair in lexicographic order."""
+    classes: list[tuple[int, ...]] = [()]
+    classes.extend((k,) for k in range(max_speakers))
+    classes.extend(itertools.combinations(range(max_speakers), 2))
+    return tuple(classes)
+
+
+def powerset_matrix_oracle(max_speakers: int) -> np.ndarray:
+    """(n_classes, max_speakers) 0/1 int8 indicator matrix of the catalogue, one row per class."""
+    classes = powerset_classes_oracle(max_speakers)
+    matrix = np.zeros((len(classes), max_speakers), dtype=np.int8)
+    for idx, members in enumerate(classes):
+        matrix[idx, list(members)] = 1
+    return matrix
+
+
+def powerset_encode_oracle(max_speakers: int, vector) -> int:
+    """The first catalogue class at minimum Hamming distance from a 0/1 activity vector."""
+    active = [int(bool(v)) for v in vector]
+    distances = [sum(a != b for a, b in zip(active, row)) for row in powerset_matrix_oracle(max_speakers)]
+    return distances.index(min(distances))
 
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64

@@ -175,7 +175,7 @@ def test_criterion_6_powerset_codec():
 
         space3 = build_space(3)
         assert encode_label(space3, [1, 1, 1]) == 4
-        assert space3.classes[4] == (0, 1)
+        assert space3.members(4) == (0, 1)
 
 
 def test_criterion_7_fusion():

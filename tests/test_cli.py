@@ -788,6 +788,22 @@ def test_score_der_names_the_lowest_recording_without_reference_speech(tmp_path,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_score_der_rejects_totals_and_collar_zones_beyond_float64_range(tmp_path, capsys):
+    # every value is finite, but a percentage or a collar zone edge overflows float64;
+    # the suite turns every numpy RuntimeWarning into an error, so none is raised here
+    small, huge = tmp_path / "small.rttm", tmp_path / "huge.rttm"
+    small.write_text(emit_rttm(Annotation("a", ((0.0, 1.0, "s1"),))))
+    huge.write_text(emit_rttm(Annotation("a", ((0.0, 1e308, "s1"),))))
+    zones = "a: collar zones and evaluation regions must have finite edges and spans"
+    cases = (
+        ((small, huge), "a: a DER total or percentage is not finite in float64"),
+        ((huge, huge, "--collar", "1e308"), zones),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, "score-der", *map(str, argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_score_der_loads_no_masked_arrays(tmp_path):
     # np.unique imports numpy.ma on its first call; the DER sweep does not use it
     ref, hyp, uem = der_corpus(tmp_path)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from diarsep import Annotation, compute_der, optimal_mapping
+from diarsep import Annotation, compute_der, optimal_mapping, total_der
 from diarsep.der import _coactivity, _sweep
 from oracles import grid_der, perturbed_hypothesis, random_annotation, sweep_oracle
 
@@ -220,6 +220,36 @@ def test_non_finite_collar_rejected():
     for collar in (float("nan"), float("inf"), -0.1):
         with pytest.raises(ValueError, match="collar must be finite and >= 0"):
             compute_der(ref, ref, collar=collar)
+
+
+def test_a_percentage_beyond_float64_range_is_an_error_naming_the_recording():
+    # every input is finite, but 100 * 1e308 s of false alarm over 1 s of speech is not
+    ref = Annotation("a", ((0.0, 1.0, "s1"),))
+    hyp = Annotation("a", ((0.0, 1e308, "s1"),))
+    with pytest.raises(ValueError, match="^a: a DER total or percentage is not finite in float64$"):
+        compute_der(ref, hyp)
+
+
+def test_summed_totals_beyond_float64_range_are_an_error_naming_overall():
+    huge = Annotation("a", ((0.0, 1e308, "s1"),))
+    report = compute_der(huge, huge)
+    assert (report.total_speech, report.der_pct) == (1e308, 0.0)
+    with pytest.raises(ValueError, match="^OVERALL: a DER total or percentage is not finite"):
+        total_der([report, report])
+
+
+def test_collar_zones_and_regions_beyond_float64_range_are_errors_without_warnings():
+    # the suite turns every numpy RuntimeWarning into an error, so none is raised here
+    huge = Annotation("a", ((0.0, 1e308, "s1"),))
+    message = "^a: collar zones and evaluation regions must have finite edges and spans$"
+    with pytest.raises(ValueError, match=message):
+        compute_der(huge, huge, collar=1e308)  # the zone edge 1e308 + 1e308 overflows
+    empty = Annotation("a", ())
+    for regions in ([(0.0, float("inf"))], [(float("nan"), 1.0)], [(-1e308, 1e308)]):
+        with pytest.raises(ValueError, match=message):
+            compute_der(empty, empty, eval_regions=regions)
+    with pytest.raises(ValueError, match=message):
+        optimal_mapping(huge, huge, [(0.0, float("inf"))])
 
 
 def test_removing_hypothesis_segment_never_decreases_missed():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from diarsep import (
     pooled_embeddings,
     stitch,
 )
-import diarsep.diarize
 from diarsep.diarize import chunks_from_stack
 from oracles import ahc_oracle, linkage_oracle
 
@@ -348,17 +349,18 @@ def test_accepted_hops_leave_no_gap(n_frames, frame_rate, n_chunks, hop_fraction
     assert abs(segment.onset + segment.duration - total) <= 0.5 / frame_rate + 1e-9
 
 
-def test_dim_check_builds_no_class_catalogue(monkeypatch):
+def test_dim_check_builds_no_class_catalogue():
     """The dim is compared with the class count by arithmetic: a huge K fails
     without building its K^2 catalogue, and K < 1 is rejected by name."""
-
-    def no_build(max_speakers):
-        raise AssertionError(f"built a class space for K={max_speakers}")
-
-    monkeypatch.setattr(diarsep.diarize, "build_space", no_build)
     stack = FeatureStack(np.zeros((2, 10, 7), np.float32), 50.0)
-    with pytest.raises(ValueError, match="tensor dim 7 matches neither 500000500001 powerset classes"):
-        chunks_from_stack(stack, num_speakers=10**6, hop=0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="tensor dim 7 matches neither 500000500001 powerset classes"):
+            chunks_from_stack(stack, num_speakers=10**6, hop=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the 500000500001 class tuples would take tens of GB
     for k in (0, -5):
         with pytest.raises(ValueError, match=f"num_speakers must be >= 1, got {k}"):
             chunks_from_stack(stack, num_speakers=k, hop=0.1)

@@ -1,31 +1,25 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from diarsep import build_space, decode_class, decode_frames, encode_label
-
-
-def naive_encode(space, vector):
-    """Scalar projection oracle: first class at minimum Hamming distance."""
-    best_idx, best_dist = 0, None
-    for idx, members in enumerate(space.classes):
-        indicator = [1 if k in members else 0 for k in range(space.max_speakers)]
-        dist = sum(int(bool(v)) != i for v, i in zip(vector, indicator))
-        if best_dist is None or dist < best_dist:
-            best_idx, best_dist = idx, dist
-    return best_idx
+from diarsep import PowersetSpace, build_space, decode_class, decode_frames, encode_label
+from diarsep.cli import main
+from oracles import powerset_classes_oracle, powerset_encode_oracle, powerset_matrix_oracle
 
 
 def test_k3_catalog():
     space = build_space(3)
-    assert space.classes == ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+    members = [space.members(idx) for idx in range(space.n_classes)]
+    assert members == [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
     assert space.n_classes == 7
 
 
 def test_k1_catalog():
-    assert build_space(1).classes == ((), (0,))
+    space = build_space(1)
+    assert [space.members(idx) for idx in range(space.n_classes)] == [(), (0,)]
 
 
 def test_k5_count():
@@ -33,15 +27,50 @@ def test_k5_count():
 
 
 def test_class_count_formula():
+    # index and members against the catalogue they replace, for every class up to K = 8
     for k in range(1, 9):
         space = build_space(k)
         assert space.n_classes == 1 + k + k * (k - 1) // 2
-        assert len(set(space.classes)) == space.n_classes
+        classes = powerset_classes_oracle(k)
+        assert [space.members(idx) for idx in range(space.n_classes)] == list(classes)
+        assert [space.index(list(members)) for members in classes] == list(range(space.n_classes))
 
 
 def test_build_errors():
     with pytest.raises(ValueError, match="max_speakers"):
         build_space(0)
+    with pytest.raises(ValueError, match="max_speakers must be >= 1, got -2"):
+        PowersetSpace(-2)
+
+
+def test_space_stores_nothing_per_class():
+    space = build_space(10**6)
+    assert vars(space) == {"max_speakers": 10**6}
+    assert space.n_classes == 500000500001
+
+
+@pytest.mark.parametrize("k", [1000, 10**6])
+def test_sampled_round_trips_at_large_k(k):
+    space = build_space(k)
+    rand = random.Random(k)
+    last = space.n_classes - 1
+    anchors = [0, 1, k, k + 1, k + 2, last - 1, last]
+    for idx in anchors + [rand.randrange(space.n_classes) for _ in range(2000)]:
+        members = space.members(idx)
+        assert list(members) == sorted(set(members)) and all(0 <= m < k for m in members)
+        assert space.index(list(members)) == idx
+    assert space.members(k + 1) == (0, 1)
+    assert space.members(2 * k - 1) == (0, k - 1)
+    assert space.members(2 * k) == (1, 2)
+    assert space.members(last) == (k - 2, k - 1)
+
+
+def test_index_rejects_slots_that_are_not_ascending_or_in_range():
+    space = build_space(4)
+    for active in ([4], [-1], [2, 1], [1, 1], [0, 4]):
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            space.index(active)
+    assert space.index([1, 3, 0]) == space.index([1, 3])  # only the first two are read
 
 
 def test_encode_examples():
@@ -53,9 +82,10 @@ def test_encode_examples():
 
 
 def test_encode_matches_naive_oracle():
-    space = build_space(4)
-    for bits in itertools.product((0, 1), repeat=4):
-        assert encode_label(space, bits) == naive_encode(space, bits)
+    for k in range(1, 9):
+        space = build_space(k)
+        for bits in itertools.product((0, 1), repeat=k):
+            assert encode_label(space, bits) == powerset_encode_oracle(k, bits)
 
 
 def test_encode_wrong_length():
@@ -77,10 +107,11 @@ def test_decode_out_of_range():
 def test_decode_class_equals_the_class_matrix_rows():
     for k in range(1, 9):
         space = build_space(k)
+        matrix = powerset_matrix_oracle(k)
         for idx in range(space.n_classes):
             row = decode_class(space, idx)
             assert row.dtype == np.int8
-            assert np.array_equal(row, space.class_matrix[idx])
+            assert np.array_equal(row, matrix[idx])
 
 
 def test_decode_class_builds_no_class_matrix():
@@ -94,7 +125,19 @@ def test_decode_class_builds_no_class_matrix():
         tracemalloc.stop()
     assert peak < 64 * 1024
     assert [np.flatnonzero(row).tolist() for row in rows] == [[], [0], [199], [198, 199]]
-    assert "class_matrix" not in vars(space)  # the cached property was never computed
+
+
+def test_powerset_command_at_k1000_allocates_nothing_per_class(capsys):
+    # a dense (n_classes, K) class matrix at K = 1000 would be 500500 x 1000 int8, 500 MB
+    for argv, want in (("--encode", "1" * 1000), "1001\n"), (("--decode", "1"), "1" + "0" * 999 + "\n"):
+        tracemalloc.start()
+        try:
+            code = main(["powerset", "--num-speakers", "1000", *argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (0, want)
+        assert peak < 1024 * 1024
 
 
 def test_decode_encode_identity():
@@ -112,10 +155,11 @@ def test_projection_caps_active_speakers():
 
 
 def test_decode_frames_one_hot():
-    space = build_space(3)
-    scores = np.eye(7)
-    out = decode_frames(space, scores)
-    assert np.array_equal(out, space.class_matrix)
+    for k in range(1, 9):
+        space = build_space(k)
+        out = decode_frames(space, np.eye(space.n_classes))
+        assert out.dtype == np.int8 and out.flags.c_contiguous
+        assert np.array_equal(out, powerset_matrix_oracle(k))
 
 
 def test_decode_frames_tie_goes_to_non_speech():

@@ -299,6 +299,22 @@ def test_every_block_runs_exactly_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_the_lowest_failing_block_is_raised_when_a_higher_one_fails_first(monkeypatch):
+    cpus(monkeypatch, 2)
+    higher_failed = threading.Event()
+
+    def job(start):
+        if start == 0:
+            assert higher_failed.wait(timeout=10)
+            time.sleep(0.01)  # let the higher block's error be recorded first
+            raise KeyError("block 0")
+        higher_failed.set()
+        raise IndexError(f"block {start}")
+
+    with pytest.raises(KeyError, match="block 0"):
+        _run_blocks(job, 4 * BLOCK)
+
+
 def test_block_error_reaches_the_caller_and_stops_the_workers(monkeypatch):
     cpus(monkeypatch, 4)
     before = threading.active_count()
