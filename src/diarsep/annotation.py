@@ -18,12 +18,12 @@ class Annotation:
     ``onsets`` and ``durations`` are read-only float64 arrays, ``codes`` a
     read-only integer array indexing each segment's label in ``labels``, the
     sorted tuple of distinct labels. Onsets are non-negative, durations
-    strictly positive, ends (onset + duration) finite, speaker labels
-    non-empty and whitespace-free (they travel through whitespace-delimited
-    RTTM); each value is checked once, and an error names the first segment
-    at fault. ``segments`` is a view: a tuple of Segment of Python floats,
-    built from the columns in input order. Two annotations are equal when
-    their URIs and segments are.
+    strictly positive, ends (onset + duration) finite and, in float64,
+    greater than their onsets, speaker labels non-empty and whitespace-free
+    (they travel through whitespace-delimited RTTM); each value is checked
+    once, and an error names the first segment at fault. ``segments`` is a
+    view: a tuple of Segment of Python floats, built from the columns in
+    input order. Two annotations are equal when their URIs and segments are.
     """
 
     def __init__(self, uri: str, segments=()):
@@ -57,7 +57,8 @@ class Annotation:
             labels = [label for label, kept in zip(labels, present.tolist()) if kept]
         labels = tuple(labels)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are what the check looks for
-            bad = ~np.isfinite(onsets + durations) | (durations <= 0) | (onsets < 0)
+            ends = onsets + durations
+            bad = ~np.isfinite(ends) | (durations <= 0) | (onsets < 0) | (ends <= onsets)
         bad_label = np.array([label.split() != [label] for label in labels], dtype=bool)
         if bad_label.any():
             bad |= bad_label[codes]
@@ -116,6 +117,8 @@ def _check_segment(onset: float, duration: float, speaker: str) -> None:
         raise ValueError(f"segment duration must be positive, got {duration}")
     if onset < 0:
         raise ValueError(f"segment onset must be >= 0, got {onset}")
+    if onset + duration <= onset:  # the duration is lost in rounding the end to float64
+        raise ValueError(f"segment end must exceed its onset in float64, got ({onset}, {duration})")
     if speaker.split() != [speaker]:  # empty, or holds whitespace
         raise ValueError(f"speaker label must be non-empty without whitespace, got {speaker!r}")
 

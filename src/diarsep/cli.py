@@ -67,8 +67,8 @@ def _cmd_powerset(args) -> int:
         print(encode_label(space, [int(b) for b in bits]))
         return 0
     if args.decode is not None:
-        vec = decode_class(space, args.decode)
-        print("".join(str(int(v)) for v in vec))
+        vec = decode_class(space, args.decode)  # int8 0/1, so + ord("0") is one ASCII byte per digit
+        print((vec + ord("0")).tobytes().decode())
         return 0
     for idx in range(space.n_classes):
         names = "+".join(f"s{k}" for k in space.members(idx)) or "-"
@@ -100,12 +100,14 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_separate_oracle(args) -> int:
+    from contextlib import nullcontext
+
     import numpy as np
 
     from .audio import AudioBuffer, read_wav, write_wav
-    from .features import FeatureStack, read_feature_stack, write_feature_stack
+    from .features import read_feature_stack, sslf_writer
     from .sepmetrics import si_sdr
-    from .tasnet import basis_from_stack, check_kernel_fits, oracle_masks, oracle_separation, random_basis
+    from .tasnet import basis_from_stack, check_kernel_fits, masks_shape, oracle_separation, random_basis
 
     sources = [read_wav(p) for p in args.sources]
 
@@ -115,20 +117,25 @@ def _cmd_separate_oracle(args) -> int:
         check_kernel_fits(min(len(src) for src in sources), args.kernel)  # before the basis is allocated
         basis = random_basis(args.filters, args.kernel, args.stride, args.seed, args.nonlinearity)
 
-    estimates = oracle_separation(sources, basis)  # also checks that the sources share one rate and length
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (src, est) in enumerate(zip(sources, estimates)):
-        # decoding yields (T - 1) * stride + kernel_len <= len(src) samples
-        padded = AudioBuffer(np.pad(est.samples, (0, len(src) - len(est))), est.sample_rate)
-        path = out_dir / f"est{i}.wav"
-        write_wav(padded, path)
-        quality = si_sdr(src, padded)
-        print(f"source {i}: si_sdr={_fmt_db(quality)} dB -> {path}")
+    masks_file = nullcontext()
+    if args.save_masks:  # masks_shape checks that the sources share one rate and length
+        rate = sources[0].sample_rate / basis.stride
+        shape = masks_shape(sources, basis)
+        Path(args.save_masks).parent.mkdir(parents=True, exist_ok=True)  # as --output-dir is made
+        masks_file = sslf_writer(args.save_masks, shape, rate)
+    # the pass writes each block of masks to the file; a failure inside this block removes it
+    with masks_file as on_masks:
+        estimates = oracle_separation(sources, basis, on_masks)
+        out_dir = Path(args.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, (src, est) in enumerate(zip(sources, estimates)):
+            # decoding yields (T - 1) * stride + kernel_len <= len(src) samples
+            padded = AudioBuffer(np.pad(est.samples, (0, len(src) - len(est))), est.sample_rate)
+            path = out_dir / f"est{i}.wav"
+            write_wav(padded, path)
+            quality = si_sdr(src, padded)
+            print(f"source {i}: si_sdr={_fmt_db(quality)} dB -> {path}")
     if args.save_masks:
-        # a second pass over the sources: only this output needs the whole (S, T, N) masks
-        masks = oracle_masks(sources, basis)
-        write_feature_stack(FeatureStack(masks, sources[0].sample_rate / basis.stride), args.save_masks)
         print(f"masks -> {args.save_masks}")
     return 0
 
@@ -197,6 +204,9 @@ def _cmd_score_der(args) -> int:
     uris = sorted(set(ref_map) | set(hyp_map))
     if not uris:
         raise ValueError("no recordings found in either RTTM file")
+    uncovered = [uri for uri in uris if uri not in uem] if args.uem else []  # extra UEM URIs are allowed
+    if uncovered:
+        raise ValueError(f"{args.uem}: no UEM line for recording {uncovered[0]!r}")
 
     # one pool job per recording; run_blocks raises the error of the lowest failing one
     reports = [None] * len(uris)

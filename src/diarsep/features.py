@@ -12,7 +12,9 @@ SSLF layout, little-endian throughout:
 """
 
 import os
+import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,15 +45,21 @@ def overwrite_file(path: str | Path, *parts) -> None:
         f.truncate()
 
 
+def _frame_rate(value) -> float:
+    """``value`` as a float; ValueError unless it is positive and finite."""
+    rate = float(value)
+    if not np.isfinite(rate) or rate <= 0:
+        raise ValueError(f"frame_rate must be positive, got {value}")
+    return rate
+
+
 def _validate(carrier, name: str, shape_rule: str, shape_ok) -> None:
     """Coerce a carrier's data to float32; check its shape rule, finiteness and frame rate."""
     data = np.asarray(carrier.data, dtype=np.float32)
     if not shape_ok(data.shape):
         raise ValueError(f"{name} must be {shape_rule}, got {data.shape}")
     check_finite(data, name)
-    rate = float(carrier.frame_rate)
-    if not np.isfinite(rate) or rate <= 0:
-        raise ValueError(f"frame_rate must be positive, got {carrier.frame_rate}")
+    rate = _frame_rate(carrier.frame_rate)
     object.__setattr__(carrier, "data", data)
     object.__setattr__(carrier, "frame_rate", rate)
 
@@ -103,21 +111,63 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
-    """Write a FeatureStack as an SSLF file (bit-exact round trip with read).
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write the contiguous buffer ``data`` at ``offset`` of ``fd`` without moving the file position."""
+    view = memoryview(data).cast("B")
+    while view:  # a regular file may take fewer bytes per call (Linux: under 2 GiB)
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
-    The header and then the float32 payload, without a joined copy; an
-    existing file at ``path`` is overwritten in place (``overwrite_file``).
+
+@contextmanager
+def sslf_writer(path: str | Path, shape: tuple[int, int, int], frame_rate: float):
+    """Open an SSLF file of ``shape`` (n_layers, n_frames, dim); yield ``write(start, block)``.
+
+    ``write`` puts the (n_layers, k, dim) float32 ``block`` at frames
+    [start, start + k) of every layer. Each call ``os.pwrite``s at offsets
+    computed from ``start``, so threads that write disjoint frames share no
+    file position. Every frame must be written once before the block ends.
+    The header goes first, an existing file is overwritten in place, and on
+    a clean exit the file is cut to its length (the rule of
+    ``overwrite_file``). A block that exits by an exception removes the file
+    if it is a regular one, so no partial SSLF is left behind; any other kind
+    of target (a device, a FIFO) is left in place.
     """
-    header = _HEADER.pack(
-        SSLF_MAGIC,
-        SSLF_VERSION,
-        stack.n_layers,
-        stack.n_frames,
-        stack.dim,
-        stack.frame_rate,
-    )
-    overwrite_file(path, header, memoryview(np.ascontiguousarray(stack.data, dtype="<f4")))
+    n_layers, n_frames, dim = map(int, shape)
+    if min(n_layers, n_frames, dim) < 1:
+        raise ValueError(f"SSLF sizes must be positive, got {n_layers}x{n_frames}x{dim}")
+    header = _HEADER.pack(SSLF_MAGIC, SSLF_VERSION, n_layers, n_frames, dim, _frame_rate(frame_rate))
+    row_bytes = dim * 4
+
+    def write(start: int, block) -> None:
+        block = np.asarray(block)
+        fits = block.ndim == 3 and (block.shape[0], block.shape[2]) == (n_layers, dim)
+        if not (fits and 0 <= start <= n_frames - block.shape[1]):
+            raise ValueError(f"block {block.shape} at frame {start} does not fit SSLF {n_layers}x{n_frames}x{dim}")
+        for layer, rows in enumerate(block):  # each layer's rows are contiguous in the file
+            offset = _HEADER.size + (layer * n_frames + start) * row_bytes
+            _pwrite_all(fd, np.ascontiguousarray(rows, dtype="<f4"), offset)
+
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = False
+    try:
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            _pwrite_all(fd, header, 0)
+            yield write
+            os.ftruncate(fd, _HEADER.size + n_layers * n_frames * row_bytes)
+        finally:
+            os.close(fd)
+    except BaseException:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
+    """Write a FeatureStack as an SSLF file (bit-exact round trip with read): one block of ``sslf_writer``."""
+    with sslf_writer(path, stack.data.shape, stack.frame_rate) as write:
+        write(0, stack.data)
 
 
 def read_feature_stack(path: str | Path) -> FeatureStack:

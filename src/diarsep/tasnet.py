@@ -159,15 +159,16 @@ def _synthesize(
 ) -> list[AudioBuffer]:
     """Overlap-add synthesis^T @ latent[t] at t * stride for each source's masked latent.
 
-    ``masked_rows(rows, tile, scratch)`` returns the (S, frames, N) float32
-    masked latents of the frame slice ``rows``, its float64 products in tiles
-    of ``tile`` rows. Each ``_frame_blocks`` block of frames is one job of
-    ``workers.run_blocks``: it also takes the ceil(kernel_len / stride) - 1
-    frames before the block as a halo, synthesises in float64, adds the taps
-    k = 0..kernel_len-1 in ascending order from 0.0, and writes the samples
-    whose latest frame starts in the block (the last block also the tail)
-    into the float32 outputs. So every sample sums the same terms in the
-    same order as one whole-array overlap-add, whatever the thread count.
+    ``masked_rows(rows, start, tile, scratch)`` returns the (S, frames, N)
+    float32 masked latents of the frame slice ``rows``, its float64 products
+    in tiles of ``tile`` rows; the job owns frames [start, rows.stop). Each
+    ``_frame_blocks`` block of frames is one job of ``workers.run_blocks``:
+    it also takes the ceil(kernel_len / stride) - 1 frames before the block
+    as a halo, synthesises in float64, adds the taps k = 0..kernel_len-1 in
+    ascending order from 0.0, and writes the samples whose latest frame
+    starts in the block (the last block also the tail) into the float32
+    outputs. So every sample sums the same terms in the same order as one
+    whole-array overlap-add, whatever the thread count.
     """
     stride, kernel_len = basis.stride, basis.kernel_len
     size = min(n_frames, BLOCK_FRAMES)
@@ -185,7 +186,7 @@ def _synthesize(
         rows = slice(max(0, stop - size - halo), stop)  # stop - size: the _frame_blocks block
         offset = rows.start * stride
         first, last = start * stride, (stop * stride if stop < n_frames else n_out)
-        masked = masked_rows(rows, tile, scratch)
+        masked = masked_rows(rows, start, tile, scratch)
         n_rows = masked.shape[1]
         latent = scratch.get("synthesis_in", (min(n_rows, tile), basis.n_filters))
         frames = scratch.get("frames", (n_rows, kernel_len))
@@ -236,7 +237,7 @@ def decode(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
     if latent.dim != basis.n_filters:
         raise ValueError(f"latent dim {latent.dim} != basis n_filters {basis.n_filters}")
     (out,) = _synthesize(
-        lambda rows, tile, scratch: latent.data[None, rows], 1, latent.n_frames, basis, latent.frame_rate
+        lambda rows, start, tile, scratch: latent.data[None, rows], 1, latent.n_frames, basis, latent.frame_rate
     )
     return out
 
@@ -252,17 +253,22 @@ def _check_sources(sources: list[AudioBuffer]) -> None:
         raise ValueError(f"sources must have equal lengths, got {sorted(lengths)}")
 
 
+def masks_shape(sources: list[AudioBuffer], basis: EncoderBasis) -> tuple[int, int, int]:
+    """The (S, T, N) shape of oracle_masks(sources, basis), after its checks of the sources."""
+    _check_sources(sources)
+    return len(sources), len(_windows(sources[0].samples, basis)), basis.n_filters
+
+
 def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     """Ratio masks from per-source relu encodings.
 
     mask[s, t, n] = enc(source_s)[t, n] / (sum_j enc(source_j)[t, n] + DEFAULT_EPS),
     clipped to [0, 1]. Sources must share one sample rate and one length.
     """
-    _check_sources(sources)
+    masks = np.empty(masks_shape(sources, basis), dtype=np.float32)
     windows = [_windows(s.samples, basis) for s in sources]
     analysis_t = basis.analysis.T.astype(np.float64)
     scratch = _Scratch()
-    masks = np.empty((len(sources), len(windows[0]), basis.n_filters), dtype=np.float32)
     for block in _frame_blocks(len(windows[0])):
         _oracle_mask_rows(windows, analysis_t, block, BLOCK_FRAMES, scratch, masks[:, block])
     return masks
@@ -271,16 +277,17 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
 def _separate(mixture: AudioBuffer, n_sources: int, basis: EncoderBasis, write_masks) -> list[AudioBuffer]:
     """Encode the mixture, mask its latent and decode each source, one block of frames per job.
 
-    ``write_masks(rows, tile, scratch, out)`` writes the float32 (S, frames, N)
-    masks of the frame slice ``rows`` into ``out``, which is then masked in place.
+    ``write_masks(rows, start, tile, scratch, out)`` writes the float32
+    (S, frames, N) masks of the frame slice ``rows``, of which the job owns
+    [start, rows.stop), into ``out``, which is then masked in place.
     """
     windows = _windows(mixture.samples, basis)
     analysis_t = basis.analysis.T.astype(np.float64)
     relu = basis.nonlinearity == "relu"
 
-    def masked_rows(rows, tile, scratch):
+    def masked_rows(rows, start, tile, scratch):
         masked = scratch.get("masked", (n_sources, rows.stop - rows.start, basis.n_filters), np.float32)
-        write_masks(rows, tile, scratch, masked)
+        write_masks(rows, start, tile, scratch, masked)
         latent = scratch.get("mixture", masked.shape[1:], np.float32)
         _encode_rows(windows, analysis_t, relu, rows, tile, scratch, latent)
         np.multiply(latent, masked, out=masked)
@@ -298,7 +305,7 @@ def separate_with_masks(mixture: AudioBuffer, masks, basis: EncoderBasis) -> lis
     computed block by block without the whole latent.
     """
     m = _masks_array(masks, len(_windows(mixture.samples, basis)), basis.n_filters)
-    return _separate(mixture, len(m), basis, lambda rows, tile, scratch, out: np.copyto(out, m[:, rows]))
+    return _separate(mixture, len(m), basis, lambda rows, start, tile, scratch, out: np.copyto(out, m[:, rows]))
 
 
 def _mixture(sources: list[AudioBuffer]) -> AudioBuffer:
@@ -313,19 +320,26 @@ def _mixture(sources: list[AudioBuffer]) -> AudioBuffer:
     return AudioBuffer(total, sources[0].sample_rate)
 
 
-def oracle_separation(sources: list[AudioBuffer], basis: EncoderBasis) -> list[AudioBuffer]:
+def oracle_separation(sources: list[AudioBuffer], basis: EncoderBasis, on_masks=None) -> list[AudioBuffer]:
     """Separate the sum of ``sources`` with their oracle ratio masks, one block of masks at a time.
 
     Equal to separate_with_masks(mixture, oracle_masks(sources, basis), basis)
     for the float32 sum ``mixture`` of the sources, without the (S, T, N) masks.
+    ``on_masks(start, masks)``, if given, receives every frame's masks once:
+    the float32 (S, k, N) rows of frames [start, start + k) of
+    oracle_masks(sources, basis), one call per block, from a worker thread,
+    in no fixed order. ``masks`` is a scratch buffer that is masked in place
+    after the call returns, so a callback that keeps the rows copies them.
     """
     _check_sources(sources)
     mixture = _mixture(sources)
     source_windows = [_windows(s.samples, basis) for s in sources]
     analysis_t = basis.analysis.T.astype(np.float64)
 
-    def write_masks(rows, tile, scratch, out):
+    def write_masks(rows, start, tile, scratch, out):
         _oracle_mask_rows(source_windows, analysis_t, rows, tile, scratch, out)
+        if on_masks is not None:
+            on_masks(start, out[:, start - rows.start :])
 
     return _separate(mixture, len(sources), basis, write_masks)
 

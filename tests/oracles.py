@@ -43,6 +43,8 @@ def _checked_segments(segments) -> tuple[Segment, ...]:
             raise ValueError(f"segment duration must be positive, got {duration}")
         if onset < 0:
             raise ValueError(f"segment onset must be >= 0, got {onset}")
+        if onset + duration <= onset:
+            raise ValueError(f"segment end must exceed its onset in float64, got ({onset}, {duration})")
         if speaker.split() != [speaker]:  # empty, or holds whitespace
             raise ValueError(f"speaker label must be non-empty without whitespace, got {speaker!r}")
     return segments

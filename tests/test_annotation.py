@@ -160,6 +160,13 @@ def test_segment_end_must_be_finite():
         parse_rttm("SPEAKER u 1 1e308 1e308 <NA> <NA> spk <NA> <NA>")
 
 
+def test_segment_end_must_exceed_its_onset():
+    # a positive duration lost in rounding the end to float64 would score no time
+    with pytest.raises(ValueError, match=r"^segment end must exceed its onset in float64, got \(1.7e\+308, 1.0\)$"):
+        Annotation("u", ((0.0, 1.0, "spk"), (1.7e308, 1.0, "spk")))
+    assert Annotation("u", ((1e15, 0.5, "spk"),)).durations.tolist() == [0.5]  # an end that keeps some of it
+
+
 def test_emit_rejects_records_that_would_not_parse_back():
     # a duration under 0.5 ms would print as 0.000, which parse_rttm rejects
     with pytest.raises(ValueError, match=r"segment \(1.0, 0.0004, 'A'\) is shorter than 0.5 ms"):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tomllib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,11 @@ from diarsep import (
 from diarsep import Annotation, emit_rttm
 from diarsep.cli import main
 from diarsep.der import compute_der, total_der
-from diarsep.tasnet import basis_to_stack
+from diarsep.powerset import build_space, decode_class
+from diarsep.tasnet import BLOCK_FRAMES, basis_to_stack
 from diarsep.workers import worker_count
 from oracles import perturbed_hypothesis, random_annotation
+from test_resample import cpus
 
 
 def run(capsys, *argv):
@@ -150,6 +153,33 @@ def test_score_der_with_uem_and_collar(tmp_path, capsys):
     code, out, _ = run(capsys, "score-der", str(ref), str(hyp), "--uem", str(uem), "--collar", "0.25")
     assert code == 0
     assert "DER 0.000%" in out
+
+
+def test_score_der_uem_must_cover_every_recording(tmp_path, capsys):
+    ref, hyp, uem = tmp_path / "ref.rttm", tmp_path / "hyp.rttm", tmp_path / "regions.uem"
+    ref.write_text("".join(f"SPEAKER {uri} 1 0.0 10.0 <NA> <NA> A <NA> <NA>\n" for uri in ("c", "b")))
+    hyp.write_text("".join(f"SPEAKER {uri} 1 0.0 10.0 <NA> <NA> A <NA> <NA>\n" for uri in ("b", "d")))
+    argv = ("score-der", str(ref), str(hyp), "--uem", str(uem), "--format", "csv")
+    # "z" is in neither RTTM: extra UEM lines are allowed
+    for covered, missing in ((["b"], "c"), (["b", "c"], "d"), (["d", "b"], "c")):
+        uem.write_text("".join(f"{uri} 1 0.0 15.0\n" for uri in [*covered, "z"]))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {uem}: no UEM line for recording {missing!r}\n"
+    # d's region holds none of its hypothesis speech, so d scores zeros rather than an undefined rate
+    uem.write_text("d 1 20.0 30.0\nb 1 0.0 15.0\nz 1 0.0 5.0\nc 1 0.0 15.0\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()] == ["uri", "b", "c", "d", "OVERALL"]
+
+
+def test_score_der_rejects_a_segment_whose_end_rounds_to_its_onset(tmp_path, capsys):
+    ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER a 1 0 1 <NA> <NA> s1 <NA> <NA>\n")
+    hyp.write_text("SPEAKER a 1 0 1 <NA> <NA> s1 <NA> <NA>\nSPEAKER a 1 1.7e308 1 <NA> <NA> s1 <NA> <NA>\n")
+    code, out, err = run(capsys, "score-der", str(ref), str(hyp))
+    assert (code, out) == (1, "")
+    assert err == "error: RTTM line 2: segment end must exceed its onset in float64, got (1.7e+308, 1.0)\n"
 
 
 def test_score_sdr_swapped_inputs(tmp_path, capsys):
@@ -363,6 +393,20 @@ def test_powerset_command(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_powerset_decode_prints_the_class_indicator_vector(capsys):
+    last = build_space(1000).n_classes - 1
+    cases = [(k, range(-1, build_space(k).n_classes + 1)) for k in range(1, 9)]
+    cases.append((1000, (-1, 0, 1, 1000, 1001, 1998, 1999, 250000, last, last + 1)))
+    for k, indices in cases:
+        space = build_space(k)
+        for index in indices:
+            code, out, err = run(capsys, "powerset", "--num-speakers", str(k), "--decode", str(index))
+            if 0 <= index < space.n_classes:
+                assert (code, out, err) == (0, "".join(map(str, decode_class(space, index))) + "\n", "")
+            else:
+                assert (code, out) == (1, "") and "out of range" in err
+
+
 def test_fuse_command(tmp_path, capsys):
     rng = np.random.default_rng(2)
     data = rng.standard_normal((3, 5, 4)).astype(np.float32)
@@ -445,6 +489,27 @@ def test_save_masks_changes_no_estimate(tmp_path, capsys):
     assert masks_path.read_bytes() == expected.read_bytes()
 
 
+def test_save_masks_inside_a_new_output_dir(tmp_path, capsys):
+    """The masks file may lie in the --output-dir that the run creates."""
+    rng = np.random.default_rng(15)
+    paths = []
+    for i in range(2):
+        paths.append(tmp_path / f"s{i}.wav")
+        write_wav(AudioBuffer(rng.uniform(-0.4, 0.4, 3000).astype(np.float32), 8000), paths[-1])
+    out_dir = tmp_path / "est"
+    masks_path = out_dir / "masks.sslf"
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(out_dir),
+        "--seed", "7", "--save-masks", str(masks_path),
+    )
+    assert (code, err) == (0, "") and out.endswith(f"masks -> {masks_path}\n")
+    assert (out_dir / "est0.wav").exists() and (out_dir / "est1.wav").exists()
+    expected = tmp_path / "expected.sslf"
+    sources = [read_wav(p) for p in paths]
+    write_feature_stack(FeatureStack(oracle_masks(sources, random_basis(128, 16, 8, 7)), 8000 / 8), expected)
+    assert masks_path.read_bytes() == expected.read_bytes()
+
+
 def test_separate_oracle_rejects_non_finite_source_encodings(tmp_path, capsys):
     # 16-bit PCM cannot hold NaN, but finite weights can overflow the float32 encodings
     paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
@@ -498,6 +563,68 @@ def test_separate_oracle_rejects_unequal_lengths(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert "sources must have equal lengths, got [1600, 1700]" in err
     assert not (tmp_path / "est").exists() and not (tmp_path / "masks.sslf").exists()
+
+
+def test_save_masks_runs_no_second_masks_pass(tmp_path, capsys, monkeypatch):
+    """The fused pass writes the masks file: oracle_masks is never called, and the
+    traced peak with --save-masks stays that of the run without it, below the whole masks."""
+    cpus(monkeypatch, 2)
+    rng = np.random.default_rng(14)
+    n = 8 * 16000  # 15999 frames: 16 blocks
+    paths = []
+    for i in range(2):
+        paths.append(tmp_path / f"s{i}.wav")
+        write_wav(AudioBuffer(rng.uniform(-0.4, 0.4, n).astype(np.float32), 16000), paths[-1])
+    sources = [read_wav(p) for p in paths]
+    masks = oracle_masks(sources, random_basis(128, 16, 8, 7))
+    expected = tmp_path / "expected.sslf"
+    write_feature_stack(FeatureStack(masks, 16000 / 8), expected)
+
+    def no_second_pass(*args):
+        raise AssertionError("separate-oracle called oracle_masks")
+
+    monkeypatch.setattr("diarsep.tasnet.oracle_masks", no_second_pass)
+    argv = ["separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"), "--seed", "7"]
+    masks_path = tmp_path / "masks.sslf"
+    peaks = []
+    for extra in ([], ["--save-masks", str(masks_path)]):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv, *extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+    assert masks_path.read_bytes() == expected.read_bytes()
+    assert peaks[1] < peaks[0] + 1e6 and peaks[1] < masks.nbytes, (peaks, masks.nbytes)
+
+
+def test_failed_separation_leaves_no_masks_file(tmp_path, capsys, monkeypatch):
+    """Silent sources fill the first two blocks of masks; a loud late block overflows
+    the encodings of a 3e38 basis. The file begun by the pass is removed."""
+    cpus(monkeypatch, 1)  # the failing block runs on this thread, under np.errstate
+    n = 3 * BLOCK_FRAMES * 8 + 8  # three blocks of frames at kernel 16, stride 8
+    t = np.arange(2000) / 8000
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    for path, freq in zip(paths, (440, 660)):
+        samples = np.zeros(n, np.float32)
+        samples[-2000:] = 0.4 * np.sin(2 * np.pi * freq * t)
+        write_wav(AudioBuffer(samples, 8000), path)
+    basis_path = tmp_path / "basis.sslf"
+    write_feature_stack(FeatureStack(np.full((2, 4, 16), 3e38, np.float32), 1.0), basis_path)
+    writes = []
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: writes.append(offset) or pwrite(fd, data, offset))
+    masks_path = tmp_path / "masks.sslf"
+    with np.errstate(over="ignore"):
+        code, out, err = run(
+            capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
+            "--basis", str(basis_path), "--save-masks", str(masks_path),
+        )
+    assert (code, out) == (1, "")
+    assert "source encodings must be finite" in err
+    assert len(writes) == 1 + 2 * 2  # the header, then two blocks of two sources
+    assert not masks_path.exists() and not (tmp_path / "est").exists()
 
 
 def test_separate_oracle_rejects_a_rate_beyond_the_wav_header(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 import struct
 import tracemalloc
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarsep import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
+from diarsep.features import sslf_writer
 
 
 def test_minimal_file_layout(tmp_path):
@@ -165,3 +168,37 @@ def test_overwrite_cuts_a_longer_stack_file_to_the_new_length(tmp_path):
     back = read_feature_stack(path)
     assert back.data.tobytes() == data.tobytes()
     assert back.frame_rate == 25.0
+
+
+def test_block_writer_puts_frames_at_their_offsets_and_removes_a_failed_file(tmp_path):
+    path = tmp_path / "blocks.sslf"
+    data = np.random.default_rng(6).standard_normal((3, 10, 4)).astype(np.float32)
+    write_feature_stack(FeatureStack(np.ones((4, 300, 16), np.float32), 50.0), path)  # longer, overwritten
+    with sslf_writer(path, data.shape, 12.5) as write:
+        for start in (7, 0, 4):  # blocks in any order
+            write(start, data[:, start : start + (3 if start == 7 else 4)])
+    back = read_feature_stack(path)
+    assert back.data.tobytes() == data.tobytes() and back.frame_rate == 12.5
+
+    for start, block in ((8, data[:, :3]), (-1, data[:, :2]), (0, data[:2, :2]), (0, data[:, :2, :3])):
+        with pytest.raises(ValueError, match="does not fit SSLF 3x10x4"), sslf_writer(path, data.shape, 12.5) as write:
+            write(0, data[:, :5])
+            write(start, block)
+        assert not path.exists()
+    for shape, rate in (((3, 0, 4), 12.5), ((3, 10, 4), 0.0), ((3, 10, 4), float("nan"))):
+        with pytest.raises(ValueError, match="must be positive"), sslf_writer(path, shape, rate):
+            pass
+    assert not path.exists()
+
+
+def test_block_writer_leaves_a_target_that_is_not_a_regular_file(tmp_path):
+    # a FIFO opens for writing once it has a reader, then refuses pwrite (ESPIPE)
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(OSError):
+            write_feature_stack(FeatureStack(np.ones((1, 2, 3), np.float32), 10.0), path)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(path).st_mode)

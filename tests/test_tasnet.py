@@ -10,12 +10,15 @@ from diarsep import (
     AudioBuffer,
     EncoderBasis,
     FeatureMatrix,
+    FeatureStack,
     mirrored_dct_basis,
     oracle_masks,
     oracle_separation,
     random_basis,
     si_sdr,
+    write_feature_stack,
 )
+from diarsep.features import sslf_writer
 from diarsep.tasnet import (
     BLOCK_FRAMES,
     _frame_blocks,
@@ -25,6 +28,7 @@ from diarsep.tasnet import (
     basis_to_stack,
     decode,
     encode,
+    masks_shape,
     separate_with_masks,
 )
 from diarsep.workers import worker_count
@@ -460,6 +464,35 @@ def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
             sys.setswitchinterval(interval)
         blocks = [-(-n_frames // BLOCK_FRAMES) for n_frames in frame_counts]
         assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), n_cpus
+
+
+@pytest.mark.parametrize("n_frames", [k * BLOCK_FRAMES + d for k in (1, 3) for d in (-1, 1)])
+@pytest.mark.parametrize("kind", ["stride-1", "stride-8"])
+def test_on_masks_writes_the_masks_file_of_oracle_masks(monkeypatch, tmp_path, kind, n_frames):
+    """Each frame's masks reach on_masks once, without halo or overlap rows, so the
+    blocks written at their offsets give the file of the whole oracle_masks array."""
+    basis = PARALLEL_BASES[kind]
+    rng = np.random.default_rng(n_frames)
+    n = (n_frames - 1) * basis.stride + basis.kernel_len
+    sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
+    rate = 8000 / basis.stride
+    expected = tmp_path / "expected.sslf"
+    write_feature_stack(FeatureStack(oracle_masks(sources, basis), rate), expected)
+    for n_cpus in (1, 2, 4):
+        cpus(monkeypatch, n_cpus)
+        path = tmp_path / f"masks-{n_cpus}.sslf"
+        seen = np.zeros(n_frames, dtype=int)
+        lock = threading.Lock()
+        with sslf_writer(path, masks_shape(sources, basis), rate) as write:
+
+            def on_masks(start, masks):
+                with lock:
+                    seen[start : start + masks.shape[1]] += 1
+                write(start, masks)
+
+            oracle_separation(sources, basis, on_masks)
+        assert (seen == 1).all(), n_cpus
+        assert path.read_bytes() == expected.read_bytes(), n_cpus
 
 
 def test_worker_error_reaches_the_caller_after_every_thread_joins(monkeypatch):
