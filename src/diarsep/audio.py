@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import check_finite, overwrite_file
-from .workers import BLOCK
+from .features import check_finite, output_file
+from .workers import BLOCK, run_blocks
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -91,14 +91,16 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
 
 def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
-    """Write a mono 16-bit PCM WAV file.
+    """Write a mono 16-bit PCM WAV file: the 44-byte header, then the samples.
 
     Samples are clipped to [-1, 1] and quantized as round(sample * 32767),
-    halves to even, which stays inside the int16 range. The conversion runs
-    in float64 on BLOCK samples at a time into one int16 array. An existing
-    file at ``path`` is overwritten in place (``overwrite_file``). Raises
-    ValueError, before writing, when the byte rate or the RIFF size does not
-    fit its 32-bit header field.
+    halves to even, which stays inside the int16 range. Each BLOCK of samples
+    is one job of ``workers.run_blocks``: it converts its slice in float64 to
+    int16 and writes it at its own offset through ``features.output_file``,
+    so no whole-signal int16 array is built and the file does not depend on
+    the thread count. The file follows ``output_file``'s rule. Raises
+    ValueError, before opening ``path``, when the byte rate or the RIFF size
+    does not fit its 32-bit header field.
     """
     if 2 * buffer.sample_rate > 0xFFFFFFFF:
         raise ValueError(
@@ -109,17 +111,10 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
         raise ValueError(
             f"{len(buffer)} samples too many for WAV: RIFF size {36 + 2 * len(buffer)} does not fit in 32 bits"
         )
-    pcm = np.empty(len(buffer), dtype="<i2")
-    for start in range(0, pcm.size, BLOCK):
-        x = buffer.samples[start : start + BLOCK].astype(np.float64)
-        np.clip(x, -1.0, 1.0, out=x)
-        x *= 32767.0
-        np.round(x, out=x)
-        pcm[start : start + BLOCK] = x
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + pcm.nbytes,
+        36 + 2 * len(buffer),
         b"WAVE",
         b"fmt ",
         16,
@@ -130,6 +125,15 @@ def write_wav(buffer: AudioBuffer, path: str | Path) -> None:
         2,
         16,
         b"data",
-        pcm.nbytes,
+        2 * len(buffer),
     )
-    overwrite_file(path, header, memoryview(pcm))
+
+    def job(start: int) -> None:
+        x = np.clip(buffer.samples[start : start + BLOCK], -1.0, 1.0, dtype=np.float64)
+        x *= 32767.0
+        np.round(x, out=x)
+        write(len(header) + 2 * start, x.astype("<i2"))
+
+    with output_file(path, len(header) + 2 * len(buffer)) as write:
+        write(0, header)
+        run_blocks(job, len(buffer))

@@ -143,7 +143,7 @@ def _cmd_separate_oracle(args) -> int:
 def _cmd_diarize(args) -> int:
     from .annotation import emit_rttm
     from .diarize import chunks_from_stack, diarize_file, embeddings_from_stack
-    from .features import FeatureMatrix, overwrite_file, read_feature_stack
+    from .features import FeatureMatrix, output_file, read_feature_stack
 
     if not (args.features or args.embeddings):
         raise ValueError("need --features or --embeddings to identify speakers across chunks")
@@ -173,7 +173,9 @@ def _cmd_diarize(args) -> int:
     if args.output == "-":
         sys.stdout.write(rttm)
     else:
-        overwrite_file(args.output, rttm.encode())
+        data = rttm.encode()
+        with output_file(args.output, len(data)) as write:
+            write(0, data)
         print(
             f"wrote {len(annotation.onsets)} segments for "
             f"{len(annotation.speakers())} speakers -> {args.output}"

@@ -31,20 +31,6 @@ def check_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite, got non-finite values")
 
 
-def overwrite_file(path: str | Path, *parts) -> None:
-    """Write the byte buffers ``parts`` to ``path`` in order, overwriting an existing file in place.
-
-    The file is cut to the new length after the write. Truncating first would
-    free every block of the old file, and ext4 flushes a truncated rewrite at
-    close (auto_da_alloc): each rewrite of a 38 MB file stalled 0.4-1.7 s on
-    an ext4 volume mounted with discard (2-vCPU VM).
-    """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        for part in parts:
-            f.write(part)
-        f.truncate()
-
-
 def _frame_rate(value) -> float:
     """``value`` as a float; ValueError unless it is positive and finite."""
     rate = float(value)
@@ -111,12 +97,45 @@ class FeatureMatrix:
         return self.data.shape[1]
 
 
-def _pwrite_all(fd: int, data, offset: int) -> None:
-    """Write the contiguous buffer ``data`` at ``offset`` of ``fd`` without moving the file position."""
-    view = memoryview(data).cast("B")
-    while view:  # a regular file may take fewer bytes per call (Linux: under 2 GiB)
-        written = os.pwrite(fd, view, offset)
-        view, offset = view[written:], offset + written
+@contextmanager
+def output_file(path: str | Path, size: int):
+    """Open ``path`` for ``size`` bytes of output; yield ``write(offset, buffer)``.
+
+    This is the one way diarsep writes a file. ``write`` puts the contiguous
+    ``buffer`` at byte ``offset`` with ``os.pwrite``, so threads that write
+    disjoint spans share no file position. An existing file is overwritten
+    in place, and a regular file is cut to ``size`` on a clean exit. Opening
+    with O_TRUNC instead would free every block of the old file, and ext4
+    flushes a truncated rewrite at close (auto_da_alloc): each rewrite of a
+    38 MB file stalled 0.4-1.7 s on an ext4 volume mounted with discard
+    (2-vCPU VM). A block that exits by an exception removes the file if it
+    is a regular one, so no partial output is left behind. Any other kind of
+    target (/dev/null; a FIFO, which refuses pwrite) is never cut or
+    removed. An OSError that leaves the block naming no file (those of
+    pwrite and ftruncate) is given ``path`` as its file name.
+    """
+
+    def write(offset: int, data) -> None:
+        view = memoryview(data).cast("B")
+        while view:  # a regular file may take fewer bytes per call (Linux: under 2 GiB)
+            written = os.pwrite(fd, view, offset)
+            view, offset = view[written:], offset + written
+
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = False
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        yield write
+        if regular:
+            os.ftruncate(fd, size)
+    except BaseException as exc:
+        if regular:
+            Path(path).unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = os.fspath(path)  # pwrite and ftruncate name no file
+        raise
+    finally:
+        os.close(fd)
 
 
 @contextmanager
@@ -124,14 +143,9 @@ def sslf_writer(path: str | Path, shape: tuple[int, int, int], frame_rate: float
     """Open an SSLF file of ``shape`` (n_layers, n_frames, dim); yield ``write(start, block)``.
 
     ``write`` puts the (n_layers, k, dim) float32 ``block`` at frames
-    [start, start + k) of every layer. Each call ``os.pwrite``s at offsets
-    computed from ``start``, so threads that write disjoint frames share no
-    file position. Every frame must be written once before the block ends.
-    The header goes first, an existing file is overwritten in place, and on
-    a clean exit the file is cut to its length (the rule of
-    ``overwrite_file``). A block that exits by an exception removes the file
-    if it is a regular one, so no partial SSLF is left behind; any other kind
-    of target (a device, a FIFO) is left in place.
+    [start, start + k) of every layer, at byte offsets computed from
+    ``start``. Every frame must be written once before the block ends. The
+    header goes first; the file follows the rule of ``output_file``.
     """
     n_layers, n_frames, dim = map(int, shape)
     if min(n_layers, n_frames, dim) < 1:
@@ -146,22 +160,11 @@ def sslf_writer(path: str | Path, shape: tuple[int, int, int], frame_rate: float
             raise ValueError(f"block {block.shape} at frame {start} does not fit SSLF {n_layers}x{n_frames}x{dim}")
         for layer, rows in enumerate(block):  # each layer's rows are contiguous in the file
             offset = _HEADER.size + (layer * n_frames + start) * row_bytes
-            _pwrite_all(fd, np.ascontiguousarray(rows, dtype="<f4"), offset)
+            write_at(offset, np.ascontiguousarray(rows, dtype="<f4"))
 
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    regular = False
-    try:
-        try:
-            regular = stat.S_ISREG(os.fstat(fd).st_mode)
-            _pwrite_all(fd, header, 0)
-            yield write
-            os.ftruncate(fd, _HEADER.size + n_layers * n_frames * row_bytes)
-        finally:
-            os.close(fd)
-    except BaseException:
-        if regular:
-            Path(path).unlink(missing_ok=True)
-        raise
+    with output_file(path, _HEADER.size + n_layers * n_frames * row_bytes) as write_at:
+        write_at(0, header)
+        yield write
 
 
 def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:

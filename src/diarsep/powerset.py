@@ -91,20 +91,15 @@ def decode_frames(space: PowersetSpace, scores) -> np.ndarray:
     """Decode a (T, n_classes) score matrix into (T, K) binary speaker activity.
 
     Per frame: argmax over classes (ties resolve to the lowest class index),
-    then the class indicator vector.
+    then the class indicator vector (``decode_class``). Only the classes some
+    frame takes are decoded, so beyond the argmax the work and memory do not
+    grow with n_classes.
     """
     mat = np.asarray(scores, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != space.n_classes:
         raise ValueError(f"expected scores of shape (T, {space.n_classes}), got {mat.shape}")
     check_finite(mat, "scores")
-    # the (n_classes, K) class indicator matrix, built per call; the pair of
-    # rank r (in lexicographic order) is (i, j) with r = i(2K-i-1)/2 + (j-i-1)
-    k = space.max_speakers
-    first = np.repeat(np.arange(k), np.arange(k - 1, -1, -1))
-    second = np.arange(first.size) - first * (2 * k - first - 1) // 2 + first + 1
-    pairs = np.arange(k + 1, space.n_classes)
-    table = np.zeros((space.n_classes, k), dtype=np.int8)
-    table[np.arange(1, k + 1), np.arange(k)] = 1
-    table[pairs, first] = 1
-    table[pairs, second] = 1
-    return table[np.argmax(mat, axis=1)]
+    labels = np.argmax(mat, axis=1)
+    classes = sorted(set(labels.tolist()))  # not np.unique, which would load numpy.ma
+    table = np.array([decode_class(space, c) for c in classes], np.int8).reshape(len(classes), space.max_speakers)
+    return table[np.searchsorted(classes, labels)]

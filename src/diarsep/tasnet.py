@@ -118,12 +118,15 @@ def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratc
     w = scratch.get("windows", (rows.stop - rows.start, windows.shape[1]))
     np.copyto(w, windows[rows])
     product = scratch.get("product", (min(len(w), tile), analysis_t.shape[1]))
-    for t in _frame_blocks(len(w), tile):
-        np.matmul(w[t], analysis_t, out=product)
-        if relu:
-            np.maximum(product, 0.0, out=out[t], casting="same_kind")
-        else:
-            np.copyto(out[t], product, casting="same_kind")
+    # a product beyond float32 range rounds to inf, which the caller's check_finite
+    # reports; errstate is per thread, so a caller's setting would miss pool workers
+    with np.errstate(over="ignore"):
+        for t in _frame_blocks(len(w), tile):
+            np.matmul(w[t], analysis_t, out=product)
+            if relu:
+                np.maximum(product, 0.0, out=out[t], casting="same_kind")
+            else:
+                np.copyto(out[t], product, casting="same_kind")
 
 
 def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratch: _Scratch, out) -> None:

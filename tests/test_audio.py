@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from diarsep import AudioBuffer, read_wav, write_wav
 from diarsep.audio import BLOCK, PCM_SUBFORMAT
 from oracles import write_wav_oracle
+from test_resample import cpus
 
 
 def make_wav_bytes(pcm_bytes, n_channels=1, rate=8000, audio_format=1, bits=16):
@@ -104,8 +106,9 @@ def test_header_declares_duration(tmp_path):
     assert data_bytes // 2 / rate == 1.0
 
 
-def test_write_matches_whole_signal_oracle_bytes(tmp_path):
-    """Blockwise quantization writes the oracle's file byte for byte, across block edges.
+def test_write_matches_whole_signal_oracle_bytes(tmp_path, monkeypatch):
+    """Blockwise quantization writes the oracle's file byte for byte, across block edges,
+    whatever the number of threads that write the blocks.
 
     The samples include +-1, values beyond +-1 and +-0.5 with its float32
     neighbours: 0.5 * 32767 = 16383.5 is the only in-range product that is
@@ -116,16 +119,34 @@ def test_write_matches_whole_signal_oracle_bytes(tmp_path):
         [special, np.nextafter(special[6:8], np.float32(0)), np.nextafter(special[6:8], np.float32(2))]
     )
     rng = np.random.default_rng(12)
-    for n in list(range(1, 8)) + [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]:
+    lengths = list(range(1, 8)) + [k * BLOCK + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [2 * BLOCK + 3]
+    for n in lengths:
         x = rng.uniform(-1.2, 1.2, n).astype(np.float32)
         x[: special.size] = special[:n]
         x[-special.size :] = special[-n:]
         buffer = AudioBuffer(x, 8000)
-        write_wav(buffer, tmp_path / "got.wav")
         write_wav_oracle(buffer, tmp_path / "want.wav")
-        got = np.frombuffer((tmp_path / "got.wav").read_bytes(), np.uint8)
         want = np.frombuffer((tmp_path / "want.wav").read_bytes(), np.uint8)
-        np.testing.assert_array_equal(got, want)
+        for n_cpus in (1, 2, 4):
+            cpus(monkeypatch, n_cpus)
+            write_wav(buffer, tmp_path / "got.wav")
+            got = np.frombuffer((tmp_path / "got.wav").read_bytes(), np.uint8)
+            np.testing.assert_array_equal(got, want, err_msg=f"{n} samples on {n_cpus} CPUs")
+
+
+def test_write_holds_no_whole_int16_copy(tmp_path, monkeypatch):
+    """Each job of write_wav holds one block in float64 and in int16, 10 * BLOCK bytes;
+    a whole int16 copy of the ten blocks would take 20 * BLOCK."""
+    cpus(monkeypatch, 1)
+    buffer = AudioBuffer(np.random.default_rng(13).uniform(-1, 1, 10 * BLOCK).astype(np.float32), 16000)
+    tracemalloc.start()
+    try:
+        write_wav(buffer, tmp_path / "ten_blocks.wav")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(buffer), peak
+    assert read_wav(tmp_path / "ten_blocks.wav").samples.size == len(buffer)
 
 
 def test_overwrite_cuts_a_longer_file_to_the_new_length(tmp_path):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -517,17 +518,17 @@ def test_separate_oracle_rejects_non_finite_source_encodings(tmp_path, capsys):
     write_sine(paths[1], 660)
     basis_path = tmp_path / "basis.sslf"
     write_feature_stack(FeatureStack(np.full((2, 4, 16), 3e38, np.float32), 1.0), basis_path)
-    with np.errstate(over="ignore"):
-        code, out, err = run(
-            capsys,
-            "separate-oracle",
-            "--sources", *map(str, paths),
-            "--output-dir", str(tmp_path / "est"),
-            "--basis", str(basis_path),
-            "--save-masks", str(tmp_path / "masks.sslf"),
-        )
-    assert (code, out) == (1, "")
-    assert "source encodings must be finite" in err
+    # no caller np.errstate: the encoder ignores the overflow itself, so stderr is the error
+    # line alone (under this suite's warnings-as-errors, a numpy warning would raise instead)
+    code, out, err = run(
+        capsys,
+        "separate-oracle",
+        "--sources", *map(str, paths),
+        "--output-dir", str(tmp_path / "est"),
+        "--basis", str(basis_path),
+        "--save-masks", str(tmp_path / "masks.sslf"),
+    )
+    assert (code, out, err) == (1, "", "error: source encodings must be finite, got non-finite values\n")
     assert not (tmp_path / "est").exists() and not (tmp_path / "masks.sslf").exists()
 
 
@@ -602,7 +603,7 @@ def test_save_masks_runs_no_second_masks_pass(tmp_path, capsys, monkeypatch):
 def test_failed_separation_leaves_no_masks_file(tmp_path, capsys, monkeypatch):
     """Silent sources fill the first two blocks of masks; a loud late block overflows
     the encodings of a 3e38 basis. The file begun by the pass is removed."""
-    cpus(monkeypatch, 1)  # the failing block runs on this thread, under np.errstate
+    cpus(monkeypatch, 2)  # the failing block may run on a worker thread
     n = 3 * BLOCK_FRAMES * 8 + 8  # three blocks of frames at kernel 16, stride 8
     t = np.arange(2000) / 8000
     paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
@@ -616,11 +617,10 @@ def test_failed_separation_leaves_no_masks_file(tmp_path, capsys, monkeypatch):
     pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: writes.append(offset) or pwrite(fd, data, offset))
     masks_path = tmp_path / "masks.sslf"
-    with np.errstate(over="ignore"):
-        code, out, err = run(
-            capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
-            "--basis", str(basis_path), "--save-masks", str(masks_path),
-        )
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
+        "--basis", str(basis_path), "--save-masks", str(masks_path),
+    )
     assert (code, out) == (1, "")
     assert "source encodings must be finite" in err
     assert len(writes) == 1 + 2 * 2  # the header, then two blocks of two sources
@@ -731,6 +731,29 @@ def test_diarize_output_overwrites_a_longer_file(tmp_path, capsys):
     code, _, _ = run(capsys, *argv, "--output", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == rttm.encode()
+
+
+@pytest.mark.parametrize("output", ["resample", "diarize", "fuse", "save-masks"])
+def test_outputs_to_dev_null_exit_0(tmp_path, capsys, output):
+    # /dev/null takes every write, but it is not a regular file: cutting it (ftruncate)
+    # fails with EINVAL, so the writer leaves it as it is
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    wav = tmp_path / "in.wav"
+    write_sine(wav, 440)
+    (tmp_path / "weights.txt").write_text("0\n0\n")
+    argv = {
+        "resample": ["resample", str(wav), os.devnull, "--rate", "16000"],
+        "diarize": ["diarize", str(scores_path), "--features", str(feats_path), "--output", os.devnull],
+        "fuse": ["fuse", str(feats_path), str(tmp_path / "weights.txt"), os.devnull],
+        "save-masks": [
+            "separate-oracle", "--sources", str(wav), str(wav), "--output-dir", str(tmp_path / "est"),
+            "--seed", "7", "--save-masks", os.devnull,
+        ],
+    }[output]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"{os.devnull}\n")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_diarize_command_with_embeddings(tmp_path, capsys):

@@ -1,16 +1,21 @@
+import errno
 import os
 import re
 import stat
 import struct
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diarsep import Annotation, AudioBuffer, emit_rttm, write_wav
 from diarsep import FeatureMatrix, FeatureStack, read_feature_stack, write_feature_stack
-from diarsep.features import sslf_writer
+from diarsep.features import output_file, sslf_writer
+from diarsep.workers import BLOCK
+from oracles import write_wav_oracle
 
 
 def test_minimal_file_layout(tmp_path):
@@ -159,6 +164,32 @@ def test_reader_fuzz_returns_stack_or_value_error(tmp_path_factory, length, flip
     assert stack.data.nbytes == length - 24
 
 
+def write_rttm(annotation: Annotation, path) -> None:
+    """An RTTM file as diarize --output writes it: one write at offset 0."""
+    data = emit_rttm(annotation).encode()
+    with output_file(path, len(data)) as write:
+        write(0, data)
+
+
+def output_formats(tmp_path) -> dict:
+    """Each output format: its writer as a function of the path, and the file it must write.
+
+    The WAV spans three blocks of samples, so write_wav runs several jobs.
+    """
+    wav = AudioBuffer(np.linspace(-1.0, 1.0, 2 * BLOCK + 3, dtype=np.float32), 8000)
+    write_wav_oracle(wav, tmp_path / "want.wav")
+    stack = FeatureStack(np.random.default_rng(5).standard_normal((2, 7, 3)).astype(np.float32), 25.0)
+    annotation = Annotation("rec", ((0.0, 1.5, "spk0"), (1.0, 2.25, "spk1")))
+    return {
+        "wav": (partial(write_wav, wav), (tmp_path / "want.wav").read_bytes()),
+        "sslf": (
+            partial(write_feature_stack, stack),
+            struct.pack("<4sIIIIf", b"SSLF", 1, 2, 7, 3, 25.0) + stack.data.tobytes(),
+        ),
+        "rttm": (partial(write_rttm, annotation), emit_rttm(annotation).encode()),
+    }
+
+
 def test_overwrite_cuts_a_longer_stack_file_to_the_new_length(tmp_path):
     path = tmp_path / "reused.sslf"
     write_feature_stack(FeatureStack(np.ones((4, 300, 16), np.float32), 50.0), path)
@@ -170,7 +201,18 @@ def test_overwrite_cuts_a_longer_stack_file_to_the_new_length(tmp_path):
     assert back.frame_rate == 25.0
 
 
-def test_block_writer_puts_frames_at_their_offsets_and_removes_a_failed_file(tmp_path):
+def test_overwrite_is_in_place_for_every_output_format(tmp_path):
+    # in place: the file keeps its inode, and is cut to what was written
+    for name, (write, want) in output_formats(tmp_path).items():
+        path = tmp_path / f"reused.{name}"
+        path.write_bytes(b"\xff" * (len(want) + 5000))
+        inode = path.stat().st_ino
+        write(path)
+        assert path.read_bytes() == want, name
+        assert path.stat().st_ino == inode, name
+
+
+def test_block_writer_puts_frames_at_their_offsets_and_removes_a_failed_file(tmp_path, monkeypatch):
     path = tmp_path / "blocks.sslf"
     data = np.random.default_rng(6).standard_normal((3, 10, 4)).astype(np.float32)
     write_feature_stack(FeatureStack(np.ones((4, 300, 16), np.float32), 50.0), path)  # longer, overwritten
@@ -190,6 +232,24 @@ def test_block_writer_puts_frames_at_their_offsets_and_removes_a_failed_file(tmp
             pass
     assert not path.exists()
 
+    # every format: a write that fails (here the one that ends the file) removes the
+    # file begun, after the writes before it, and the error names the path
+    pwrite = os.pwrite
+    for name, (write, want) in output_formats(tmp_path).items():
+        path = tmp_path / f"failed.{name}"
+        path.write_bytes(b"\xff" * (len(want) + 5000))
+
+        def disk_full(fd, data, offset, size=len(want)):
+            if offset + len(data) == size:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", disk_full)
+        with pytest.raises(OSError, match=f"No space left on device: '{re.escape(str(path))}'$"):
+            write(path)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        assert not path.exists(), name
+
 
 def test_block_writer_leaves_a_target_that_is_not_a_regular_file(tmp_path):
     # a FIFO opens for writing once it has a reader, then refuses pwrite (ESPIPE)
@@ -197,8 +257,9 @@ def test_block_writer_leaves_a_target_that_is_not_a_regular_file(tmp_path):
     os.mkfifo(path)
     reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        with pytest.raises(OSError):
-            write_feature_stack(FeatureStack(np.ones((1, 2, 3), np.float32), 10.0), path)
+        for name, (write, _) in output_formats(tmp_path).items():
+            with pytest.raises(OSError, match=f"Illegal seek: '{re.escape(str(path))}'$"):
+                write(path)
+            assert stat.S_ISFIFO(os.stat(path).st_mode), name
     finally:
         os.close(reader)
-    assert stat.S_ISFIFO(os.stat(path).st_mode)

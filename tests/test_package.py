@@ -54,6 +54,44 @@ def test_separation_scoring_uses_no_blas_product():
     assert blas_products(PACKAGE / "sepmetrics.py") == []
 
 
+# names that write or cut a file, called or passed on (os.pwrite handed to a helper)
+OUTPUT_NAMES = {"pwrite", "ftruncate", "truncate", "write_bytes", "write_text", "tofile"}
+
+
+def writes_output(node: ast.AST) -> bool:
+    """Whether ``node`` uses os.open or a name in OUTPUT_NAMES, or calls open() with a mode
+    that writes (w, a, x or +, or a mode that is not a literal)."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "open":
+        at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at : at + 1]
+        return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+    if isinstance(node, ast.Attribute) and node.attr == "open":
+        return getattr(node.value, "id", None) == "os"
+    field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+    return field is not None and getattr(node, field) in OUTPUT_NAMES
+
+
+def output_functions(source: str) -> dict[str, list[int]]:
+    """Line numbers of every ``writes_output`` node, by the top-level function (or "<module>") that holds it."""
+    found = {}
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if writes_output(node):
+                found.setdefault(getattr(top, "name", "<module>"), []).append(node.lineno)
+    return found
+
+
+def test_one_function_opens_writes_and_cuts_output_files():
+    # features.output_file alone writes files, so every output keeps its rule: in place,
+    # cut to length, removed on failure, and a non-regular target left alone
+    control = 'def f(p, q, mode):\n    open(p)\n    open(q, "ab")\n    Path(p).open(mode)\n    p.write_text("x")\n'
+    assert output_functions(control) == {"f": [3, 4, 5]}
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found.update({f"{path.stem}.{name}": lines for name, lines in output_functions(path.read_text()).items()})
+    assert sorted(found) == ["features.output_file"], found
+
+
 def module_level_imports(path: Path) -> set[str]:
     """Modules that importing ``path`` imports: absolute names, and package modules as
     ".name" ("." for the package itself); imports inside function bodies excluded."""

@@ -115,16 +115,26 @@ def test_decode_class_equals_the_class_matrix_rows():
 
 
 def test_decode_class_builds_no_class_matrix():
-    # the dense class matrix at K = 200 is 20101 x 200 int8, about 4 MB
+    # the dense class matrix at K = 200 is 20101 x 200 int8, about 4 MB; decode_frames
+    # of four frames decodes only the four classes they take, and its finite check
+    # holds one bool per score
     space = build_space(200)
-    tracemalloc.start()
-    try:
-        rows = [decode_class(space, idx) for idx in (0, 1, 200, space.n_classes - 1)]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
-    assert [np.flatnonzero(row).tolist() for row in rows] == [[], [0], [199], [198, 199]]
+    indices = (0, 1, 200, space.n_classes - 1)
+    scores = np.zeros((len(indices), space.n_classes))
+    scores[range(len(indices)), indices] = 1.0
+    decoders = (
+        (lambda: [decode_class(space, idx) for idx in indices], 64 * 1024),
+        (lambda: decode_frames(space, scores), 64 * 1024 + scores.size),
+    )
+    for decode, bound in decoders:
+        tracemalloc.start()
+        try:
+            rows = decode()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert [np.flatnonzero(row).tolist() for row in rows] == [[], [0], [199], [198, 199]]
 
 
 def test_powerset_command_at_k1000_allocates_nothing_per_class(capsys):

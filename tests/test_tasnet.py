@@ -386,13 +386,19 @@ def test_oracle_separation_checks_sources():
         oracle_separation([AudioBuffer(np.ones(4, np.float32), 8000)] * 2, basis)
 
 
-def test_oracle_separation_rejects_non_finite_source_encodings():
+def test_oracle_separation_rejects_non_finite_source_encodings(monkeypatch):
     # finite float32 weights whose products overflow float32: the relu source
-    # encodings, rounded once to float32, become inf
+    # encodings, rounded once to float32, become inf. No caller np.errstate: on two
+    # CPUs a block runs on a worker thread, which a caller's errstate would not reach,
+    # and under warnings-as-errors a numpy overflow warning would raise there instead
     basis = EncoderBasis(np.full((2, 4), 3e38), np.ones((2, 4)), 4, "linear")
-    sources = [AudioBuffer(np.full(16, 0.5, np.float32), 8000)] * 2
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="source encodings must be finite"):
-        oracle_separation(sources, basis)
+    for n_samples, n_cpus in ((16, 1), (4 * 3 * BLOCK_FRAMES, 2)):
+        cpus(monkeypatch, n_cpus)
+        sources = [AudioBuffer(np.full(n_samples, 0.5, np.float32), 8000)] * 2
+        with pytest.raises(ValueError, match="source encodings must be finite"):
+            oracle_separation(sources, basis)
+    with pytest.raises(ValueError, match="matrix data must be finite"):  # the linear encoder
+        encode(sources[0], basis)
 
 
 def test_oracle_separation_holds_one_block_of_masks():
