@@ -11,6 +11,7 @@ SSLF layout, little-endian throughout:
     bytes 24-    float32 payload, layer-major then frame-major (C order)
 """
 
+import errno
 import os
 import stat
 import struct
@@ -110,9 +111,11 @@ def output_file(path: str | Path, size: int):
     38 MB file stalled 0.4-1.7 s on an ext4 volume mounted with discard
     (2-vCPU VM). A block that exits by an exception removes the file if it
     is a regular one, so no partial output is left behind. Any other kind of
-    target (/dev/null; a FIFO, which refuses pwrite) is never cut or
-    removed. An OSError that leaves the block naming no file (those of
-    pwrite and ftruncate) is given ``path`` as its file name.
+    target (/dev/null) is never cut or removed. A target that cannot seek
+    (a pipe, a socket or a terminal), which would refuse pwrite, raises
+    ValueError as it is opened, before anything is written. An OSError that
+    leaves the block naming no file (those of pwrite and ftruncate) is given
+    ``path`` as its file name.
     """
 
     def write(offset: int, data) -> None:
@@ -125,6 +128,12 @@ def output_file(path: str | Path, size: int):
     regular = False
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            os.lseek(fd, 0, os.SEEK_CUR)
+        except OSError as exc:
+            if exc.errno != errno.ESPIPE:
+                raise
+            raise ValueError(f"{path}: block output needs a seekable file, not a pipe, socket or terminal") from None
         yield write
         if regular:
             os.ftruncate(fd, size)

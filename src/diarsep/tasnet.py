@@ -4,8 +4,6 @@ No masking network lives here; masks come from files or from oracle ratios of
 per-source encodings.
 """
 
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .features import FeatureMatrix, FeatureStack, check_finite
-from .workers import run_blocks, worker_count
+from .workers import Scratch, run_blocks, worker_count
 
 DEFAULT_EPS = 1e-8
 # frames per block: a block's float64 windows and latent, 1024 x (16 + 128) x 8 B = 1.2 MB
@@ -92,24 +90,7 @@ def _frame_blocks(n_frames: int, size: int = BLOCK_FRAMES):
         yield slice(start, start + size)
 
 
-class _Scratch(threading.local):
-    """Named buffers of each thread, reused from block to block; each name has one role.
-
-    glibc malloc hands a freed block-sized temporary (about 1 MB) back to the
-    kernel, so fresh temporaries fault in again on every block: separating
-    2 x 60 s that way took 140k page faults and 0.1 s of system time.
-    """
-
-    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self.__dict__.get(name)
-        if flat is None or flat.size < size:
-            flat = self.__dict__[name] = None  # free the smaller buffer before its successor exists
-            flat = self.__dict__[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
-
-
-def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratch: _Scratch, out) -> None:
+def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratch: Scratch, out) -> None:
     """Write float32 g(analysis @ window(t)) for the frames t in ``rows`` into ``out``.
 
     The float64 product runs in ``_frame_blocks`` tiles of ``tile`` rows, each
@@ -129,7 +110,7 @@ def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratc
                 np.copyto(out[t], product, casting="same_kind")
 
 
-def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratch: _Scratch, out) -> None:
+def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratch: Scratch, out) -> None:
     """Write the float32 (S, frames, N) oracle ratio masks of the frames in ``rows`` into ``out``.
 
     out[s] = enc_s / (sum_j enc_j + DEFAULT_EPS), clipped to [0, 1], from the
@@ -182,7 +163,7 @@ def _synthesize(
     synthesis = basis.synthesis.astype(np.float64)
     n_out = (n_frames - 1) * stride + kernel_len
     outputs = [np.empty(n_out, dtype=np.float32) for _ in range(n_sources)]
-    scratch = _Scratch()
+    scratch = Scratch()
 
     def job(start):
         stop = min(start + size, n_frames)
@@ -219,7 +200,7 @@ def encode(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
     windows = _windows(audio.samples, basis)
     analysis_t = basis.analysis.T.astype(np.float64)
     relu = basis.nonlinearity == "relu"
-    scratch = _Scratch()
+    scratch = Scratch()
     latent = np.empty((len(windows), basis.n_filters), dtype=np.float32)
     for block in _frame_blocks(len(windows)):
         _encode_rows(windows, analysis_t, relu, block, BLOCK_FRAMES, scratch, latent[block])
@@ -271,7 +252,7 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     masks = np.empty(masks_shape(sources, basis), dtype=np.float32)
     windows = [_windows(s.samples, basis) for s in sources]
     analysis_t = basis.analysis.T.astype(np.float64)
-    scratch = _Scratch()
+    scratch = Scratch()
     for block in _frame_blocks(len(windows[0])):
         _oracle_mask_rows(windows, analysis_t, block, BLOCK_FRAMES, scratch, masks[:, block])
     return masks

@@ -1,10 +1,14 @@
-"""One pool of worker threads for independent blocks of numpy work."""
+"""One pool of worker threads for independent blocks of numpy work, and their scratch buffers."""
 
+import math
 import os
 import threading
 
-# samples per block in write_wav, resample and the separation scores: 512 KiB
-# as float64, about a core's L2 cache, so no whole-signal float64 array is built
+import numpy as np
+
+# samples per block in write_wav and the separation scores (and the resampler's
+# tap limit): 512 KiB as float64, about a core's L2 cache, so no whole-signal
+# float64 array is built
 BLOCK = 1 << 16
 
 
@@ -60,3 +64,20 @@ def run_blocks(job, n_out: int, block: int = BLOCK) -> None:
             thread.join()
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
+
+
+class Scratch(threading.local):
+    """Named buffers of each thread, reused from block to block; each name has one role.
+
+    glibc malloc hands a freed block-sized temporary (about 1 MB) back to the
+    kernel, so fresh temporaries fault in again on every block: separating
+    2 x 60 s that way took 140k page faults and 0.1 s of system time.
+    """
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self.__dict__.get(name)
+        if flat is None or flat.size < size:
+            flat = self.__dict__[name] = None  # free the smaller buffer before its successor exists
+            flat = self.__dict__[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)

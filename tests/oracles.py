@@ -10,6 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from diarsep import Annotation, AudioBuffer, EncoderBasis, FeatureMatrix, FirFilter, Segment
+from diarsep.resample import ROW
 from diarsep.sepmetrics import INF_SUBSTITUTE_DB
 from diarsep.tasnet import DEFAULT_EPS, apply_masks
 
@@ -491,11 +492,54 @@ def resample_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuf
     return AudioBuffer(y.astype(np.float32), fs_out)
 
 
+def toeplitz_products(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> np.ndarray:
+    """Float64 (rows, ROW) products of the whole signal: every zero-padded window times one Toeplitz matrix.
+
+    Output m is sum_k h[k] u[m * down + delay - k], u the input zero-stuffed
+    by ``up``. Row f holds outputs [f * ROW, (f + 1) * ROW) and reads the
+    input samples from f * ROW * down / up + first on, where first is the
+    earliest sample that output 0 reads; column p of the matrix holds the
+    taps that meet output p of a row. One np.matmul multiplies all the
+    windows at once: ``diarsep.resample`` runs the same products in blocks
+    of rows, so the values must be identical.
+    """
+    fs_in = audio.sample_rate
+    up, down = (2, 1) if fs_out > fs_in else (1, 2)
+    h = fir.taps.astype(np.float64)
+    delay = (h.size - 1) // 2
+    n = len(audio)
+    n_out = 2 * n if up == 2 else (n + 1) // 2  # round(n * fs_out / fs_in), halves up
+    first = math.ceil((delay - (h.size - 1)) / up)
+    width = ((ROW - 1) * down + delay) // up - first + 1
+    t = np.zeros((width, ROW))
+    for p in range(ROW):
+        k = p * down + delay - (first + np.arange(width)) * up  # the tap each input sample meets
+        inside = (k >= 0) & (k < h.size)
+        t[inside, p] = h[k[inside]]
+    step = ROW * down // up
+    n_rows = -(-n_out // ROW)
+    padded = np.zeros((n_rows - 1) * step + width)  # padded[i] = x[first + i], 0 outside x
+    src = np.arange(max(first, 0), min(n, first + padded.size))
+    padded[src - first] = audio.samples[src]
+    return np.matmul(sliding_window_view(padded, width)[::step], t)
+
+
+def toeplitz_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuffer:
+    """Reference resampler: the first round(len * fs_out / fs_in) of ``toeplitz_products``, rounded to float32."""
+    if len(audio) == 0:
+        return AudioBuffer(np.zeros(0, dtype=np.float32), fs_out)
+    n_out = 2 * len(audio) if fs_out > audio.sample_rate else (len(audio) + 1) // 2
+    return AudioBuffer(toeplitz_products(audio, fs_out, fir).reshape(-1)[:n_out].astype(np.float32), fs_out)
+
+
 def polyphase_oracle(audio: AudioBuffer, fs_out: int, fir: FirFilter) -> AudioBuffer:
     """Reference two-phase np.convolve resampler on whole-signal float64 arrays.
 
-    Same contract and arithmetic as ``diarsep.resample``, which runs the same
-    convolutions in blocks of outputs, so the results must be identical.
+    Same contract as ``diarsep.resample``, with the same products summed in
+    np.convolve's order: the float64 values differ from the Toeplitz
+    products' by far less than a float32 spacing, so the float32 results
+    differ by at most one spacing where the two sums fall on either side of a
+    rounding boundary.
     """
     fs_in = audio.sample_rate
     if len(audio) == 0:

@@ -756,6 +756,22 @@ def test_outputs_to_dev_null_exit_0(tmp_path, capsys, output):
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+def test_output_to_a_pipe_exits_1_with_a_clear_error(tmp_path):
+    # `diarsep resample s.wav /dev/stdout | head` used to end in "[Errno 29] Illegal seek"
+    wav = tmp_path / "in.wav"
+    write_sine(wav, 440)
+    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-m", "diarsep.cli", "resample", str(wav), "/dev/stdout", "--rate", "16000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == "error: /dev/stdout: block output needs a seekable file, not a pipe, socket or terminal\n"
+
+
 def test_diarize_command_with_embeddings(tmp_path, capsys):
     scores_path, _ = diarize_fixtures(tmp_path)
     emb = np.zeros((2, 3, 4), np.float32)

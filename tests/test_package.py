@@ -54,6 +54,24 @@ def test_separation_scoring_uses_no_blas_product():
     assert blas_products(PACKAGE / "sepmetrics.py") == []
 
 
+def calls_named(path: Path, names: set[str]) -> list[int]:
+    """Line numbers of every call, in a module, of a function or method whose name is in ``names``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
+    ]
+
+
+def test_one_filtering_kernel():
+    # the resampler's Toeplitz products are the package's one FIR kernel; np.convolve
+    # summed in another order, with one BLAS dot product per output sample
+    assert calls_named(Path(__file__).with_name("oracles.py"), {"convolve"})  # the check sees np.convolve
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = {str(path.relative_to(PACKAGE)): calls_named(path, {"convolve", "correlate"}) for path in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # names that write or cut a file, called or passed on (os.pwrite handed to a helper)
 OUTPUT_NAMES = {"pwrite", "ftruncate", "truncate", "write_bytes", "write_text", "tofile"}
 

@@ -1,8 +1,11 @@
+import hashlib
+import importlib
 import os
 import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +13,10 @@ from scipy.signal import firwin
 
 from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample
 from diarsep.audio import BLOCK
-from diarsep.resample import _convolve_block
+from diarsep.resample import ROW, SCRATCH_BYTES, _rows, _toeplitz
+from diarsep.workers import Scratch
 from diarsep.workers import run_blocks as _run_blocks
-from oracles import polyphase_oracle, resample_oracle
+from oracles import polyphase_oracle, resample_oracle, toeplitz_oracle, toeplitz_products
 
 
 def snr_db(ref, est):
@@ -104,6 +108,16 @@ def test_empty_input():
 def test_unsupported_ratio():
     with pytest.raises(ValueError, match="unsupported conversion"):
         resample(AudioBuffer(np.zeros(8, np.float32), 44100), 8000)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_outputs_beyond_float32_range_give_one_value_error(monkeypatch, n_cpus):
+    # warnings are errors in this suite, so numpy's overflow warning from the
+    # float32 cast would surface instead of the finiteness error
+    cpus(monkeypatch, n_cpus)
+    loud = AudioBuffer(np.full(3 * BLOCK, 3e38, np.float32), 8000)
+    with pytest.raises(ValueError, match="audio samples must be finite"):
+        resample(loud, 16000)
 
 
 def test_sine_upsample_snr():
@@ -198,12 +212,27 @@ def test_resample_matches_upfirdn_oracle():
                     np.testing.assert_allclose(got.samples, want.samples, rtol=0, atol=1e-6)
 
 
+def assert_within_one_float32_spacing(got, want):
+    """Check that float32 results of the same float64 products, summed in two orders, differ by at most one spacing.
+
+    The two float64 sums differ by at most about 2 * taps * 2**-53 * sum |h x|,
+    under 1e-12 for every filter and input here (taps <= 641, sum |h| < 3,
+    |x| < 1): far below a float32 spacing unless the output is near zero. So
+    the float32 roundings differ by at most one spacing, plus that float64
+    amount for an output near zero.
+    """
+    got, want = got.samples, want.samples
+    error = np.abs(got.astype(np.float64) - want.astype(np.float64))
+    assert np.all(error <= np.spacing(np.abs(want)).astype(np.float64) + 1e-12)
+
+
 def test_blocks_match_whole_signal_oracle_bit_for_bit():
-    """Blockwise filtering equals the whole-signal convolutions bit for bit, across block edges.
+    """Blockwise filtering equals the whole-signal Toeplitz product bit for bit, across block edges.
 
     Output counts of BLOCK - 1, BLOCK and BLOCK + 1 per phase put a block edge
     at, just before and just after the last output; 2 * BLOCK + taps puts the
-    halo of a middle block against both ends of a short last one.
+    halo of a middle block against both ends of a short last one. The
+    np.convolve order of the polyphase oracle stays within one float32 spacing.
     """
     rng = np.random.default_rng(9)
     for stopband_db in (40.0, 45.0, 60.0, 80.0, 100.0):
@@ -220,25 +249,35 @@ def test_blocks_match_whole_signal_oracle_bit_for_bit():
                     x[n // 3 : n // 3 + 40] = 0.0  # silence: the sign of zero outputs
                     buf = AudioBuffer(x, fs_in)
                     got = resample(buf, fs_out, fir)
-                    want = polyphase_oracle(buf, fs_out, fir)
+                    want = toeplitz_oracle(buf, fs_out, fir)
                     assert got.sample_rate == want.sample_rate == fs_out
                     # bit patterns, so -0.0 and 0.0 differ too
                     np.testing.assert_array_equal(got.samples.view(np.int32), want.samples.view(np.int32))
+                    assert_within_one_float32_spacing(got, polyphase_oracle(buf, fs_out, fir))
 
 
-def test_convolve_blocks_equal_whole_convolution_in_float64():
-    # float64 before the float32 rounding: a last block whose slice fell
-    # short of the taps would sum its products in another order, and that
-    # difference rarely survives rounding to float32
+def test_job_products_equal_the_whole_signal_products_in_float64():
+    # float64 before the float32 rounding, which hides most differences: a
+    # product of any row count, at any first row the jobs use (the last one
+    # overlapping the one before), equals those rows of the whole-signal
+    # product, so its edge rows read the right zero-padded windows
     rng = np.random.default_rng(10)
-    g = rng.standard_normal(101)
-    for n in (1, 7, 100, 101, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 50, 2 * BLOCK + 101):
-        x = rng.uniform(-0.9, 0.9, n).astype(np.float32)
-        whole = np.convolve(x.astype(np.float64), g)
-        for offset in (0, 1, 50, 100):
-            n_out = min(n, whole.size - offset)
-            blocks = [_convolve_block(x, g, offset, n_out, start) for start in range(0, n_out, BLOCK)]
-            np.testing.assert_array_equal(np.concatenate(blocks), whole[offset : offset + n_out])
+    scratch = Scratch()
+    for fs_in, fs_out in ((8000, 16000), (16000, 8000)):
+        up, down = (2, 1) if fs_out > fs_in else (1, 2)
+        step = ROW * down // up
+        for fir in (design_kaiser_sinc(fs_in, fs_out), design_kaiser_sinc(fs_in, fs_out, 40.0, 0.2),
+                    design_kaiser_sinc(fs_in, fs_out, transition_frac=0.0979)):
+            base, t = _toeplitz(fir.taps.astype(np.float64), up, down)
+            for n in (1, 7, 100, 101, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 50, 2 * BLOCK + 101):
+                x = rng.uniform(-0.9, 0.9, n).astype(np.float32)
+                whole = toeplitz_products(AudioBuffer(x, fs_in), fs_out, fir)
+                n_rows = len(whole)
+                for rows in sorted({min(n_rows, r) for r in (2, 5, 252, 574)}):
+                    for start in range(0, n_rows, rows):
+                        first = min(start, n_rows - rows)
+                        got = _rows(x, base, t, step, first, rows, scratch)
+                        np.testing.assert_array_equal(got, whole[first : first + rows])
 
 
 def cpus(monkeypatch, n):
@@ -259,7 +298,8 @@ def count_thread_starts(monkeypatch):
 
 
 def test_threaded_blocks_match_whole_signal_oracle_for_any_cpu_count(monkeypatch):
-    # 3 blocks and a short fourth per phase; 1 CPU runs them all on the caller
+    # 11 jobs of 574 rows up, 13 of 252 rows down, the last overlapping the one
+    # before; 1 CPU runs them all on the caller
     rng = np.random.default_rng(11)
     cases = [(8000, 16000, 3 * BLOCK + 17), (16000, 8000, 6 * BLOCK + 34), (16000, 8000, 6 * BLOCK + 35)]
     for n_cpus, n_threads in ((1, 0), (4, 3)):
@@ -269,9 +309,94 @@ def test_threaded_blocks_match_whole_signal_oracle_for_any_cpu_count(monkeypatch
             fir = design_kaiser_sinc(fs_in, fs_out)
             buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
             got = resample(buf, fs_out, fir)
-            want = polyphase_oracle(buf, fs_out, fir)
+            want = toeplitz_oracle(buf, fs_out, fir)
             np.testing.assert_array_equal(got.samples.view(np.int32), want.samples.view(np.int32))
+            assert_within_one_float32_spacing(got, polyphase_oracle(buf, fs_out, fir))
         assert len(started) == n_threads * len(cases)
+
+
+def test_bits_do_not_depend_on_cpu_count_or_openblas_pool(monkeypatch):
+    # a fresh interpreter per setting, since OpenBLAS reads OPENBLAS_NUM_THREADS
+    # as numpy loads; unset, each worker's products run on OpenBLAS's own pool
+    from test_cli import fresh_python
+
+    script = (
+        "import hashlib, os, sys\n"
+        "import numpy as np\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+        "from diarsep import AudioBuffer, resample\n"
+        "x = np.random.default_rng(3).uniform(-0.9, 0.9, 100_003).astype(np.float32)\n"
+        "digest = hashlib.sha256()\n"
+        "for fs_in, fs_out in ((8000, 16000), (16000, 8000)):\n"
+        "    digest.update(resample(AudioBuffer(x, fs_in), fs_out).samples.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    x = np.random.default_rng(3).uniform(-0.9, 0.9, 100_003).astype(np.float32)
+    want = hashlib.sha256()
+    for fs_in, fs_out in ((8000, 16000), (16000, 8000)):
+        want.update(toeplitz_oracle(AudioBuffer(x, fs_in), fs_out, design_kaiser_sinc(fs_in, fs_out)).samples.tobytes())
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        for n_cpus in (1, 2, 4):
+            child = fresh_python(script, str(n_cpus), env=env)
+            assert (child.returncode, child.stderr) == (0, ""), (env, n_cpus)
+            assert child.stdout == want.hexdigest() + "\n", (env, n_cpus)
+
+
+def product_shapes(monkeypatch):
+    """Record (first, rows) of every product resample runs."""
+    calls = []
+
+    def spy(x, base, t, step, first, rows, scratch):
+        calls.append((first, rows))
+        return rows_product(x, base, t, step, first, rows, scratch)
+
+    module = importlib.import_module("diarsep.resample")  # diarsep.resample is the function
+    rows_product = module._rows
+    monkeypatch.setattr(module, "_rows", spy)
+    return calls
+
+
+def test_a_last_job_of_one_row_runs_a_product_of_at_least_two_rows(monkeypatch):
+    # numpy sends a 1-row matmul to gemv, which rounds differently from gemm:
+    # the last job overlaps the one before it with the same row count, and a
+    # tap count near the limit still runs 2 rows per product, not 1
+    rng = np.random.default_rng(12)
+    half = rng.uniform(-0.01, 0.01, BLOCK // 2 - 1).astype(np.float32)
+    wide = FirFilter(np.concatenate([half, [0.5], half[::-1]]), 0.25, 80.0)
+    cases = [(8000, 16000, design_kaiser_sinc(8000, 16000), 574), (16000, 8000, design_kaiser_sinc(16000, 8000), 252),
+             (16000, 8000, wide, 2)]
+    for fs_in, fs_out, fir, rows in cases:
+        up, down = (2, 1) if fs_out > fs_in else (1, 2)
+        n = -(-(rows * ROW + 1) * down // up)  # rows * ROW + 1 or + 2 outputs: rows + 1 rows
+        calls = product_shapes(monkeypatch)
+        buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
+        got = resample(buf, fs_out, fir)
+        assert sorted(calls) == [(0, rows), (1, rows)]
+        want = toeplitz_oracle(buf, fs_out, fir)
+        np.testing.assert_array_equal(got.samples.view(np.int32), want.samples.view(np.int32))
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_each_worker_holds_one_scratch_of_about_a_mebibyte(monkeypatch, n_cpus):
+    # beyond what the call shares, each worker holds its span, windows and
+    # product: SCRATCH_BYTES, plus the float64 taps and numpy's casting buffers
+    cpus(monkeypatch, n_cpus)
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-0.9, 0.9, 20 * BLOCK).astype(np.float32)
+    for fs_in, fs_out in ((8000, 16000), (16000, 8000)):
+        up, down = (2, 1) if fs_out > fs_in else (1, 2)
+        for fir in (design_kaiser_sinc(fs_in, fs_out), design_kaiser_sinc(fs_in, fs_out, 100.0, 0.02)):
+            t_bytes = _toeplitz(fir.taps.astype(np.float64), up, down)[1].nbytes
+            tracemalloc.start()
+            try:
+                y = resample(AudioBuffer(x, fs_in), fs_out, fir)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the float32 result, the one-byte-per-sample mask of AudioBuffer's finiteness check, the matrix
+            shared = y.samples.nbytes + y.samples.size + t_bytes
+            assert peak - shared <= n_cpus * (SCRATCH_BYTES + (32 << 10)), (fir.taps.size, peak - shared)
 
 
 def test_cpu_count_is_used_without_sched_getaffinity(monkeypatch):
