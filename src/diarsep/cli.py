@@ -38,18 +38,23 @@ def _cmd_version(args) -> int:
 
 
 def _cmd_resample(args) -> int:
-    from .audio import read_wav, write_wav
-    from .resample import design_kaiser_sinc, resample
+    from .audio import wav_source, wav_writer
+    from .resample import design_kaiser_sinc, resample_blocks, resampled_length
 
-    buf = read_wav(args.input)
-    fir = None
-    if buf.sample_rate != args.rate:
-        fir = design_kaiser_sinc(buf.sample_rate, args.rate, args.stopband_db, args.transition_frac)
-    out = resample(buf, args.rate, fir)
-    write_wav(out, args.output)
+    # pool jobs read the input and write the output block by block; an output that
+    # is the input would overwrite samples that later jobs read, so it is read whole first
+    with wav_source(args.input) as source:
+        if source.same_file(args.output):
+            source = source.collect()
+        fir = None
+        if source.sample_rate != args.rate:
+            fir = design_kaiser_sinc(source.sample_rate, args.rate, args.stopband_db, args.transition_frac)
+        n_out = resampled_length(len(source), source.sample_rate, args.rate)
+        with wav_writer(args.output, n_out, args.rate) as write:
+            resample_blocks(source, args.rate, fir, write)
     print(
-        f"resampled {len(buf)} samples @ {buf.sample_rate} Hz -> "
-        f"{len(out)} samples @ {out.sample_rate} Hz: {args.output}"
+        f"resampled {len(source)} samples @ {source.sample_rate} Hz -> "
+        f"{n_out} samples @ {args.rate} Hz: {args.output}"
     )
     return 0
 
@@ -126,14 +131,17 @@ def _cmd_separate_oracle(args) -> int:
     # the pass writes each block of masks to the file; a failure inside this block removes it
     with masks_file as on_masks:
         estimates = oracle_separation(sources, basis, on_masks)
+        for i, src in enumerate(sources):  # in place, so one source at a time holds two copies
+            # decoding yields (T - 1) * stride + kernel_len <= len(src) samples, checked as they were made
+            est = estimates[i]
+            estimates[i] = AudioBuffer._from_samples(np.pad(est.samples, (0, len(src) - len(est))), est.sample_rate)
+        # every estimate is scored before any is written, so a scoring error leaves no estimate file
+        qualities = [si_sdr(src, est) for src, est in zip(sources, estimates)]
         out_dir = Path(args.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, (src, est) in enumerate(zip(sources, estimates)):
-            # decoding yields (T - 1) * stride + kernel_len <= len(src) samples
-            padded = AudioBuffer(np.pad(est.samples, (0, len(src) - len(est))), est.sample_rate)
+        for i, (est, quality) in enumerate(zip(estimates, qualities)):
             path = out_dir / f"est{i}.wav"
-            write_wav(padded, path)
-            quality = si_sdr(src, padded)
+            write_wav(est, path)
             print(f"source {i}: si_sdr={_fmt_db(quality)} dB -> {path}")
     if args.save_masks:
         print(f"masks -> {args.save_masks}")

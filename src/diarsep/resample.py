@@ -14,7 +14,7 @@ from .workers import Scratch, run_blocks
 # outputs per row of the Toeplitz product: on 2 vCPUs, 20 min of audio resampled
 # fastest at 64 of 32, 64 and 128, in both directions
 ROW = 64
-# bytes of float64 scratch a worker holds (span, windows and product), so the rows
+# bytes of float64 scratch a worker is budgeted (windows, product and a span), so the rows
 # per product follow from the tap count: 574 rows up, 252 down at the default 201
 # taps, and never fewer than 2
 SCRATCH_BYTES = 1 << 20
@@ -121,53 +121,81 @@ def _toeplitz(h: np.ndarray, up: int, down: int) -> tuple[int, np.ndarray]:
     return base, np.pad(h, (lo, int(index.max()) + 1 - lo - h.size))[index]
 
 
-def _rows(x: np.ndarray, base: int, t: np.ndarray, step: int, first: int, rows: int, scratch: Scratch) -> np.ndarray:
+def _rows(source, base: int, t: np.ndarray, step: int, first: int, rows: int, scratch: Scratch) -> np.ndarray:
     """Return the float64 (rows, ROW) product of output rows [first, first + rows): their windows times ``t``.
 
-    Row f reads x[f * step + base :][:W], zero outside x. The rows' span of
-    x goes into a zero-padded float64 scratch buffer, its windows into
-    another, and one np.matmul multiplies them by ``t``.
+    Row f reads samples [f * step + base, f * step + base + W) of the block
+    source as stored (``source.read``), zero outside it. One read gives the
+    rows' span, padded in scratch only where it reaches past an end of the
+    signal. Its windows go straight into float64 scratch, and one np.matmul
+    multiplies them by ``t``.
     """
     width = t.shape[0]
-    span = scratch.get("span", ((rows - 1) * step + width,))
-    start = first * step + base
-    lo, hi = (min(max(i - start, 0), span.size) for i in (0, x.size))  # x's part of the span
-    span[:lo] = 0.0
-    span[hi:] = 0.0
-    span[lo:hi] = x[start + lo : start + hi]
+    start, n = first * step + base, (rows - 1) * step + width
+    lo, hi = max(start, 0), min(start + n, len(source))
+    span = source.read(lo, max(lo, hi))
+    if (lo, hi) != (start, start + n):  # the rows reach past an end of the signal: pad it with zeros
+        padded = scratch.get("padded", (n,), span.dtype)
+        padded[: lo - start] = 0
+        padded[lo - start : hi - start] = span
+        padded[hi - start :] = 0
+        span = padded
     windows = scratch.get("windows", (rows, width))
     np.copyto(windows, sliding_window_view(span, width)[::step])
     return np.matmul(windows, t, out=scratch.get("product", (rows, ROW)))
 
 
-def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> AudioBuffer:
-    """1:2 / 2:1 rate conversion with group-delay compensation.
+def resampled_length(n: int, fs_in: int, fs_out: int) -> int:
+    """Samples that n samples at fs_in make at fs_out: round(n * fs_out / fs_in), halves up.
 
-    Identity rate returns the input unchanged. Output length is
-    round(len * fs_out / fs_in) with halves rounded up; the signal is
-    zero-padded outside its support, so edge transients appear near the
-    first and last (n_taps - 1) / 2 samples. The outputs form rows of ROW;
-    each row's input window times one float64 Toeplitz matrix of the taps
-    gives the row, rounded once to float32. Each job of ``workers.run_blocks``
-    runs one np.matmul of the same row count on its own scratch, so the
-    result depends neither on the thread count nor on how jobs split the rows.
+    Raises ValueError for a conversion other than the identity, 8000 -> 16000
+    and 16000 -> 8000 Hz.
     """
-    fs_in = audio.sample_rate
     if fs_out == fs_in:
-        return audio
+        return n
     if (fs_in, fs_out) not in {(8000, 16000), (16000, 8000)}:
         raise ValueError(f"unsupported conversion {fs_in} -> {fs_out} Hz")
-    if len(audio) == 0:
-        return AudioBuffer(np.zeros(0, dtype=np.float32), fs_out)
+    return 2 * n if fs_out > fs_in else (n + 1) // 2
+
+
+def resample_blocks(source, fs_out: int, fir: FirFilter | None, sink) -> None:
+    """Hand ``sink(start, samples)`` every output sample of ``source`` converted to fs_out, once.
+
+    ``source`` is a block source: len(), sample_rate, scale and read(lo, hi),
+    which gives samples as stored, read(lo, hi) * scale being the signal:
+    an AudioBuffer, or an ``audio.WavSource`` of int16 PCM. ``samples`` are
+    the float32 outputs [start, start + len(samples)), in a scratch buffer
+    that the call's thread reuses once ``sink`` returns. The calls come from
+    the jobs of ``workers.run_blocks``, in no fixed order. The identity rate
+    hands on the source's samples, BLOCK at a time, unchecked: a source
+    holds PCM16 or checked samples. Otherwise the outputs form rows of ROW;
+    each row's input window times one float64 Toeplitz matrix of the taps
+    gives the row, rounded once to float32. The matrix holds the taps times
+    ``scale``, a power of two, so a window of stored samples gives the
+    product of the scaled ones bit for bit. Each job runs one np.matmul of
+    the same row count on its own scratch, so the samples depend neither on
+    the thread count nor on how jobs split the rows. Each job checks the
+    samples it hands on, and no other, for finiteness.
+    """
+    fs_in, n = source.sample_rate, len(source)
+    n_out = resampled_length(n, fs_in, fs_out)
+    if fs_out == fs_in:
+        scale = np.float32(source.scale)
+
+        def copy(start):
+            sink(start, np.multiply(source.read(start, min(start + BLOCK, n)), scale, dtype=np.float32))
+
+        run_blocks(copy, n)
+        return
+    if n_out == 0:
+        return
     if fir is None:
         fir = design_kaiser_sinc(fs_in, fs_out)
 
-    x = audio.samples
     up, down = (2, 1) if fs_out > fs_in else (1, 2)
-    base, t = _toeplitz(fir.taps.astype(np.float64), up, down)
+    base, t = _toeplitz(fir.taps.astype(np.float64) * source.scale, up, down)
     step = ROW * down // up
-    y = np.empty(2 * x.size if up == 2 else (x.size + 1) // 2, dtype=np.float32)  # round(n * up / down), halves up
-    n_rows = -(-y.size // ROW)
+    n_rows = -(-n_out // ROW)
     # every product has the same row count, at least 2 unless there is one row:
     # numpy sends a 1-row matmul to gemv, which rounds differently from gemm
     rows = min(n_rows, max(2, SCRATCH_BYTES // (8 * (t.shape[0] + ROW + step))))
@@ -175,12 +203,33 @@ def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> A
 
     def job(start):
         first = min(start, n_rows - rows)  # the last job overlaps the one before it
-        product = _rows(x, base, t, step, first, rows, scratch)
-        out = y[first * ROW : (first + rows) * ROW]
-        # an output beyond float32 range rounds to inf, which AudioBuffer's check reports;
+        product = _rows(source, base, t, step, first, rows, scratch).reshape(-1)
+        # the job hands on its own outputs only: those of rows [start, start + rows)
+        own = product[(start - first) * ROW : min((start + rows) * ROW, n_out) - first * ROW]
+        samples = scratch.get("samples", own.shape, np.float32)
+        # an output beyond float32 range rounds to inf, which the check reports;
         # errstate is per thread, so a caller's setting would miss pool workers
         with np.errstate(over="ignore"):
-            np.copyto(out, product.reshape(-1)[: out.size], casting="same_kind")
+            np.copyto(samples, own, casting="same_kind")
+        check_finite(samples, "audio samples")
+        sink(start * ROW, samples)
 
     run_blocks(job, n_rows, rows)
-    return AudioBuffer(y, fs_out)
+
+
+def resample(audio: AudioBuffer, fs_out: int, fir: FirFilter | None = None) -> AudioBuffer:
+    """1:2 / 2:1 rate conversion with group-delay compensation: ``resample_blocks`` into one array.
+
+    Identity rate returns the input unchanged. Output length is
+    ``resampled_length``; the signal is zero-padded outside its support, so
+    edge transients appear near the first and last (n_taps - 1) / 2 samples.
+    """
+    if fs_out == audio.sample_rate:
+        return audio
+    y = np.empty(resampled_length(len(audio), audio.sample_rate, fs_out), dtype=np.float32)
+
+    def sink(start, samples):
+        y[start : start + samples.size] = samples
+
+    resample_blocks(audio, fs_out, fir, sink)
+    return AudioBuffer._from_samples(y, int(fs_out))

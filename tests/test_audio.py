@@ -1,3 +1,4 @@
+import os
 import struct
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diarsep import AudioBuffer, read_wav, write_wav
-from diarsep.audio import BLOCK, PCM_SUBFORMAT
+from diarsep.audio import BLOCK, PCM_SUBFORMAT, wav_source
 from oracles import write_wav_oracle
 from test_resample import cpus
 
@@ -147,6 +148,26 @@ def test_write_holds_no_whole_int16_copy(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert peak < 2 * len(buffer), peak
     assert read_wav(tmp_path / "ten_blocks.wav").samples.size == len(buffer)
+
+
+def test_source_checks_the_header_without_reading_samples_and_reads_blocks_exactly(tmp_path, monkeypatch):
+    # an extensible header, and a chunk after the data that a reader must walk past
+    pcm = np.random.default_rng(14).integers(-32768, 32768, 3 * BLOCK + 3).astype("<i2")
+    path = tmp_path / "blocks.wav"
+    path.write_bytes(make_extensible_wav_bytes(pcm.tobytes()) + b"LIST" + struct.pack("<I", 3) + b"abc\0")
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", len(raw) - 8)
+    path.write_bytes(raw)
+    sizes = []
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: sizes.append(n) or pread(fd, n, offset))
+    with wav_source(path) as source:
+        assert (len(source), source.sample_rate) == (pcm.size, 16000)
+        assert max(sizes) <= 40  # RIFF header, chunk headers and the fmt body
+        for lo, hi in ((0, 0), (0, 1), (5, BLOCK + 7), (pcm.size - 2, pcm.size), (0, pcm.size)):
+            np.testing.assert_array_equal(source.read(lo, hi), pcm[lo:hi])
+        assert source.scale == 2.0**-15
+    np.testing.assert_array_equal(read_wav(path).samples, (pcm / np.float64(32768)).astype(np.float32))
 
 
 def test_overwrite_cuts_a_longer_file_to_the_new_length(tmp_path):

@@ -33,9 +33,10 @@ from diarsep import Annotation, emit_rttm
 from diarsep.cli import main
 from diarsep.der import compute_der, total_der
 from diarsep.powerset import build_space, decode_class
+from diarsep.audio import BLOCK
 from diarsep.tasnet import BLOCK_FRAMES, basis_to_stack
 from diarsep.workers import worker_count
-from oracles import perturbed_hypothesis, random_annotation
+from oracles import perturbed_hypothesis, random_annotation, write_wav_oracle
 from test_resample import cpus
 
 
@@ -287,6 +288,75 @@ def test_resample_rejects_oversized_filter_designs(tmp_path, capsys):
         assert err.startswith("error:") and "taps, more than the limit of 65536" in err
         assert "Traceback" not in err
     assert not (tmp_path / "out.wav").exists()
+
+
+def resample_child(argv, stdin=None):
+    """Run ``diarsep resample`` in a child process that imports this checkout's diarsep."""
+    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "diarsep.cli", "resample", *argv],
+        stdin=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+
+
+def test_resample_reads_a_pipe_whole(tmp_path, capsys):
+    # /dev/stdin fed by cat cannot be read at an offset: its bytes are read first
+    src = tmp_path / "in.wav"
+    write_wav(AudioBuffer(np.random.default_rng(20).uniform(-0.9, 0.9, 3 * BLOCK).astype(np.float32), 8000), src)
+    code, out, _ = run(capsys, "resample", str(src), str(tmp_path / "want.wav"), "--rate", "16000")
+    assert code == 0
+    cat = subprocess.Popen(["cat", str(src)], stdout=subprocess.PIPE)
+    child = resample_child(["/dev/stdin", str(tmp_path / "got.wav"), "--rate", "16000"], stdin=cat.stdout)
+    cat.stdout.close()
+    assert cat.wait(timeout=120) == 0
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == out.replace(str(tmp_path / "want.wav"), str(tmp_path / "got.wav"))
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("link", ["same path", "hard link", "symlink"])
+def test_resample_onto_its_own_input_reads_it_whole_first(tmp_path, capsys, monkeypatch, link, n_cpus):
+    # up and down; streamed, job 0 of an upsampling would write its outputs over
+    # the input samples that job 1 reads
+    cpus(monkeypatch, n_cpus)
+    rng = np.random.default_rng(21)
+    for rate, other in ((8000, "16000"), (16000, "8000")):
+        src = tmp_path / "in.wav"
+        write_wav(AudioBuffer(rng.uniform(-0.9, 0.9, 3 * BLOCK + 5).astype(np.float32), rate), src)
+        code, want_out, _ = run(capsys, "resample", str(src), str(tmp_path / "want.wav"), "--rate", other)
+        assert code == 0
+        work = tmp_path / "work.wav"
+        work.write_bytes(src.read_bytes())
+        output = {"same path": work, "hard link": tmp_path / "hard.wav", "symlink": tmp_path / "soft.wav"}[link]
+        if link == "hard link":
+            os.link(work, output)
+        elif link == "symlink":
+            output.symlink_to(work)
+        code, out, err = run(capsys, "resample", str(work), str(output), "--rate", other)
+        assert (code, err) == (0, "")
+        assert out == want_out.replace(str(tmp_path / "want.wav"), str(output))
+        assert work.read_bytes() == (tmp_path / "want.wav").read_bytes()
+        for path in (work, output):
+            path.unlink(missing_ok=True)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_resample_to_the_input_rate_writes_what_write_wav_writes(tmp_path, capsys, monkeypatch, n_cpus):
+    # the identity hands the samples on, BLOCK at a time, to the same quantization
+    cpus(monkeypatch, n_cpus)
+    src = tmp_path / "in.wav"
+    n = 2 * BLOCK + 3
+    write_wav(AudioBuffer(np.random.default_rng(22).uniform(-1, 1, n).astype(np.float32), 16000), src)
+    write_wav_oracle(read_wav(src), tmp_path / "want.wav")
+    code, out, err = run(capsys, "resample", str(src), str(tmp_path / "got.wav"), "--rate", "16000")
+    assert (code, err) == (0, "")
+    assert out == f"resampled {n} samples @ 16000 Hz -> {n} samples @ 16000 Hz: {tmp_path / 'got.wav'}\n"
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
 
 
 def test_resample_command_imports_no_scipy(tmp_path):
@@ -625,6 +695,37 @@ def test_failed_separation_leaves_no_masks_file(tmp_path, capsys, monkeypatch):
     assert "source encodings must be finite" in err
     assert len(writes) == 1 + 2 * 2  # the header, then two blocks of two sources
     assert not masks_path.exists() and not (tmp_path / "est").exists()
+
+
+def test_failed_scoring_leaves_no_estimate_and_no_masks_file(tmp_path, capsys):
+    # all-zero sources separate, but their SI-SDR has no reference to scale:
+    # every estimate is scored before the first is written
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    for path in paths:
+        write_wav(AudioBuffer(np.zeros(4000, np.float32), 8000), path)
+    out_dir = tmp_path / "est"
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(out_dir),
+        "--seed", "1", "--save-masks", str(out_dir / "masks.sslf"),
+    )
+    assert (code, out, err) == (1, "", "error: reference signal is all zeros\n")
+    assert not list(out_dir.glob("est*.wav")) and not (out_dir / "masks.sslf").exists()
+
+
+@pytest.mark.parametrize("flag, message", [("--kernel", "kernel_len must be >= 1, got 0"),
+                                           ("--filters", "n_filters must be >= 1, got 0")])
+def test_separate_oracle_rejects_a_zero_basis_size_naming_it(tmp_path, capsys, flag, message):
+    # they used to fail later, on what the size broke: "stride must be in [1, 0], got 8"
+    # and "analysis must be (n_filters, kernel_len), got (0, 16)"
+    paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    write_sine(paths[0], 440)
+    write_sine(paths[1], 660)
+    code, out, err = run(
+        capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
+        "--seed", "7", flag, "0",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "est").exists()
 
 
 def test_separate_oracle_rejects_a_rate_beyond_the_wav_header(tmp_path, capsys):

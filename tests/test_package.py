@@ -110,6 +110,39 @@ def test_one_function_opens_writes_and_cuts_output_files():
     assert sorted(found) == ["features.output_file"], found
 
 
+# names that read a file's bytes, called or passed on
+BYTE_READS = {"read_bytes", "fromfile", "memmap", "pread", "preadv", "readinto"}
+
+
+def reads_bytes(node: ast.AST) -> bool:
+    """Whether ``node`` uses os.read or a name in BYTE_READS, or calls open() with a literal binary read mode."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "open":
+        at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+        modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at : at + 1]
+        return any(isinstance(m, ast.Constant) and "b" in str(m.value) for m in modes)
+    if isinstance(node, ast.Attribute) and node.attr == "read":
+        return getattr(node.value, "id", None) == "os"
+    field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+    return field is not None and getattr(node, field) in BYTE_READS
+
+
+def test_one_function_opens_and_reads_input_wav_files():
+    # audio.wav_source alone reads WAV bytes, so every input keeps its header
+    # checks and its block reads; read_feature_stack reads SSLF files
+    control = 'def f(p, fd):\n    open(p).read()\n    open(p, "rb").read()\n    os.read(fd, 9)\n    np.fromfile(p)\n'
+    found = {}
+    for top in ast.parse(control).body:
+        found[top.name] = sorted(node.lineno for node in ast.walk(top) if reads_bytes(node))
+    assert found == {"f": [3, 4, 5]}
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            lines = sorted(node.lineno for node in ast.walk(top) if reads_bytes(node))
+            if lines:
+                found[f"{path.stem}.{getattr(top, 'name', '<module>')}"] = lines
+    assert sorted(found) == ["audio.wav_source", "features.read_feature_stack"], found
+
+
 def module_level_imports(path: Path) -> set[str]:
     """Modules that importing ``path`` imports: absolute names, and package modules as
     ".name" ("." for the package itself); imports inside function bodies excluded."""

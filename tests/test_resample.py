@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from scipy.signal import firwin
 
-from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample
+from diarsep import AudioBuffer, FirFilter, design_kaiser_sinc, resample, write_wav
 from diarsep.audio import BLOCK
+from diarsep.cli import main
+from diarsep.features import check_finite
 from diarsep.resample import ROW, SCRATCH_BYTES, _rows, _toeplitz
 from diarsep.workers import Scratch
 from diarsep.workers import run_blocks as _run_blocks
@@ -270,13 +272,13 @@ def test_job_products_equal_the_whole_signal_products_in_float64():
                     design_kaiser_sinc(fs_in, fs_out, transition_frac=0.0979)):
             base, t = _toeplitz(fir.taps.astype(np.float64), up, down)
             for n in (1, 7, 100, 101, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 50, 2 * BLOCK + 101):
-                x = rng.uniform(-0.9, 0.9, n).astype(np.float32)
-                whole = toeplitz_products(AudioBuffer(x, fs_in), fs_out, fir)
+                buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
+                whole = toeplitz_products(buf, fs_out, fir)
                 n_rows = len(whole)
                 for rows in sorted({min(n_rows, r) for r in (2, 5, 252, 574)}):
                     for start in range(0, n_rows, rows):
                         first = min(start, n_rows - rows)
-                        got = _rows(x, base, t, step, first, rows, scratch)
+                        got = _rows(buf, base, t, step, first, rows, scratch)
                         np.testing.assert_array_equal(got, whole[first : first + rows])
 
 
@@ -397,6 +399,65 @@ def test_each_worker_holds_one_scratch_of_about_a_mebibyte(monkeypatch, n_cpus):
             # the float32 result, the one-byte-per-sample mask of AudioBuffer's finiteness check, the matrix
             shared = y.samples.nbytes + y.samples.size + t_bytes
             assert peak - shared <= n_cpus * (SCRATCH_BYTES + (32 << 10)), (fir.taps.size, peak - shared)
+
+
+def count_checks(monkeypatch):
+    """Count, by name, the elements that check_finite sees, in every diarsep module that binds it."""
+    seen = {}
+    lock = threading.Lock()
+
+    def counting(values, name):
+        with lock:
+            seen[name] = seen.get(name, 0) + np.size(values)
+        check_finite(values, name)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diarsep.") and hasattr(module, "check_finite"):
+            monkeypatch.setattr(module, "check_finite", counting)
+    return seen
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_resample_checks_each_output_sample_once_and_pcm16_input_never(tmp_path, monkeypatch, capsys, n_cpus):
+    # 11 jobs of 574 rows up and 13 of 252 down, the last overlapping the one before:
+    # a job checks the outputs it hands on, not the rows it shares with the one before
+    cpus(monkeypatch, n_cpus)
+    rng = np.random.default_rng(14)
+    for fs_in, fs_out, n in ((8000, 16000, 3 * BLOCK + 17), (16000, 8000, 6 * BLOCK + 35)):
+        buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
+        fir = design_kaiser_sinc(fs_in, fs_out)
+        seen = count_checks(monkeypatch)
+        y = resample(buf, fs_out, fir)
+        assert seen == {"audio samples": len(y)}
+        np.testing.assert_array_equal(y.samples.view(np.int32), toeplitz_oracle(buf, fs_out, fir).samples.view(np.int32))
+
+        write_wav(buf, tmp_path / "in.wav")
+        seen.clear()
+        assert main(["resample", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"), "--rate", str(fs_out)]) == 0
+        assert seen == {"audio samples": len(y), "taps": fir.taps.size}  # the file's filter, designed in the call
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_resample_of_a_wav_file_holds_neither_the_input_nor_the_output(tmp_path, monkeypatch, capsys, n_cpus):
+    # each worker holds its float64 scratch of SCRATCH_BYTES, its rows once more
+    # as float32, the writer's float64 and int16 copies of them and its int16
+    # span: under 3 * SCRATCH_BYTES, against 8 MiB of int16 input
+    cpus(monkeypatch, n_cpus)
+    n = 64 * BLOCK
+    bound = n_cpus * 3 * SCRATCH_BYTES
+    assert bound < 2 * n  # below the input's int16 bytes, and a quarter of the output's as float32
+    write_wav(AudioBuffer(np.random.default_rng(15).uniform(-0.9, 0.9, n).astype(np.float32), 8000), tmp_path / "8k.wav")
+    for source, target, rate in (("8k.wav", "16k.wav", "16000"), ("16k.wav", "back.wav", "8000")):
+        tracemalloc.start()
+        try:
+            code = main(["resample", str(tmp_path / source), str(tmp_path / target), "--rate", rate])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound, (rate, peak)
+    assert capsys.readouterr().out.count("resampled") == 2
 
 
 def test_cpu_count_is_used_without_sched_getaffinity(monkeypatch):
