@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import BLOCK, AudioBuffer
 from .defaults import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
 from .features import check_finite
-from .workers import Scratch, run_blocks
+from .workers import Scratch, run_blocks, spans
 
 # outputs per row of the Toeplitz product: on 2 vCPUs, 20 min of audio resampled
 # fastest at 64 of 32, 64 and 128, in both directions
@@ -199,10 +199,11 @@ def resample_blocks(source, fs_out: int, fir: FirFilter | None, sink) -> None:
     # every product has the same row count, at least 2 unless there is one row:
     # numpy sends a 1-row matmul to gemv, which rounds differently from gemm
     rows = min(n_rows, max(2, SCRATCH_BYTES // (8 * (t.shape[0] + ROW + step))))
+    firsts = [block.start for block in spans(n_rows, rows)]  # the last job overlaps the one before it
     scratch = Scratch()
 
     def job(start):
-        first = min(start, n_rows - rows)  # the last job overlaps the one before it
+        first = firsts[start // rows]
         product = _rows(source, base, t, step, first, rows, scratch).reshape(-1)
         # the job hands on its own outputs only: those of rows [start, start + rows)
         own = product[(start - first) * ROW : min((start + rows) * ROW, n_out) - first * ROW]

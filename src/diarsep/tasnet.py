@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .features import FeatureMatrix, FeatureStack, check_finite
-from .workers import Scratch, run_blocks, worker_count
+from .workers import Scratch, blas_threads, run_blocks, spans
 
 DEFAULT_EPS = 1e-8
 # frames per block: a block's float64 windows and latent, 1024 x (16 + 128) x 8 B = 1.2 MB
@@ -19,12 +19,13 @@ DEFAULT_EPS = 1e-8
 # 2-source separation ran fastest at 512-1024 of the sizes 256-4096)
 BLOCK_FRAMES = 1024
 # OpenBLAS (as bundled with numpy's wheels) runs a dgemm on the calling thread when
-# m * n * k <= 2**18 and on its own thread pool above that; two separation workers
-# whose products also start BLAS threads fight over the cores (2 vCPUs, 2 x 60 s:
-# 115-123 ms against 93-97 ms for one serial pass), so each worker's products go in
-# tiles within this size. The CLI pins that pool to one thread (cli.run); the tiles
-# serve library callers, whose pool may be threaded and whose size numpy does not
-# report. Another BLAS, or another OpenBLAS build, may switch at another size.
+# m * n * k <= 2**18 and on its own thread pool above that. Separation workers whose
+# products also start BLAS threads fight over the cores, so where the pool may have
+# more than one thread (workers.blas_threads() is not 1) the products go in tiles
+# within this size: on 2 vCPUs with a 2-thread pool, 2 x 60 s took 205-237 ms in
+# 128-row tiles against 398-470 ms in whole-block products. The CLI pins the pool to
+# one thread (cli.run), and there one product per block is faster (146-154 ms against
+# 191-195 ms). Another BLAS, or another OpenBLAS build, may switch at another size.
 GEMM_SERIAL_MNK = 1 << 18
 NONLINEARITIES = ("relu", "linear")
 
@@ -76,33 +77,19 @@ def _windows(x: np.ndarray, basis: EncoderBasis) -> np.ndarray:
     return sliding_window_view(x, basis.kernel_len)[:: basis.stride]
 
 
-def _frame_blocks(n_frames: int, size: int = BLOCK_FRAMES):
-    """Slices of min(n_frames, size) frames covering range(n_frames).
-
-    The last block ends at n_frames and may overlap the one before it, so every
-    matmul has the same row count: BLAS may take another kernel for a short
-    tail (a single row goes to gemv), which rounds differently from the
-    whole-array product.
-    """
-    size = min(n_frames, size)
-    for start in range(0, n_frames, size):
-        start = min(start, n_frames - size)
-        yield slice(start, start + size)
-
-
 def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratch: Scratch, out) -> None:
     """Write float32 g(analysis @ window(t)) for the frames t in ``rows`` into ``out``.
 
-    The float64 product runs in ``_frame_blocks`` tiles of ``tile`` rows, each
+    The float64 product runs in ``workers.spans`` tiles of ``tile`` rows, each
     rounded once to float32, as a whole-array encode would.
     """
     w = scratch.get("windows", (rows.stop - rows.start, windows.shape[1]))
     np.copyto(w, windows[rows])
-    product = scratch.get("product", (min(len(w), tile), analysis_t.shape[1]))
+    product = scratch.get("float64", (min(len(w), tile), analysis_t.shape[1]))
     # a product beyond float32 range rounds to inf, which the caller's check_finite
     # reports; errstate is per thread, so a caller's setting would miss pool workers
     with np.errstate(over="ignore"):
-        for t in _frame_blocks(len(w), tile):
+        for t in spans(len(w), tile):
             np.matmul(w[t], analysis_t, out=product)
             if relu:
                 np.maximum(product, 0.0, out=out[t], casting="same_kind")
@@ -121,7 +108,7 @@ def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratc
     for w, encoding in zip(source_windows, out, strict=True):
         _encode_rows(w, analysis_t, True, rows, tile, scratch, encoding)
     check_finite(out, "source encodings")
-    denominator = scratch.get("denominator", out.shape[1:])
+    denominator = scratch.get("float64", out.shape[1:])  # the encode products are done
     np.copyto(denominator, out[0])
     for encoding in out[1:]:
         denominator += encoding
@@ -146,50 +133,69 @@ def _synthesize(
     ``masked_rows(rows, start, tile, scratch)`` returns the (S, frames, N)
     float32 masked latents of the frame slice ``rows``, its float64 products
     in tiles of ``tile`` rows; the job owns frames [start, rows.stop). Each
-    ``_frame_blocks`` block of frames is one job of ``workers.run_blocks``:
+    ``workers.spans`` block of frames is one job of ``workers.run_blocks``:
     it also takes the ceil(kernel_len / stride) - 1 frames before the block
     as a halo, synthesises in float64, adds the taps k = 0..kernel_len-1 in
     ascending order from 0.0, and writes the samples whose latest frame
     starts in the block (the last block also the tail) into the float32
     outputs. So every sample sums the same terms in the same order as one
-    whole-array overlap-add, whatever the thread count.
+    whole-array overlap-add, whatever the thread count or tile. Each job
+    checks the samples it writes; a non-finite one is reported once every
+    job has finished, so an error that a job raises takes precedence.
+    Products run whole-block when the BLAS pool has one thread, in tiles
+    within GEMM_SERIAL_MNK otherwise.
     """
     stride, kernel_len = basis.stride, basis.kernel_len
+    rate = round(frame_rate * stride)
     size = min(n_frames, BLOCK_FRAMES)
+    blocks = list(spans(n_frames, size))
     halo = -(-kernel_len // stride) - 1
-    tile = size + halo  # one product per block: BLAS may thread it
-    if worker_count(n_frames, size) > 1:
+    tile = size + halo  # one product per block
+    if blas_threads() != 1:  # a threaded pool, or one of unknown size: see GEMM_SERIAL_MNK
         tile = max(2, GEMM_SERIAL_MNK // (basis.n_filters * kernel_len))
     synthesis = basis.synthesis.astype(np.float64)
     n_out = (n_frames - 1) * stride + kernel_len
     outputs = [np.empty(n_out, dtype=np.float32) for _ in range(n_sources)]
     scratch = Scratch()
+    non_finite = []
 
     def job(start):
-        stop = min(start + size, n_frames)
-        rows = slice(max(0, stop - size - halo), stop)  # stop - size: the _frame_blocks block
+        block = blocks[start // size]
+        rows = slice(max(0, block.start - halo), block.stop)
         offset = rows.start * stride
-        first, last = start * stride, (stop * stride if stop < n_frames else n_out)
+        first, last = start * stride, (block.stop * stride if block.stop < n_frames else n_out)
         masked = masked_rows(rows, start, tile, scratch)
         n_rows = masked.shape[1]
-        latent = scratch.get("synthesis_in", (min(n_rows, tile), basis.n_filters))
+        # masked_rows is done with its float64 products, and the mask denominator
+        latent = scratch.get("float64", (min(n_rows, tile), basis.n_filters))
         frames = scratch.get("frames", (n_rows, kernel_len))
         # span[row, r] is sample offset + row * stride + r; tap k = q * stride + r of
         # frame t lands in row t + q, so adding q = 0, 1, ... adds each sample's taps
         # in ascending k
         span = scratch.get("span", (n_rows + halo, stride))
         for out, m in zip(outputs, masked, strict=True):
-            for t in _frame_blocks(n_rows, tile):
+            for t in spans(n_rows, tile):
                 np.copyto(latent, m[t])
                 np.matmul(latent, synthesis, out=frames[t])
             span.fill(0.0)
             for q in range(halo + 1):
                 taps = frames[:, q * stride : (q + 1) * stride]
                 span[q : q + n_rows, : taps.shape[1]] += taps
-            out[first:last] = span.reshape(-1)[first - offset : last - offset]
+            # a sample beyond float32 range rounds to inf, which the check reports;
+            # errstate is per thread, so a caller's setting would miss pool workers
+            with np.errstate(over="ignore"):
+                out[first:last] = span.reshape(-1)[first - offset : last - offset]
+            try:
+                check_finite(out[first:last], "audio samples")
+            except ValueError as exc:
+                non_finite.append(exc)
 
     run_blocks(job, n_frames, size)
-    return [AudioBuffer(out, round(frame_rate * stride)) for out in outputs]
+    if non_finite:
+        raise non_finite[0]
+    if rate < 1:
+        raise ValueError(f"sample_rate must be positive, got {rate}")
+    return [AudioBuffer._from_samples(out, rate) for out in outputs]
 
 
 def encode(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
@@ -202,7 +208,7 @@ def encode(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
     relu = basis.nonlinearity == "relu"
     scratch = Scratch()
     latent = np.empty((len(windows), basis.n_filters), dtype=np.float32)
-    for block in _frame_blocks(len(windows)):
+    for block in spans(len(windows), BLOCK_FRAMES):
         _encode_rows(windows, analysis_t, relu, block, BLOCK_FRAMES, scratch, latent[block])
     return FeatureMatrix(latent, audio.sample_rate / basis.stride)
 
@@ -253,7 +259,7 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     windows = [_windows(s.samples, basis) for s in sources]
     analysis_t = basis.analysis.T.astype(np.float64)
     scratch = Scratch()
-    for block in _frame_blocks(len(windows[0])):
+    for block in spans(len(windows[0]), BLOCK_FRAMES):
         _oracle_mask_rows(windows, analysis_t, block, BLOCK_FRAMES, scratch, masks[:, block])
     return masks
 
@@ -296,11 +302,14 @@ def _mixture(sources: list[AudioBuffer]) -> AudioBuffer:
     """The float32 sum of the sources, added in source order into one array of zeros.
 
     Bit-identical to np.sum([s.samples for s in sources], axis=0), which also
-    starts from 0.0 (so -0.0 + -0.0 gives 0.0), without its (S, n) copy.
+    starts from 0.0 (so -0.0 + -0.0 gives 0.0), without its (S, n) copy. The
+    sum is checked: finite library sources may add up beyond float32 range
+    (3e38 + 3e38), which rounds to inf.
     """
     total = np.zeros(len(sources[0]), dtype=np.float32)
-    for source in sources:
-        total += source.samples
+    with np.errstate(over="ignore"):
+        for source in sources:
+            total += source.samples
     return AudioBuffer(total, sources[0].sample_rate)
 
 

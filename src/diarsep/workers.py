@@ -1,5 +1,6 @@
-"""One pool of worker threads for independent blocks of numpy work, and their scratch buffers."""
+"""One pool of worker threads for independent blocks of numpy work, its row schedule and scratch buffers."""
 
+import ctypes
 import math
 import os
 import threading
@@ -10,6 +11,52 @@ import numpy as np
 # tap limit): 512 KiB as float64, about a core's L2 cache, so no whole-signal
 # float64 array is built
 BLOCK = 1 << 16
+
+
+def spans(n: int, size: int):
+    """Slices of min(n, size) rows covering range(n): the k-th starts at min(k * size, n - size).
+
+    The last slice ends at n and may overlap the one before it, so every
+    product over a slice has the same row count: BLAS may take another kernel
+    for a short tail (numpy sends a 1-row matmul to gemv), which rounds
+    differently from a product of the full count. The k-th slice holds the
+    rows that the run_blocks job of start k * size computes.
+    """
+    size = min(n, size)
+    for start in range(0, n, size):
+        start = min(start, n - size)
+        yield slice(start, start + size)
+
+
+def _mapped_files() -> set[str]:
+    """Paths of the files mapped into this process (empty where /proc/self/maps is missing)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            return {line.split()[-1] for line in maps if "/" in line}
+    except OSError:
+        return set()
+
+
+def blas_threads() -> int | None:
+    """Threads in the OpenBLAS pool of this process, or None when that cannot be read.
+
+    The pool size comes by ctypes from the OpenBLAS library mapped into the
+    process, numpy's 64-bit-integer build first where scipy maps another;
+    None where no OpenBLAS is mapped (another BLAS, or no /proc).
+    """
+    libraries = []
+    for path in sorted(path for path in _mapped_files() if "openblas" in path.lower()):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:  # mapped, but no longer loadable from its path
+            pass
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for library in libraries:
+            get = getattr(library, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
 
 
 def worker_count(n_out: int, block: int = BLOCK) -> int:
@@ -67,7 +114,11 @@ def run_blocks(job, n_out: int, block: int = BLOCK) -> None:
 
 
 class Scratch(threading.local):
-    """Named buffers of each thread, reused from block to block; each name has one role.
+    """Named buffers of each thread, reused from block to block.
+
+    One name may serve several roles, as long as their uses in a job do not
+    overlap: each get() hands out the same memory, grown to the largest
+    shape asked for.
 
     glibc malloc hands a freed block-sized temporary (about 1 MB) back to the
     kernel, so fresh temporaries fault in again on every block: separating

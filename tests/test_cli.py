@@ -1338,3 +1338,59 @@ def test_cli_blas_results_do_not_depend_on_the_callers_environment():
         "print(np.dot(x, y).hex())"
     )
     assert run_with_main(body, "1") == run_with_main(body, "2")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets the usable CPUs of each child")
+def test_every_subcommand_writes_the_same_bytes_on_one_and_two_cpus(tmp_path):
+    """Each subcommand runs in a CLI child whose usable CPUs are set before it starts, with
+    inputs of several pool jobs each; stdout and every output file match byte for byte.
+    The 2-CPU half is skipped where fewer CPUs are usable."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    scores_path, feats_path = diarize_fixtures(inputs)
+    rng = np.random.default_rng(24)
+    # 9 s at 8 kHz: 4 resample jobs, 9 blocks of frames, 2 score blocks
+    wavs = [inputs / f"s{k}.wav" for k in range(2)]
+    for path in wavs:
+        write_wav(AudioBuffer(rng.uniform(-0.4, 0.4, 9 * 8000).astype(np.float32), 8000), path)
+    (inputs / "weights.txt").write_text("0.3\n-0.2\n")
+    for name in ("ref", "hyp"):
+        annotations = [random_annotation(rng, uri=f"u{k}") for k in range(4)]
+        (inputs / f"{name}.rttm").write_text("".join(emit_rttm(a) for a in annotations))
+    commands = [
+        ["version"],
+        ["resample", str(wavs[0]), "up.wav", "--rate", "16000"],
+        ["resample", "up.wav", "back.wav", "--rate", "8000"],
+        ["powerset", "--num-speakers", "3"],
+        ["fuse", str(feats_path), str(inputs / "weights.txt"), "fused.sslf"],
+        ["separate-oracle", "--sources", *map(str, wavs), "--output-dir", "est", "--seed", "7",
+         "--save-masks", "masks.sslf"],
+        ["diarize", str(scores_path), "--features", str(feats_path), "--output", "out.rttm"],
+        ["score-der", str(inputs / "ref.rttm"), str(inputs / "hyp.rttm"), "--collar", "0.25"],
+        ["score-sdr", "--refs", *map(str, wavs), "--ests", "est/est1.wav", "est/est0.wav", "--mix", str(wavs[0])],
+    ]
+    package_root = str(Path(diarsep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    usable = sorted(os.sched_getaffinity(0))
+    results = {}
+    for n_cpus in (1, 2)[: len(usable)]:
+        work = tmp_path / f"cpus-{n_cpus}"
+        work.mkdir()
+        stdout = []
+        for argv in commands:
+            result = subprocess.run(
+                [sys.executable, "-m", "diarsep.cli", *argv],
+                cwd=work,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                preexec_fn=lambda: os.sched_setaffinity(0, usable[:n_cpus]),
+            )
+            assert (result.returncode, result.stderr) == (0, ""), argv
+            stdout.append(result.stdout)
+        files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
+        assert sorted(files) == ["back.wav", "est/est0.wav", "est/est1.wav", "fused.sslf", "masks.sslf",
+                                 "out.rttm", "up.wav"]
+        results[n_cpus] = stdout, files
+    assert all(result == results[1] for result in results.values())

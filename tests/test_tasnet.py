@@ -21,7 +21,6 @@ from diarsep import (
 from diarsep.features import sslf_writer
 from diarsep.tasnet import (
     BLOCK_FRAMES,
-    _frame_blocks,
     _mixture,
     apply_masks,
     basis_from_stack,
@@ -31,9 +30,20 @@ from diarsep.tasnet import (
     masks_shape,
     separate_with_masks,
 )
-from diarsep.workers import worker_count
+from diarsep.workers import spans, worker_count
 from oracles import decode_oracle, encode_oracle, oracle_masks_oracle, separate_oracle
-from test_resample import count_thread_starts, cpus
+from test_cli import fresh_python
+from test_resample import count_checks, count_thread_starts, cpus
+from test_workers import needs_openblas
+
+# what workers.blas_threads() reads: a pinned pool, whose products run whole-block,
+# and an unreadable one, whose products go in tiles as on a threaded pool
+POOLS = (1, None)
+
+
+def blas_pool(monkeypatch, threads):
+    """Make tasnet see a BLAS pool of ``threads`` threads."""
+    monkeypatch.setattr("diarsep.tasnet.blas_threads", lambda: threads)
 
 
 def ortho_basis(kernel_len, nonlinearity="linear"):
@@ -317,11 +327,14 @@ def test_blockwise_equals_whole_array_oracles(n_frames, kind, nonlinearity):
 
 @pytest.mark.parametrize("n_frames", [1, 5, BLOCK_FRAMES, BLOCK_FRAMES + 1, 3 * BLOCK_FRAMES - 1])
 def test_frame_blocks_share_one_row_count(n_frames):
-    """Every block has min(T, BLOCK_FRAMES) rows, so each float64 matmul takes the BLAS
-    path of the whole-array product. A 1-row tail (gemv) rounds differently in float64,
-    which the float32 outputs compared by the equality test almost never reveal."""
-    blocks = list(_frame_blocks(n_frames))
-    assert {b.stop - b.start for b in blocks} == {min(n_frames, BLOCK_FRAMES)}
+    """Every block of frames, a workers.spans slice, has min(T, BLOCK_FRAMES) rows, so each
+    float64 matmul takes the BLAS path of the whole-array product. A 1-row tail (gemv)
+    rounds differently in float64, which the float32 outputs compared by the equality
+    test almost never reveal. The k-th block holds the rows of the job of start k * size."""
+    blocks = list(spans(n_frames, BLOCK_FRAMES))
+    size = min(n_frames, BLOCK_FRAMES)
+    assert {b.stop - b.start for b in blocks} == {size}
+    assert [b.start for b in blocks] == [min(k, n_frames - size) for k in range(0, n_frames, size)]
     covered = np.zeros(n_frames, dtype=bool)
     for b in blocks:
         covered[b] = True
@@ -401,16 +414,17 @@ def test_oracle_separation_rejects_non_finite_source_encodings(monkeypatch):
         encode(sources[0], basis)
 
 
-def test_oracle_separation_holds_one_block_of_masks():
+def test_oracle_separation_holds_one_block_of_masks(monkeypatch):
     """Peak traced bytes of oracle_separation beyond its estimates, 2 sources of 8 s at 16 kHz.
 
     The whole (S, T, N) float32 masks are 16.4 MB here; masks built whole first,
     then applied, exceed them. The fused pass holds the float32 mixture (and,
     while AudioBuffer checks it, one byte per sample) and, per worker, the
-    buffers of one block of frames plus its halo: 3.4 MB each on several
-    workers, whose products go in tiles, and 5.4 MB on one, whose products
-    are whole-block. So the bound is four blocks of masks (4.2 MB) per worker
-    of this host, plus two: below the whole masks on one to three workers.
+    buffers of one block of frames plus its halo: 3.2 MB, whether its products
+    go in tiles or run whole-block, since the whole-block product, the mask
+    denominator and the synthesis input share one float64 buffer. So the bound
+    is four blocks of masks (4.2 MB) per worker of this host, plus two: below
+    the whole masks on one to three workers.
     """
     basis = random_basis(128, 16, 8, seed=0)
     rng = np.random.default_rng(8)
@@ -419,18 +433,20 @@ def test_oracle_separation_holds_one_block_of_masks():
     n_frames = (n - 16) // 8 + 1
     masks_nbytes = len(sources) * n_frames * 128 * 4
     workers = worker_count(n_frames, BLOCK_FRAMES)
-    tracemalloc.start()
-    try:
-        estimates = oracle_separation(sources, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = 5 * n + (4 * workers + 2) * masks_nbytes * BLOCK_FRAMES // n_frames
-    assert peak - sum(e.samples.nbytes for e in estimates) < bound
+    for pool in POOLS:
+        blas_pool(monkeypatch, pool)
+        tracemalloc.start()
+        try:
+            estimates = oracle_separation(sources, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 5 * n + (4 * workers + 2) * masks_nbytes * BLOCK_FRAMES // n_frames
+        assert peak - sum(e.samples.nbytes for e in estimates) < bound, pool
 
 
 PARALLEL_BASES = {
-    "stride-8": random_basis(128, 16, 8, seed=16),  # 128-row tiles on several workers
+    "stride-8": random_basis(128, 16, 8, seed=16),  # 128-row tiles on a threaded BLAS pool
     "stride-1": random_basis(32, 16, 1, seed=17),  # a halo of 15 frames
     "stride-5": random_basis(24, 16, 5, seed=18),  # a stride that does not divide L
     "stride-16": random_basis(64, 16, 16, seed=19),  # stride == L: no halo
@@ -456,8 +472,9 @@ def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
         want = bits(separate_oracle(mixture, masks, basis))
         cases.append((sources, mixture, masks, latent, want, bits([decode_oracle(latent, basis)])))
     interval = sys.getswitchinterval()
-    for n_cpus in (1, 2, 4):
+    for n_cpus, pool in [(n_cpus, pool) for n_cpus in (1, 2, 4) for pool in POOLS]:
         cpus(monkeypatch, n_cpus)
+        blas_pool(monkeypatch, pool)
         started = count_thread_starts(monkeypatch)
         sys.setswitchinterval(1e-5)  # switch threads often, so overlapping writes would show
         try:
@@ -469,7 +486,7 @@ def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
         finally:
             sys.setswitchinterval(interval)
         blocks = [-(-n_frames // BLOCK_FRAMES) for n_frames in frame_counts]
-        assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), n_cpus
+        assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), (n_cpus, pool)
 
 
 @pytest.mark.parametrize("n_frames", [k * BLOCK_FRAMES + d for k in (1, 3) for d in (-1, 1)])
@@ -535,18 +552,120 @@ def test_oracle_separation_holds_no_synthesis_frames(monkeypatch, n_cpus):
 
     The (S, T, kernel_len) float64 synthesis frames of the whole input would be
     30.7 MB here. The pass holds the float32 mixture (3.8 MB) and the buffers
-    of one block of frames, with its halo, per worker: 5.4 MB on one worker and
-    3.4 MB each on several at N=128.
+    of one block of frames, with its halo, per worker: 3.2 MB at N=128, whether
+    its products go in tiles or run whole-block.
     """
     cpus(monkeypatch, n_cpus)
     basis = random_basis(128, 16, 8, seed=0)
     rng = np.random.default_rng(22)
     sources = [AudioBuffer(rng.uniform(-0.3, 0.3, 60 * 16000).astype(np.float32), 16000) for _ in range(2)]
     frames_nbytes = len(sources) * ((60 * 16000 - 16) // 8 + 1) * 16 * 8
-    tracemalloc.start()
-    try:
+    for pool in POOLS:
+        blas_pool(monkeypatch, pool)
+        tracemalloc.start()
+        try:
+            estimates = oracle_separation(sources, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(e.samples.nbytes for e in estimates) < frames_nbytes, pool
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_each_estimate_sample_is_checked_once(monkeypatch, n_cpus):
+    # each job checks the samples it writes, not its halo or the frames it shares with
+    # the block before; the mixture is checked once (a float32 sum of finite library
+    # sources may overflow)
+    cpus(monkeypatch, n_cpus)
+    basis = PARALLEL_BASES["stride-8"]
+    n = 3 * BLOCK_FRAMES * 8 + 16
+    rng = np.random.default_rng(25)
+    sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
+    mixture = _mixture(sources)
+    latent = encode(mixture, basis)
+    for pool in POOLS:
+        blas_pool(monkeypatch, pool)
+        seen = count_checks(monkeypatch)
         estimates = oracle_separation(sources, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - sum(e.samples.nbytes for e in estimates) < frames_nbytes
+        assert seen["audio samples"] == n + sum(len(e) for e in estimates), pool
+        seen.clear()
+        assert len(decode(latent, basis)) == n
+        assert seen == {"audio samples": n}, pool
+
+
+def test_samples_beyond_float32_are_reported_after_every_job(monkeypatch):
+    cpus(monkeypatch, 4)
+    # finite float32 weights whose sums overflow float32: every sample rounds to inf
+    basis = EncoderBasis(np.eye(4, 8), np.full((4, 8), 3e38), 4, "linear")
+    n_frames = 6 * BLOCK_FRAMES
+    mixture = AudioBuffer(np.full((n_frames - 1) * 4 + 8, 0.5, np.float32), 8000)
+    masks = np.ones((2, n_frames, 4), np.float32)
+    for pool in POOLS:
+        blas_pool(monkeypatch, pool)
+        with pytest.raises(ValueError, match="audio samples must be finite"):
+            separate_with_masks(mixture, masks, basis)
+        with pytest.raises(ValueError, match="audio samples must be finite"):
+            decode(encode(mixture, basis), basis)
+    masks[1, 4 * BLOCK_FRAMES + 7, 3] = np.nan  # in block 4: its error wins over the overflow in blocks 0-3
+    with pytest.raises(ValueError, match="masked latent must be finite"):
+        separate_with_masks(mixture, masks, basis)
+    big = AudioBuffer(np.full(64, 3e38, np.float32), 8000)
+    with pytest.raises(ValueError, match="audio samples must be finite"):  # the mixture's sum
+        oracle_separation([big, big], mirrored_dct_basis(8))
+    with pytest.raises(ValueError, match="sample_rate must be positive, got 0"):
+        decode(FeatureMatrix(np.ones((6, 4), np.float32), 0.1), random_basis(4, 8, 4, seed=5))
+
+
+@needs_openblas
+def test_a_pinned_blas_pool_separates_whole_blocks_to_the_oracle_bits(tmp_path):
+    # the CLI's setting, in a fresh interpreter: OPENBLAS_NUM_THREADS=1 before numpy loads
+    basis = PARALLEL_BASES["stride-8"]
+    n = (3 * BLOCK_FRAMES + 1) * 8 + 16
+    rng = np.random.default_rng(26)
+    sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
+    np.save(tmp_path / "sources.npy", np.stack([s.samples for s in sources]))
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from diarsep import AudioBuffer, oracle_separation, random_basis\n"
+        "from diarsep.workers import blas_threads\n"
+        "assert blas_threads() == 1, blas_threads()\n"
+        "sources = [AudioBuffer(row, 8000) for row in np.load(sys.argv[1])]\n"
+        "estimates = oracle_separation(sources, random_basis(128, 16, 8, seed=16))\n"
+        "np.save(sys.argv[2], np.stack([e.samples for e in estimates]))\n"
+    )
+    result = fresh_python(script, str(tmp_path / "sources.npy"), str(tmp_path / "estimates.npy"),
+                          env={"OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 0, result.stderr
+    mixture = AudioBuffer(sources[0].samples + sources[1].samples, 8000)
+    want = bits(separate_oracle(mixture, oracle_masks_oracle(sources, basis), basis))
+    got = np.load(tmp_path / "estimates.npy")
+    for g, w in zip(got, want, strict=True):
+        np.testing.assert_array_equal(g.view(np.int32), w)
+
+
+def test_products_run_whole_block_only_on_a_one_thread_blas_pool(monkeypatch):
+    # per block of frames: one encode product per source, one for the mixture and one
+    # synthesis product per source; on a pool of more threads, or of an unknown size,
+    # tiles of GEMM_SERIAL_MNK // (N * L) = 128 rows
+    cpus(monkeypatch, 1)
+    basis = PARALLEL_BASES["stride-8"]
+    n = (2 * BLOCK_FRAMES + 5 - 1) * 8 + 16
+    rng = np.random.default_rng(27)
+    sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
+    rows = []
+    matmul = np.matmul
+
+    def counting(a, b, out):
+        rows.append(len(a))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    for pool in (1, 2, None):
+        blas_pool(monkeypatch, pool)
+        rows.clear()
+        oracle_separation(sources, basis)
+        if pool == 1:  # block 0 has no halo frame before it
+            assert rows == 5 * [BLOCK_FRAMES] + 10 * [BLOCK_FRAMES + 1]
+        else:
+            assert set(rows) == {128}, pool
