@@ -32,6 +32,14 @@ def _fmt_db(value: float, cap: float | None = None) -> str:
     return f"{value:.3f}"
 
 
+def _read_text(path: str) -> str:
+    """The text of ``path``; a byte that does not decode is a ValueError naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_version(args) -> int:
     print(f"diarsep {__version__}")
     return 0
@@ -87,7 +95,7 @@ def _cmd_fuse(args) -> int:
 
     stack = read_feature_stack(args.stack)
     logits = []
-    for lineno, line in enumerate(Path(args.weights).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(args.weights).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -208,9 +216,9 @@ def _cmd_score_der(args) -> int:
     from .der import compute_der, total_der
     from .workers import run_blocks
 
-    ref_map = parse_rttm(Path(args.ref).read_text())
-    hyp_map = parse_rttm(Path(args.hyp).read_text())
-    uem = parse_uem(Path(args.uem).read_text()) if args.uem else {}
+    ref_map = parse_rttm(_read_text(args.ref))
+    hyp_map = parse_rttm(_read_text(args.hyp))
+    uem = parse_uem(_read_text(args.uem)) if args.uem else {}
     uris = sorted(set(ref_map) | set(hyp_map))
     if not uris:
         raise ValueError("no recordings found in either RTTM file")
@@ -372,7 +380,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _load_config(path: str) -> dict[str, str]:
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -183,27 +183,48 @@ def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
 
 
 def read_feature_stack(path: str | Path) -> FeatureStack:
-    """Read an SSLF file into one buffer, validating magic, version and declared sizes.
+    """Read an SSLF file into one writable array, validating magic, version and declared sizes.
 
-    FeatureStack checks the values; every error names the file.
+    The header is read first, then the payload straight into the float32
+    array, so a pipe (``cat x.sslf | diarsep diarize /dev/stdin``) reads as
+    a file does. A regular file's size is checked against its header before
+    the array is allocated. FeatureStack checks the values; every error, an
+    OSError too, names the file.
     """
-    raw = np.fromfile(path, dtype=np.uint8)
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated SSLF header")
-    magic, version, n_layers, n_frames, dim, frame_rate = _HEADER.unpack_from(raw)
-    if magic != SSLF_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {SSLF_MAGIC!r}")
-    if version != SSLF_VERSION:
-        raise ValueError(f"{path}: unsupported SSLF version {version}")
-    if min(n_layers, n_frames, dim) < 1:
-        raise ValueError(f"{path}: sizes must be positive, got {n_layers}x{n_frames}x{dim}")
-    expected = n_layers * n_frames * dim * 4
-    actual = len(raw) - _HEADER.size
+    try:
+        with open(path, "rb") as file:
+            header = file.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise ValueError(f"{path}: truncated SSLF header")
+            magic, version, n_layers, n_frames, dim, frame_rate = _HEADER.unpack(header)
+            if magic != SSLF_MAGIC:
+                raise ValueError(f"{path}: bad magic {magic!r}, expected {SSLF_MAGIC!r}")
+            if version != SSLF_VERSION:
+                raise ValueError(f"{path}: unsupported SSLF version {version}")
+            if min(n_layers, n_frames, dim) < 1:
+                raise ValueError(f"{path}: sizes must be positive, got {n_layers}x{n_frames}x{dim}")
+            expected = n_layers * n_frames * dim * 4
+            info = os.fstat(file.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size != expected:
+                actual = info.st_size - _HEADER.size  # known before any allocation
+            else:
+                try:  # a pipe's size is unknown until it is read
+                    data = np.empty((n_layers, n_frames, dim), "<f4")
+                except MemoryError:
+                    raise ValueError(
+                        f"{path}: header declares {expected} payload bytes, more than memory holds"
+                    ) from None
+                # a buffered readinto fills the buffer unless the input ends first, so a
+                # pipe's payload comes in one call; read() then counts any bytes beyond it
+                actual = file.readinto(memoryview(data).cast("B")) + len(file.read())
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)  # a failed read names no file
+        raise
     if actual != expected:
         raise ValueError(
             f"{path}: size mismatch, header declares {expected} payload bytes but file has {actual}"
         )
-    data = raw[_HEADER.size :].view("<f4").reshape(n_layers, n_frames, dim)
     try:
         return FeatureStack(data, frame_rate)
     except ValueError as exc:

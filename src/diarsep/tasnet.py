@@ -11,22 +11,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .features import FeatureMatrix, FeatureStack, check_finite
-from .workers import Scratch, blas_threads, run_blocks, spans
+from .workers import Scratch, run_blocks, spans
 
 DEFAULT_EPS = 1e-8
 # frames per block: a block's float64 windows and latent, 1024 x (16 + 128) x 8 B = 1.2 MB
 # at L=16, N=128, fit a 2 MB L2 cache (on a 2-vCPU Xeon with 2 MB L2 per core, 60 s of
 # 2-source separation ran fastest at 512-1024 of the sizes 256-4096)
 BLOCK_FRAMES = 1024
-# OpenBLAS (as bundled with numpy's wheels) runs a dgemm on the calling thread when
-# m * n * k <= 2**18 and on its own thread pool above that. Separation workers whose
-# products also start BLAS threads fight over the cores, so where the pool may have
-# more than one thread (workers.blas_threads() is not 1) the products go in tiles
-# within this size: on 2 vCPUs with a 2-thread pool, 2 x 60 s took 205-237 ms in
-# 128-row tiles against 398-470 ms in whole-block products. The CLI pins the pool to
-# one thread (cli.run), and there one product per block is faster (146-154 ms against
-# 191-195 ms). Another BLAS, or another OpenBLAS build, may switch at another size.
-GEMM_SERIAL_MNK = 1 << 18
 NONLINEARITIES = ("relu", "linear")
 
 
@@ -77,27 +68,26 @@ def _windows(x: np.ndarray, basis: EncoderBasis) -> np.ndarray:
     return sliding_window_view(x, basis.kernel_len)[:: basis.stride]
 
 
-def _encode_rows(windows, analysis_t, relu: bool, rows: slice, tile: int, scratch: Scratch, out) -> None:
+def _encode_rows(windows, analysis_t, relu: bool, rows: slice, scratch: Scratch, out) -> None:
     """Write float32 g(analysis @ window(t)) for the frames t in ``rows`` into ``out``.
 
-    The float64 product runs in ``workers.spans`` tiles of ``tile`` rows, each
-    rounded once to float32, as a whole-array encode would.
+    One float64 product of all the rows, rounded once to float32, as a
+    whole-array encode would.
     """
     w = scratch.get("windows", (rows.stop - rows.start, windows.shape[1]))
     np.copyto(w, windows[rows])
-    product = scratch.get("float64", (min(len(w), tile), analysis_t.shape[1]))
+    product = scratch.get("float64", (len(w), analysis_t.shape[1]))
+    np.matmul(w, analysis_t, out=product)
     # a product beyond float32 range rounds to inf, which the caller's check_finite
     # reports; errstate is per thread, so a caller's setting would miss pool workers
     with np.errstate(over="ignore"):
-        for t in spans(len(w), tile):
-            np.matmul(w[t], analysis_t, out=product)
-            if relu:
-                np.maximum(product, 0.0, out=out[t], casting="same_kind")
-            else:
-                np.copyto(out[t], product, casting="same_kind")
+        if relu:
+            np.maximum(product, 0.0, out=out, casting="same_kind")
+        else:
+            np.copyto(out, product, casting="same_kind")
 
 
-def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratch: Scratch, out) -> None:
+def _oracle_mask_rows(source_windows, analysis_t, rows: slice, scratch: Scratch, out) -> None:
     """Write the float32 (S, frames, N) oracle ratio masks of the frames in ``rows`` into ``out``.
 
     out[s] = enc_s / (sum_j enc_j + DEFAULT_EPS), clipped to [0, 1], from the
@@ -106,7 +96,7 @@ def _oracle_mask_rows(source_windows, analysis_t, rows: slice, tile: int, scratc
     clipping before it would: rounding is monotonic and keeps 0 and 1.
     """
     for w, encoding in zip(source_windows, out, strict=True):
-        _encode_rows(w, analysis_t, True, rows, tile, scratch, encoding)
+        _encode_rows(w, analysis_t, True, rows, scratch, encoding)
     check_finite(out, "source encodings")
     denominator = scratch.get("float64", out.shape[1:])  # the encode products are done
     np.copyto(denominator, out[0])
@@ -130,29 +120,24 @@ def _synthesize(
 ) -> list[AudioBuffer]:
     """Overlap-add synthesis^T @ latent[t] at t * stride for each source's masked latent.
 
-    ``masked_rows(rows, start, tile, scratch)`` returns the (S, frames, N)
-    float32 masked latents of the frame slice ``rows``, its float64 products
-    in tiles of ``tile`` rows; the job owns frames [start, rows.stop). Each
-    ``workers.spans`` block of frames is one job of ``workers.run_blocks``:
-    it also takes the ceil(kernel_len / stride) - 1 frames before the block
-    as a halo, synthesises in float64, adds the taps k = 0..kernel_len-1 in
-    ascending order from 0.0, and writes the samples whose latest frame
-    starts in the block (the last block also the tail) into the float32
-    outputs. So every sample sums the same terms in the same order as one
-    whole-array overlap-add, whatever the thread count or tile. Each job
-    checks the samples it writes; a non-finite one is reported once every
-    job has finished, so an error that a job raises takes precedence.
-    Products run whole-block when the BLAS pool has one thread, in tiles
-    within GEMM_SERIAL_MNK otherwise.
+    ``masked_rows(rows, start, scratch)`` returns the (S, frames, N) float32
+    masked latents of the frame slice ``rows``; the job owns frames
+    [start, rows.stop). Each ``workers.spans`` block of frames is one job of
+    ``workers.run_blocks``: it also takes the ceil(kernel_len / stride) - 1
+    frames before the block as a halo, synthesises each source in one
+    float64 product, adds the taps k = 0..kernel_len-1 in ascending order
+    from 0.0, and writes the samples whose latest frame starts in the block
+    (the last block also the tail) into the float32 outputs. So every
+    sample sums the same terms in the same order as one whole-array
+    overlap-add, whatever the thread count. Each job checks the samples it
+    writes; a non-finite one is reported once every job has finished, so
+    an error that a job raises takes precedence.
     """
     stride, kernel_len = basis.stride, basis.kernel_len
     rate = round(frame_rate * stride)
     size = min(n_frames, BLOCK_FRAMES)
     blocks = list(spans(n_frames, size))
     halo = -(-kernel_len // stride) - 1
-    tile = size + halo  # one product per block
-    if blas_threads() != 1:  # a threaded pool, or one of unknown size: see GEMM_SERIAL_MNK
-        tile = max(2, GEMM_SERIAL_MNK // (basis.n_filters * kernel_len))
     synthesis = basis.synthesis.astype(np.float64)
     n_out = (n_frames - 1) * stride + kernel_len
     outputs = [np.empty(n_out, dtype=np.float32) for _ in range(n_sources)]
@@ -164,19 +149,18 @@ def _synthesize(
         rows = slice(max(0, block.start - halo), block.stop)
         offset = rows.start * stride
         first, last = start * stride, (block.stop * stride if block.stop < n_frames else n_out)
-        masked = masked_rows(rows, start, tile, scratch)
+        masked = masked_rows(rows, start, scratch)
         n_rows = masked.shape[1]
         # masked_rows is done with its float64 products, and the mask denominator
-        latent = scratch.get("float64", (min(n_rows, tile), basis.n_filters))
+        latent = scratch.get("float64", masked.shape[1:])
         frames = scratch.get("frames", (n_rows, kernel_len))
         # span[row, r] is sample offset + row * stride + r; tap k = q * stride + r of
         # frame t lands in row t + q, so adding q = 0, 1, ... adds each sample's taps
         # in ascending k
         span = scratch.get("span", (n_rows + halo, stride))
         for out, m in zip(outputs, masked, strict=True):
-            for t in spans(n_rows, tile):
-                np.copyto(latent, m[t])
-                np.matmul(latent, synthesis, out=frames[t])
+            np.copyto(latent, m)
+            np.matmul(latent, synthesis, out=frames)
             span.fill(0.0)
             for q in range(halo + 1):
                 taps = frames[:, q * stride : (q + 1) * stride]
@@ -209,7 +193,7 @@ def encode(audio: AudioBuffer, basis: EncoderBasis) -> FeatureMatrix:
     scratch = Scratch()
     latent = np.empty((len(windows), basis.n_filters), dtype=np.float32)
     for block in spans(len(windows), BLOCK_FRAMES):
-        _encode_rows(windows, analysis_t, relu, block, BLOCK_FRAMES, scratch, latent[block])
+        _encode_rows(windows, analysis_t, relu, block, scratch, latent[block])
     return FeatureMatrix(latent, audio.sample_rate / basis.stride)
 
 
@@ -227,7 +211,7 @@ def decode(latent: FeatureMatrix, basis: EncoderBasis) -> AudioBuffer:
     if latent.dim != basis.n_filters:
         raise ValueError(f"latent dim {latent.dim} != basis n_filters {basis.n_filters}")
     (out,) = _synthesize(
-        lambda rows, start, tile, scratch: latent.data[None, rows], 1, latent.n_frames, basis, latent.frame_rate
+        lambda rows, start, scratch: latent.data[None, rows], 1, latent.n_frames, basis, latent.frame_rate
     )
     return out
 
@@ -260,14 +244,14 @@ def oracle_masks(sources: list[AudioBuffer], basis: EncoderBasis) -> np.ndarray:
     analysis_t = basis.analysis.T.astype(np.float64)
     scratch = Scratch()
     for block in spans(len(windows[0]), BLOCK_FRAMES):
-        _oracle_mask_rows(windows, analysis_t, block, BLOCK_FRAMES, scratch, masks[:, block])
+        _oracle_mask_rows(windows, analysis_t, block, scratch, masks[:, block])
     return masks
 
 
 def _separate(mixture: AudioBuffer, n_sources: int, basis: EncoderBasis, write_masks) -> list[AudioBuffer]:
     """Encode the mixture, mask its latent and decode each source, one block of frames per job.
 
-    ``write_masks(rows, start, tile, scratch, out)`` writes the float32
+    ``write_masks(rows, start, scratch, out)`` writes the float32
     (S, frames, N) masks of the frame slice ``rows``, of which the job owns
     [start, rows.stop), into ``out``, which is then masked in place.
     """
@@ -275,11 +259,11 @@ def _separate(mixture: AudioBuffer, n_sources: int, basis: EncoderBasis, write_m
     analysis_t = basis.analysis.T.astype(np.float64)
     relu = basis.nonlinearity == "relu"
 
-    def masked_rows(rows, start, tile, scratch):
+    def masked_rows(rows, start, scratch):
         masked = scratch.get("masked", (n_sources, rows.stop - rows.start, basis.n_filters), np.float32)
-        write_masks(rows, start, tile, scratch, masked)
+        write_masks(rows, start, scratch, masked)
         latent = scratch.get("mixture", masked.shape[1:], np.float32)
-        _encode_rows(windows, analysis_t, relu, rows, tile, scratch, latent)
+        _encode_rows(windows, analysis_t, relu, rows, scratch, latent)
         np.multiply(latent, masked, out=masked)
         # a non-finite latent makes the masked latent non-finite too
         check_finite(masked, "masked latent")
@@ -295,7 +279,7 @@ def separate_with_masks(mixture: AudioBuffer, masks, basis: EncoderBasis) -> lis
     computed block by block without the whole latent.
     """
     m = _masks_array(masks, len(_windows(mixture.samples, basis)), basis.n_filters)
-    return _separate(mixture, len(m), basis, lambda rows, start, tile, scratch, out: np.copyto(out, m[:, rows]))
+    return _separate(mixture, len(m), basis, lambda rows, start, scratch, out: np.copyto(out, m[:, rows]))
 
 
 def _mixture(sources: list[AudioBuffer]) -> AudioBuffer:
@@ -329,8 +313,8 @@ def oracle_separation(sources: list[AudioBuffer], basis: EncoderBasis, on_masks=
     source_windows = [_windows(s.samples, basis) for s in sources]
     analysis_t = basis.analysis.T.astype(np.float64)
 
-    def write_masks(rows, start, tile, scratch, out):
-        _oracle_mask_rows(source_windows, analysis_t, rows, tile, scratch, out)
+    def write_masks(rows, start, scratch, out):
+        _oracle_mask_rows(source_windows, analysis_t, rows, scratch, out)
         if on_masks is not None:
             on_masks(start, out[:, start - rows.start :])
 

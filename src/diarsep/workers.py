@@ -1,6 +1,5 @@
 """One pool of worker threads for independent blocks of numpy work, its row schedule and scratch buffers."""
 
-import ctypes
 import math
 import os
 import threading
@@ -26,37 +25,6 @@ def spans(n: int, size: int):
     for start in range(0, n, size):
         start = min(start, n - size)
         yield slice(start, start + size)
-
-
-def _mapped_files() -> set[str]:
-    """Paths of the files mapped into this process (empty where /proc/self/maps is missing)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            return {line.split()[-1] for line in maps if "/" in line}
-    except OSError:
-        return set()
-
-
-def blas_threads() -> int | None:
-    """Threads in the OpenBLAS pool of this process, or None when that cannot be read.
-
-    The pool size comes by ctypes from the OpenBLAS library mapped into the
-    process, numpy's 64-bit-integer build first where scipy maps another;
-    None where no OpenBLAS is mapped (another BLAS, or no /proc).
-    """
-    libraries = []
-    for path in sorted(path for path in _mapped_files() if "openblas" in path.lower()):
-        try:
-            libraries.append(ctypes.CDLL(path))
-        except OSError:  # mapped, but no longer loadable from its path
-            pass
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        for library in libraries:
-            get = getattr(library, name, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                return get()
-    return None
 
 
 def worker_count(n_out: int, block: int = BLOCK) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import stat
+import struct
 import subprocess
 import sys
 import time
@@ -290,11 +291,11 @@ def test_resample_rejects_oversized_filter_designs(tmp_path, capsys):
     assert not (tmp_path / "out.wav").exists()
 
 
-def resample_child(argv, stdin=None):
-    """Run ``diarsep resample`` in a child process that imports this checkout's diarsep."""
+def cli_child(argv, stdin=None):
+    """Run ``diarsep *argv`` in a child process that imports this checkout's diarsep."""
     package_root = str(Path(diarsep.__file__).resolve().parent.parent)
     return subprocess.run(
-        [sys.executable, "-m", "diarsep.cli", "resample", *argv],
+        [sys.executable, "-m", "diarsep.cli", *argv],
         stdin=stdin,
         capture_output=True,
         text=True,
@@ -303,16 +304,22 @@ def resample_child(argv, stdin=None):
     )
 
 
+def piped_cli_child(path, argv):
+    """Run ``diarsep *argv`` in a child whose stdin is a pipe that ``cat path`` feeds."""
+    cat = subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE)
+    child = cli_child(argv, stdin=cat.stdout)
+    cat.stdout.close()
+    assert cat.wait(timeout=120) == 0
+    return child
+
+
 def test_resample_reads_a_pipe_whole(tmp_path, capsys):
     # /dev/stdin fed by cat cannot be read at an offset: its bytes are read first
     src = tmp_path / "in.wav"
     write_wav(AudioBuffer(np.random.default_rng(20).uniform(-0.9, 0.9, 3 * BLOCK).astype(np.float32), 8000), src)
     code, out, _ = run(capsys, "resample", str(src), str(tmp_path / "want.wav"), "--rate", "16000")
     assert code == 0
-    cat = subprocess.Popen(["cat", str(src)], stdout=subprocess.PIPE)
-    child = resample_child(["/dev/stdin", str(tmp_path / "got.wav"), "--rate", "16000"], stdin=cat.stdout)
-    cat.stdout.close()
-    assert cat.wait(timeout=120) == 0
+    child = piped_cli_child(src, ["resample", "/dev/stdin", str(tmp_path / "got.wav"), "--rate", "16000"])
     assert (child.returncode, child.stderr) == (0, "")
     assert child.stdout == out.replace(str(tmp_path / "want.wav"), str(tmp_path / "got.wav"))
     assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
@@ -819,6 +826,59 @@ def test_diarize_checks_embedding_flags_before_reading_scores(tmp_path, capsys):
     assert "need --features or --embeddings" in err
     code, _, err = run(capsys, "diarize", str(truncated), "--embeddings", str(truncated))
     assert code == 1 and "size mismatch" in err
+
+
+def test_sslf_inputs_read_from_a_pipe_as_from_a_file(tmp_path, capsys):
+    # /dev/stdin fed by cat has no size and cannot seek: its bytes come in order, once
+    scores_path, feats_path = diarize_fixtures(tmp_path)
+    code, want, _ = run(capsys, "diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec")
+    assert code == 0
+    child = piped_cli_child(scores_path, ["diarize", "/dev/stdin", "--features", str(feats_path), "--uri", "rec"])
+    assert (child.returncode, child.stdout, child.stderr) == (0, want, "")
+
+    weights = tmp_path / "weights.txt"
+    weights.write_text("0.5\n-1.0\n")
+    code, out, _ = run(capsys, "fuse", str(feats_path), str(weights), str(tmp_path / "want.sslf"))
+    assert code == 0
+    child = piped_cli_child(feats_path, ["fuse", "/dev/stdin", str(weights), str(tmp_path / "got.sslf")])
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == out.replace("want.sslf", "got.sslf")
+    assert (tmp_path / "got.sslf").read_bytes() == (tmp_path / "want.sslf").read_bytes()
+
+    child = piped_cli_child(scores_path, ["diarize", "/dev/stdin", "--embeddings", "/dev/stdin"])
+    assert (child.returncode, child.stdout) == (1, "")  # the pipe is spent: its second reading has no header
+    assert child.stderr == "error: /dev/stdin: truncated SSLF header\n"
+
+    # a pipe's payload is read into an array of the size its header declares
+    cases = [
+        ((10**5, 10**5, 10**5), "header declares 4000000000000000 payload bytes, more than memory holds"),
+        ((100, 100, 100), "size mismatch, header declares 4000000 payload bytes but file has 8"),
+    ]
+    for sizes, error in cases:
+        short = tmp_path / "short.sslf"
+        short.write_bytes(struct.pack("<4sIIIIf", b"SSLF", 1, *sizes, 50.0) + bytes(8))
+        child = piped_cli_child(short, ["fuse", "/dev/stdin", str(weights), str(tmp_path / "fused.sslf")])
+        assert (child.returncode, child.stdout, child.stderr) == (1, "", f"error: /dev/stdin: {error}\n")
+
+
+@pytest.mark.parametrize("role", ["ref", "hyp", "uem", "weights", "config"])
+def test_a_text_input_that_does_not_decode_names_the_file(tmp_path, capsys, role):
+    rttm = tmp_path / "ok.rttm"
+    rttm.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    _, feats_path = diarize_fixtures(tmp_path)
+    bad = tmp_path / f"bad-{role}.txt"
+    bad.write_bytes(b"\xff\n")
+    argv = {
+        "ref": ["score-der", bad, rttm],
+        "hyp": ["score-der", rttm, bad],
+        "uem": ["score-der", rttm, rttm, "--uem", bad],
+        "weights": ["fuse", feats_path, bad, tmp_path / "fused.sslf"],
+        "config": ["--config", bad, "score-der", rttm, rttm],
+    }[role]
+    code, out, err = run(capsys, *map(str, argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: ") and "codec can't decode byte 0xff in position 0" in err
+    assert not (tmp_path / "fused.sslf").exists()
 
 
 def test_diarize_output_overwrites_a_longer_file(tmp_path, capsys):

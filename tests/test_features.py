@@ -82,6 +82,29 @@ def test_rejects_non_finite_payload(tmp_path):
         read_feature_stack(path)
 
 
+def test_an_os_error_names_the_file(tmp_path):
+    with pytest.raises(IsADirectoryError, match=re.escape(repr(str(tmp_path)))):
+        read_feature_stack(tmp_path)
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(str(tmp_path / "none.sslf")))):
+        read_feature_stack(tmp_path / "none.sslf")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux /proc")
+def test_a_failed_read_names_the_file():
+    # reading a process's memory at address 0 fails with EIO, an OSError without a file name
+    with pytest.raises(OSError, match=r"\[Errno 5\] .*: '/proc/self/mem'$"):
+        read_feature_stack("/proc/self/mem")
+
+
+def test_read_gives_a_writable_stack(tmp_path):
+    data = np.random.default_rng(5).standard_normal((2, 7, 3)).astype(np.float32)
+    path = tmp_path / "stack.sslf"
+    write_feature_stack(FeatureStack(data, 50.0), path)
+    stack = read_feature_stack(path)
+    assert stack.data.flags.writeable and stack.data.dtype == np.float32
+    assert np.array_equal(stack.data, data)
+
+
 def test_stack_validation():
     with pytest.raises(ValueError, match="positive sizes"):
         FeatureStack(np.zeros((0, 1, 1), np.float32))

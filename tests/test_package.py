@@ -9,17 +9,18 @@ from test_cli import fresh_python
 PACKAGE = Path(diarsep.__file__).resolve().parent
 
 
-def scipy_imports(path: Path) -> list[int]:
-    """Line numbers of every scipy import in a module, at any depth (lazy imports too)."""
+def package_imports(source: str, package: str) -> list[int]:
+    """Line numbers of every import of ``package`` or its submodules in a module's source,
+    at any depth (lazy imports too)."""
     lines = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
         else:
             continue
-        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+        if any(name == package or name.startswith(f"{package}.") for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -27,7 +28,7 @@ def scipy_imports(path: Path) -> list[int]:
 def test_package_source_imports_no_scipy():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
-    found = {str(path.relative_to(PACKAGE)): scipy_imports(path) for path in modules}
+    found = {str(path.relative_to(PACKAGE)): package_imports(path.read_text(), "scipy") for path in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -141,6 +142,27 @@ def test_one_function_opens_and_reads_input_wav_files():
             if lines:
                 found[f"{path.stem}.{getattr(top, 'name', '<module>')}"] = lines
     assert sorted(found) == ["audio.wav_source", "features.read_feature_stack"], found
+
+
+def proc_paths(source: str) -> list[int]:
+    """Line numbers of every string in a module's source that names /proc or a path under it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and (node.value + "/").startswith("/proc/")
+    ]
+
+
+def test_package_reads_no_process_internals():
+    # the thread policy is one line in cli.run (OPENBLAS_NUM_THREADS=1), so no code
+    # loads the BLAS library by ctypes or scans /proc to size its pool
+    control = 'import ctypes\ndef f():\n    from ctypes import CDLL\n    open("/proc/self/maps")\n    open("/procs")\n'
+    assert (package_imports(control, "ctypes"), proc_paths(control)) == ([1, 3], [4])
+    found = {}
+    for path in PACKAGE.rglob("*.py"):
+        source = path.read_text()
+        found[str(path.relative_to(PACKAGE))] = package_imports(source, "ctypes") + proc_paths(source)
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def module_level_imports(path: Path) -> set[str]:

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -34,16 +35,6 @@ from diarsep.workers import spans, worker_count
 from oracles import decode_oracle, encode_oracle, oracle_masks_oracle, separate_oracle
 from test_cli import fresh_python
 from test_resample import count_checks, count_thread_starts, cpus
-from test_workers import needs_openblas
-
-# what workers.blas_threads() reads: a pinned pool, whose products run whole-block,
-# and an unreadable one, whose products go in tiles as on a threaded pool
-POOLS = (1, None)
-
-
-def blas_pool(monkeypatch, threads):
-    """Make tasnet see a BLAS pool of ``threads`` threads."""
-    monkeypatch.setattr("diarsep.tasnet.blas_threads", lambda: threads)
 
 
 def ortho_basis(kernel_len, nonlinearity="linear"):
@@ -420,9 +411,9 @@ def test_oracle_separation_holds_one_block_of_masks(monkeypatch):
     The whole (S, T, N) float32 masks are 16.4 MB here; masks built whole first,
     then applied, exceed them. The fused pass holds the float32 mixture (and,
     while AudioBuffer checks it, one byte per sample) and, per worker, the
-    buffers of one block of frames plus its halo: 3.2 MB, whether its products
-    go in tiles or run whole-block, since the whole-block product, the mask
-    denominator and the synthesis input share one float64 buffer. So the bound
+    buffers of one block of frames plus its halo: 3.2 MB, since the
+    whole-block product, the mask denominator and the synthesis input share
+    one float64 buffer. So the bound
     is four blocks of masks (4.2 MB) per worker of this host, plus two: below
     the whole masks on one to three workers.
     """
@@ -433,20 +424,18 @@ def test_oracle_separation_holds_one_block_of_masks(monkeypatch):
     n_frames = (n - 16) // 8 + 1
     masks_nbytes = len(sources) * n_frames * 128 * 4
     workers = worker_count(n_frames, BLOCK_FRAMES)
-    for pool in POOLS:
-        blas_pool(monkeypatch, pool)
-        tracemalloc.start()
-        try:
-            estimates = oracle_separation(sources, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        bound = 5 * n + (4 * workers + 2) * masks_nbytes * BLOCK_FRAMES // n_frames
-        assert peak - sum(e.samples.nbytes for e in estimates) < bound, pool
+    tracemalloc.start()
+    try:
+        estimates = oracle_separation(sources, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 5 * n + (4 * workers + 2) * masks_nbytes * BLOCK_FRAMES // n_frames
+    assert peak - sum(e.samples.nbytes for e in estimates) < bound
 
 
 PARALLEL_BASES = {
-    "stride-8": random_basis(128, 16, 8, seed=16),  # 128-row tiles on a threaded BLAS pool
+    "stride-8": random_basis(128, 16, 8, seed=16),  # the CLI's default basis shape
     "stride-1": random_basis(32, 16, 1, seed=17),  # a halo of 15 frames
     "stride-5": random_basis(24, 16, 5, seed=18),  # a stride that does not divide L
     "stride-16": random_basis(64, 16, 16, seed=19),  # stride == L: no halo
@@ -472,9 +461,8 @@ def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
         want = bits(separate_oracle(mixture, masks, basis))
         cases.append((sources, mixture, masks, latent, want, bits([decode_oracle(latent, basis)])))
     interval = sys.getswitchinterval()
-    for n_cpus, pool in [(n_cpus, pool) for n_cpus in (1, 2, 4) for pool in POOLS]:
+    for n_cpus in (1, 2, 4):
         cpus(monkeypatch, n_cpus)
-        blas_pool(monkeypatch, pool)
         started = count_thread_starts(monkeypatch)
         sys.setswitchinterval(1e-5)  # switch threads often, so overlapping writes would show
         try:
@@ -486,7 +474,7 @@ def test_parallel_pass_is_bit_identical_for_any_cpu_count(monkeypatch, kind):
         finally:
             sys.setswitchinterval(interval)
         blocks = [-(-n_frames // BLOCK_FRAMES) for n_frames in frame_counts]
-        assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), (n_cpus, pool)
+        assert len(started) == 3 * sum(min(n_cpus, b) - 1 for b in blocks), n_cpus
 
 
 @pytest.mark.parametrize("n_frames", [k * BLOCK_FRAMES + d for k in (1, 3) for d in (-1, 1)])
@@ -552,23 +540,20 @@ def test_oracle_separation_holds_no_synthesis_frames(monkeypatch, n_cpus):
 
     The (S, T, kernel_len) float64 synthesis frames of the whole input would be
     30.7 MB here. The pass holds the float32 mixture (3.8 MB) and the buffers
-    of one block of frames, with its halo, per worker: 3.2 MB at N=128, whether
-    its products go in tiles or run whole-block.
+    of one block of frames, with its halo, per worker: 3.2 MB at N=128.
     """
     cpus(monkeypatch, n_cpus)
     basis = random_basis(128, 16, 8, seed=0)
     rng = np.random.default_rng(22)
     sources = [AudioBuffer(rng.uniform(-0.3, 0.3, 60 * 16000).astype(np.float32), 16000) for _ in range(2)]
     frames_nbytes = len(sources) * ((60 * 16000 - 16) // 8 + 1) * 16 * 8
-    for pool in POOLS:
-        blas_pool(monkeypatch, pool)
-        tracemalloc.start()
-        try:
-            estimates = oracle_separation(sources, basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - sum(e.samples.nbytes for e in estimates) < frames_nbytes, pool
+    tracemalloc.start()
+    try:
+        estimates = oracle_separation(sources, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(e.samples.nbytes for e in estimates) < frames_nbytes
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -583,14 +568,12 @@ def test_each_estimate_sample_is_checked_once(monkeypatch, n_cpus):
     sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
     mixture = _mixture(sources)
     latent = encode(mixture, basis)
-    for pool in POOLS:
-        blas_pool(monkeypatch, pool)
-        seen = count_checks(monkeypatch)
-        estimates = oracle_separation(sources, basis)
-        assert seen["audio samples"] == n + sum(len(e) for e in estimates), pool
-        seen.clear()
-        assert len(decode(latent, basis)) == n
-        assert seen == {"audio samples": n}, pool
+    seen = count_checks(monkeypatch)
+    estimates = oracle_separation(sources, basis)
+    assert seen["audio samples"] == n + sum(len(e) for e in estimates)
+    seen.clear()
+    assert len(decode(latent, basis)) == n
+    assert seen == {"audio samples": n}
 
 
 def test_samples_beyond_float32_are_reported_after_every_job(monkeypatch):
@@ -600,12 +583,10 @@ def test_samples_beyond_float32_are_reported_after_every_job(monkeypatch):
     n_frames = 6 * BLOCK_FRAMES
     mixture = AudioBuffer(np.full((n_frames - 1) * 4 + 8, 0.5, np.float32), 8000)
     masks = np.ones((2, n_frames, 4), np.float32)
-    for pool in POOLS:
-        blas_pool(monkeypatch, pool)
-        with pytest.raises(ValueError, match="audio samples must be finite"):
-            separate_with_masks(mixture, masks, basis)
-        with pytest.raises(ValueError, match="audio samples must be finite"):
-            decode(encode(mixture, basis), basis)
+    with pytest.raises(ValueError, match="audio samples must be finite"):
+        separate_with_masks(mixture, masks, basis)
+    with pytest.raises(ValueError, match="audio samples must be finite"):
+        decode(encode(mixture, basis), basis)
     masks[1, 4 * BLOCK_FRAMES + 7, 3] = np.nan  # in block 4: its error wins over the overflow in blocks 0-3
     with pytest.raises(ValueError, match="masked latent must be finite"):
         separate_with_masks(mixture, masks, basis)
@@ -616,56 +597,77 @@ def test_samples_beyond_float32_are_reported_after_every_job(monkeypatch):
         decode(FeatureMatrix(np.ones((6, 4), np.float32), 0.1), random_basis(4, 8, 4, seed=5))
 
 
-@needs_openblas
-def test_a_pinned_blas_pool_separates_whole_blocks_to_the_oracle_bits(tmp_path):
-    # the CLI's setting, in a fresh interpreter: OPENBLAS_NUM_THREADS=1 before numpy loads
+def in_fresh_interpreters(script, *argv):
+    """Run ``script`` with ``argv`` and the usable CPU count last, in a fresh interpreter per
+    setting: OPENBLAS_NUM_THREADS=1 (the CLI's pool) and unset (a pool of one thread per
+    CPU), on 1 and 2 usable CPUs. OpenBLAS reads the variable as numpy loads. Return
+    each run's stdout by setting."""
+    outputs = {}
+    for env in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        for n_cpus in (1, 2):
+            child = fresh_python(script, *argv, str(n_cpus), env=env)
+            assert (child.returncode, child.stderr) == (0, ""), (env, n_cpus)
+            outputs[str(env), n_cpus] = child.stdout
+    return outputs
+
+
+def test_bits_do_not_depend_on_cpu_count_or_openblas_pool(monkeypatch, tmp_path):
+    # one whole-block product per step on any pool: OpenBLAS splits a product over its
+    # rows and columns, not over the sum, so its threads do not change the bits
     basis = PARALLEL_BASES["stride-8"]
     n = (3 * BLOCK_FRAMES + 1) * 8 + 16
     rng = np.random.default_rng(26)
     sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
-    np.save(tmp_path / "sources.npy", np.stack([s.samples for s in sources]))
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from diarsep import AudioBuffer, oracle_separation, random_basis\n"
-        "from diarsep.workers import blas_threads\n"
-        "assert blas_threads() == 1, blas_threads()\n"
-        "sources = [AudioBuffer(row, 8000) for row in np.load(sys.argv[1])]\n"
-        "estimates = oracle_separation(sources, random_basis(128, 16, 8, seed=16))\n"
-        "np.save(sys.argv[2], np.stack([e.samples for e in estimates]))\n"
-    )
-    result = fresh_python(script, str(tmp_path / "sources.npy"), str(tmp_path / "estimates.npy"),
-                          env={"OPENBLAS_NUM_THREADS": "1"})
-    assert result.returncode == 0, result.stderr
     mixture = AudioBuffer(sources[0].samples + sources[1].samples, 8000)
-    want = bits(separate_oracle(mixture, oracle_masks_oracle(sources, basis), basis))
-    got = np.load(tmp_path / "estimates.npy")
-    for g, w in zip(got, want, strict=True):
-        np.testing.assert_array_equal(g.view(np.int32), w)
+    masks = oracle_masks_oracle(sources, basis)
+    latent = encode_oracle(mixture, basis)
+    np.save(tmp_path / "sources.npy", np.stack([s.samples for s in sources]))
+    np.save(tmp_path / "masks.npy", masks)
+    np.save(tmp_path / "latent.npy", latent.data)
+    script = (
+        "import hashlib, os, sys\n"
+        "import numpy as np\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[2])))\n"
+        "from diarsep import AudioBuffer, FeatureMatrix, oracle_separation, random_basis\n"
+        "from diarsep.tasnet import decode, separate_with_masks\n"
+        "d = sys.argv[1]\n"
+        "basis = random_basis(128, 16, 8, seed=16)\n"
+        "sources = [AudioBuffer(row, 8000) for row in np.load(f'{d}/sources.npy')]\n"
+        "mixture = AudioBuffer(sources[0].samples + sources[1].samples, 8000)\n"
+        "masks = np.load(f'{d}/masks.npy')\n"
+        "estimates = oracle_separation(sources, basis) + separate_with_masks(mixture, masks, basis)\n"
+        "estimates.append(decode(FeatureMatrix(np.load(f'{d}/latent.npy'), 1000.0), basis))\n"
+        "for e in estimates:\n"
+        "    print(hashlib.sha256(e.samples.tobytes()).hexdigest())\n"
+    )
+    want = bits(separate_oracle(mixture, masks, basis)) * 2 + bits([decode_oracle(latent, basis)])
+    want = "".join(hashlib.sha256(w.tobytes()).hexdigest() + "\n" for w in want)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    for setting, got in in_fresh_interpreters(script, str(tmp_path)).items():
+        assert got == want, setting
 
 
-def test_products_run_whole_block_only_on_a_one_thread_blas_pool(monkeypatch):
+def test_products_run_whole_block_on_any_blas_pool(monkeypatch):
     # per block of frames: one encode product per source, one for the mixture and one
-    # synthesis product per source; on a pool of more threads, or of an unknown size,
-    # tiles of GEMM_SERIAL_MNK // (N * L) = 128 rows
-    cpus(monkeypatch, 1)
-    basis = PARALLEL_BASES["stride-8"]
-    n = (2 * BLOCK_FRAMES + 5 - 1) * 8 + 16
-    rng = np.random.default_rng(27)
-    sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]
-    rows = []
-    matmul = np.matmul
-
-    def counting(a, b, out):
-        rows.append(len(a))
-        return matmul(a, b, out=out)
-
-    monkeypatch.setattr(np, "matmul", counting)
-    for pool in (1, 2, None):
-        blas_pool(monkeypatch, pool)
-        rows.clear()
-        oracle_separation(sources, basis)
-        if pool == 1:  # block 0 has no halo frame before it
-            assert rows == 5 * [BLOCK_FRAMES] + 10 * [BLOCK_FRAMES + 1]
-        else:
-            assert set(rows) == {128}, pool
+    # synthesis product per source; block 0 has no halo frame before it
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+        "from diarsep import AudioBuffer, oracle_separation, random_basis\n"
+        "rows, matmul = [], np.matmul\n"
+        "def counting(a, b, out):\n"
+        "    rows.append(len(a))\n"
+        "    return matmul(a, b, out=out)\n"
+        "np.matmul = counting\n"
+        "n = (2 * 1024 + 5 - 1) * 8 + 16\n"
+        "rng = np.random.default_rng(27)\n"
+        "sources = [AudioBuffer(rng.uniform(-0.5, 0.5, n).astype(np.float32), 8000) for _ in range(2)]\n"
+        "oracle_separation(sources, random_basis(128, 16, 8, seed=16))\n"
+        "print(sorted(rows))\n"
+    )
+    assert BLOCK_FRAMES == 1024
+    want = f"{5 * [BLOCK_FRAMES] + 10 * [BLOCK_FRAMES + 1]}\n"
+    for setting, got in in_fresh_interpreters(script).items():
+        assert got == want, setting
