@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import check_finite, output_file
+from .features import check_finite, names_file, output_file
 from .workers import BLOCK, Scratch, run_blocks
 
 WAVE_FORMAT_PCM = 0x0001
@@ -95,6 +95,8 @@ class WavSource:
             (chunk_size,) = struct.unpack_from("<I", chunk, 4)
             if pos + 8 + chunk_size > size:
                 raise ValueError(f"{path}: malformed WAV, truncated {chunk_id!r} chunk")
+            if (chunk_id == b"fmt " and fmt is not None) or (chunk_id == b"data" and data is not None):
+                raise ValueError(f"{path}: malformed WAV, more than one {chunk_id.decode()!r} chunk")
             if chunk_id == b"fmt ":
                 if chunk_size < 16:
                     raise ValueError(f"{path}: malformed WAV, fmt chunk too short")
@@ -119,7 +121,7 @@ class WavSource:
         if data[1] % 2:
             raise ValueError(f"{path}: malformed WAV, odd data size {data[1]} for 16-bit samples")
         if sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+            raise ValueError(f"{path}: sample_rate must be positive, got {sample_rate}")
         self.sample_rate = sample_rate
         self._data, self._len = data[0], data[1] // 2
 
@@ -155,7 +157,8 @@ def wav_source(path: str | Path):
     (a pipe, such as /dev/stdin fed by ``cat``) cannot be read at an offset:
     it is read whole first, and its bytes are the file. Raises ValueError
     with a distinct message for malformed headers, an odd-sized data chunk,
-    multichannel audio, and non-PCM16 encodings. WAVE_FORMAT_EXTENSIBLE
+    multichannel audio, non-PCM16 encodings and a repeated fmt or data
+    chunk; a failed read is an OSError naming ``path``. WAVE_FORMAT_EXTENSIBLE
     counts as PCM when its fmt chunk has the full 40 bytes and its SubFormat
     GUID is KSDATAFORMAT_SUBTYPE_PCM.
     """
@@ -166,14 +169,16 @@ def wav_source(path: str | Path):
 
             def read_at(n: int, offset: int) -> bytes:
                 parts = []
-                while n > 0 and (part := os.pread(fd, min(n, 1 << 30), offset)):  # Linux: under 2 GiB a call
-                    parts.append(part)
-                    n, offset = n - len(part), offset + len(part)
+                with names_file(path):  # in a pool job too
+                    while n > 0 and (part := os.pread(fd, min(n, 1 << 30), offset)):  # Linux: under 2 GiB a call
+                        parts.append(part)
+                        n, offset = n - len(part), offset + len(part)
                 return b"".join(parts)
 
             yield WavSource(path, read_at, info.st_size, (info.st_dev, info.st_ino))
         else:
-            raw = memoryview(file.read())  # slices are views, not copies
+            with names_file(path):
+                raw = memoryview(file.read())  # slices are views, not copies
             yield WavSource(path, lambda n, offset: raw[offset : offset + n], len(raw))
 
 

@@ -33,10 +33,27 @@ def _fmt_db(value: float, cap: float | None = None) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of ``path``; a byte that does not decode is a ValueError naming the file."""
+    """The text of ``path`` decoded as UTF-8, whatever the locale; every error names the file.
+
+    A byte that does not decode is a ValueError; an OSError that names no
+    file (a failed read) is given ``path``.
+    """
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+
+
+def _parse_file(parse, path: str):
+    """``parse`` of the text of ``path``; its ValueError is prefixed with the path."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -216,9 +233,9 @@ def _cmd_score_der(args) -> int:
     from .der import compute_der, total_der
     from .workers import run_blocks
 
-    ref_map = parse_rttm(_read_text(args.ref))
-    hyp_map = parse_rttm(_read_text(args.hyp))
-    uem = parse_uem(_read_text(args.uem)) if args.uem else {}
+    ref_map = _parse_file(parse_rttm, args.ref)
+    hyp_map = _parse_file(parse_rttm, args.hyp)
+    uem = _parse_file(parse_uem, args.uem) if args.uem else {}
     uris = sorted(set(ref_map) | set(hyp_map))
     if not uris:
         raise ValueError("no recordings found in either RTTM file")
@@ -460,12 +477,15 @@ def run() -> None:
     starting a thread pool that diarsep never uses: the parallel passes run on
     workers.run_blocks, and an idle pool thread spins beside them. It also fixes
     how a long dot product is split, so the output bits do not depend on the
-    CPU count or on the caller's environment. gc.freeze() after main() moves
-    every object still alive, the subcommand's modules included, into the
-    permanent generation, so the collections at exit do not walk them. main()
-    itself stays free of both side effects for in-process callers.
+    CPU count or on the caller's environment. Stdout is UTF-8 whatever the
+    locale, as the text inputs are; a file name that does not decode is
+    written back as its bytes. gc.freeze() after main() moves every object
+    still alive, the subcommand's modules included, into the permanent
+    generation, so the collections at exit do not walk them. main() itself
+    stays free of these side effects for in-process callers.
     """
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     code = main()
     gc.freeze()
     sys.exit(code)

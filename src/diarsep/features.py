@@ -99,6 +99,17 @@ class FeatureMatrix:
 
 
 @contextmanager
+def names_file(path: str | Path):
+    """Give ``path`` as its file name to an OSError that leaves the block naming no file (a failed read or write)."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+
+
+@contextmanager
 def output_file(path: str | Path, size: int):
     """Open ``path`` for ``size`` bytes of output; yield ``write(offset, buffer)``.
 
@@ -127,21 +138,20 @@ def output_file(path: str | Path, size: int):
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     regular = False
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        try:
-            os.lseek(fd, 0, os.SEEK_CUR)
-        except OSError as exc:
-            if exc.errno != errno.ESPIPE:
-                raise
-            raise ValueError(f"{path}: block output needs a seekable file, not a pipe, socket or terminal") from None
-        yield write
-        if regular:
-            os.ftruncate(fd, size)
-    except BaseException as exc:
+        with names_file(path):  # pwrite and ftruncate name no file
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                os.lseek(fd, 0, os.SEEK_CUR)
+            except OSError as exc:
+                if exc.errno != errno.ESPIPE:
+                    raise
+                raise ValueError(f"{path}: block output needs a seekable file, not a pipe, socket or terminal") from None
+            yield write
+            if regular:
+                os.ftruncate(fd, size)
+    except BaseException:
         if regular:
             Path(path).unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.filename is None:
-            exc.filename = os.fspath(path)  # pwrite and ftruncate name no file
         raise
     finally:
         os.close(fd)
@@ -191,36 +201,31 @@ def read_feature_stack(path: str | Path) -> FeatureStack:
     the array is allocated. FeatureStack checks the values; every error, an
     OSError too, names the file.
     """
-    try:
-        with open(path, "rb") as file:
-            header = file.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise ValueError(f"{path}: truncated SSLF header")
-            magic, version, n_layers, n_frames, dim, frame_rate = _HEADER.unpack(header)
-            if magic != SSLF_MAGIC:
-                raise ValueError(f"{path}: bad magic {magic!r}, expected {SSLF_MAGIC!r}")
-            if version != SSLF_VERSION:
-                raise ValueError(f"{path}: unsupported SSLF version {version}")
-            if min(n_layers, n_frames, dim) < 1:
-                raise ValueError(f"{path}: sizes must be positive, got {n_layers}x{n_frames}x{dim}")
-            expected = n_layers * n_frames * dim * 4
-            info = os.fstat(file.fileno())
-            if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size != expected:
-                actual = info.st_size - _HEADER.size  # known before any allocation
-            else:
-                try:  # a pipe's size is unknown until it is read
-                    data = np.empty((n_layers, n_frames, dim), "<f4")
-                except MemoryError:
-                    raise ValueError(
-                        f"{path}: header declares {expected} payload bytes, more than memory holds"
-                    ) from None
-                # a buffered readinto fills the buffer unless the input ends first, so a
-                # pipe's payload comes in one call; read() then counts any bytes beyond it
-                actual = file.readinto(memoryview(data).cast("B")) + len(file.read())
-    except OSError as exc:
-        if exc.filename is None:
-            exc.filename = os.fspath(path)  # a failed read names no file
-        raise
+    with names_file(path), open(path, "rb") as file:
+        header = file.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated SSLF header")
+        magic, version, n_layers, n_frames, dim, frame_rate = _HEADER.unpack(header)
+        if magic != SSLF_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {SSLF_MAGIC!r}")
+        if version != SSLF_VERSION:
+            raise ValueError(f"{path}: unsupported SSLF version {version}")
+        if min(n_layers, n_frames, dim) < 1:
+            raise ValueError(f"{path}: sizes must be positive, got {n_layers}x{n_frames}x{dim}")
+        expected = n_layers * n_frames * dim * 4
+        info = os.fstat(file.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size != expected:
+            actual = info.st_size - _HEADER.size  # known before any allocation
+        else:
+            try:  # a pipe's size is unknown until it is read
+                data = np.empty((n_layers, n_frames, dim), "<f4")
+            except MemoryError:
+                raise ValueError(
+                    f"{path}: header declares {expected} payload bytes, more than memory holds"
+                ) from None
+            # a buffered readinto fills the buffer unless the input ends first, so a
+            # pipe's payload comes in one call; read() then counts any bytes beyond it
+            actual = file.readinto(memoryview(data).cast("B")) + len(file.read())
     if actual != expected:
         raise ValueError(
             f"{path}: size mismatch, header declares {expected} payload bytes but file has {actual}"

@@ -166,34 +166,24 @@ def resample_blocks(source, fs_out: int, fir: FirFilter | None, sink) -> None:
     an AudioBuffer, or an ``audio.WavSource`` of int16 PCM. ``samples`` are
     the float32 outputs [start, start + len(samples)), in a scratch buffer
     that the call's thread reuses once ``sink`` returns. The calls come from
-    the jobs of ``workers.run_blocks``, in no fixed order. The identity rate
-    hands on the source's samples, BLOCK at a time, unchecked: a source
-    holds PCM16 or checked samples. Otherwise the outputs form rows of ROW;
-    each row's input window times one float64 Toeplitz matrix of the taps
-    gives the row, rounded once to float32. The matrix holds the taps times
-    ``scale``, a power of two, so a window of stored samples gives the
-    product of the scaled ones bit for bit. Each job runs one np.matmul of
-    the same row count on its own scratch, so the samples depend neither on
-    the thread count nor on how jobs split the rows. Each job checks the
-    samples it hands on, and no other, for finiteness.
+    the jobs of ``workers.run_blocks``, in no fixed order. The outputs form
+    rows of ROW; each row's input window times one float64 Toeplitz matrix
+    of the taps gives the row, rounded once to float32. The matrix holds
+    the taps times ``scale``, a power of two, so a window of stored samples
+    gives the product of the scaled ones bit for bit. Each job runs one
+    np.matmul of the same row count on its own scratch, so the samples
+    depend neither on the thread count nor on how jobs split the rows. Each
+    job checks the samples it hands on, and no other, for finiteness.
     """
     fs_in, n = source.sample_rate, len(source)
     n_out = resampled_length(n, fs_in, fs_out)
-    if fs_out == fs_in:
-        scale = np.float32(source.scale)
-
-        def copy(start):
-            sink(start, np.multiply(source.read(start, min(start + BLOCK, n)), scale, dtype=np.float32))
-
-        run_blocks(copy, n)
-        return
     if n_out == 0:
         return
-    if fir is None:
-        fir = design_kaiser_sinc(fs_in, fs_out)
-
-    up, down = (2, 1) if fs_out > fs_in else (1, 2)
-    base, t = _toeplitz(fir.taps.astype(np.float64) * source.scale, up, down)
+    # at the identity, one tap of 1.0 makes the Toeplitz matrix the ROW x ROW identity times scale
+    taps = np.ones(1) if fs_out == fs_in else (fir or design_kaiser_sinc(fs_in, fs_out)).taps.astype(np.float64)
+    gcd = math.gcd(fs_in, fs_out)
+    up, down = fs_out // gcd, fs_in // gcd
+    base, t = _toeplitz(taps * source.scale, up, down)
     step = ROW * down // up
     n_rows = -(-n_out // ROW)
     # every product has the same row count, at least 2 unless there is one row:

@@ -238,6 +238,20 @@ def test_rejects_malformed_header(tmp_path):
     with pytest.raises(ValueError, match="malformed"):
         read_wav(truncated)
 
+    zero_rate = tmp_path / "zero-rate.wav"
+    zero_rate.write_bytes(make_wav_bytes(struct.pack("<h", 1), rate=0))
+    with pytest.raises(ValueError, match=f"^{zero_rate}: sample_rate must be positive, got 0$"):
+        read_wav(zero_rate)
+
+    # a second data chunk would replace the samples, a second fmt chunk the rate
+    wav = make_wav_bytes(struct.pack("<hh", 1000, 2000))
+    second_fmt = make_wav_bytes(b"", rate=16000)[12:36]
+    for chunk, extra in (("data", struct.pack("<4sI3h", b"data", 6, -5, -6, -7)), ("fmt ", second_fmt)):
+        repeated = tmp_path / "repeated.wav"
+        repeated.write_bytes(wav + extra)
+        with pytest.raises(ValueError, match=f"^{repeated}: malformed WAV, more than one '{chunk}' chunk$"):
+            read_wav(repeated)
+
 
 def test_rejects_odd_data_size(tmp_path):
     path = tmp_path / "odd.wav"

@@ -182,7 +182,7 @@ def test_score_der_rejects_a_segment_whose_end_rounds_to_its_onset(tmp_path, cap
     hyp.write_text("SPEAKER a 1 0 1 <NA> <NA> s1 <NA> <NA>\nSPEAKER a 1 1.7e308 1 <NA> <NA> s1 <NA> <NA>\n")
     code, out, err = run(capsys, "score-der", str(ref), str(hyp))
     assert (code, out) == (1, "")
-    assert err == "error: RTTM line 2: segment end must exceed its onset in float64, got (1.7e+308, 1.0)\n"
+    assert err == f"error: {hyp}: RTTM line 2: segment end must exceed its onset in float64, got (1.7e+308, 1.0)\n"
 
 
 def test_score_sdr_swapped_inputs(tmp_path, capsys):
@@ -291,8 +291,11 @@ def test_resample_rejects_oversized_filter_designs(tmp_path, capsys):
     assert not (tmp_path / "out.wav").exists()
 
 
-def cli_child(argv, stdin=None):
-    """Run ``diarsep *argv`` in a child process that imports this checkout's diarsep."""
+def cli_child(argv, stdin=None, env=None):
+    """Run ``diarsep *argv`` in a child process that imports this checkout's diarsep.
+
+    ``env`` adds to or overrides the caller's environment variables.
+    """
     package_root = str(Path(diarsep.__file__).resolve().parent.parent)
     return subprocess.run(
         [sys.executable, "-m", "diarsep.cli", *argv],
@@ -300,7 +303,7 @@ def cli_child(argv, stdin=None):
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": package_root},
+        env={**os.environ, **(env or {}), "PYTHONPATH": package_root},
     )
 
 
@@ -354,7 +357,8 @@ def test_resample_onto_its_own_input_reads_it_whole_first(tmp_path, capsys, monk
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_resample_to_the_input_rate_writes_what_write_wav_writes(tmp_path, capsys, monkeypatch, n_cpus):
-    # the identity hands the samples on, BLOCK at a time, to the same quantization
+    # the identity runs the one Toeplitz job, whose matrix is the identity times 1/32768:
+    # its products are the input samples exactly, so they meet the same quantization
     cpus(monkeypatch, n_cpus)
     src = tmp_path / "in.wav"
     n = 2 * BLOCK + 3
@@ -879,6 +883,81 @@ def test_a_text_input_that_does_not_decode_names_the_file(tmp_path, capsys, role
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {bad}: ") and "codec can't decode byte 0xff in position 0" in err
     assert not (tmp_path / "fused.sslf").exists()
+
+
+@pytest.mark.parametrize("role", ["resample", "score-sdr ref", "rttm", "uem", "weights", "config"])
+def test_a_failed_read_names_the_input(tmp_path, capsys, role):
+    # reading a process's memory at address 0 fails with EIO, an OSError without a file name
+    rttm = tmp_path / "ok.rttm"
+    rttm.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    wav = tmp_path / "ok.wav"
+    write_sine(wav, 500)
+    _, feats_path = diarize_fixtures(tmp_path)
+    bad = "/proc/self/mem"
+    argv = {
+        "resample": ["resample", bad, tmp_path / "out.wav", "--rate", "16000"],
+        "score-sdr ref": ["score-sdr", "--refs", bad, "--ests", wav, "--mix", wav],
+        "rttm": ["score-der", rttm, bad],
+        "uem": ["score-der", rttm, rttm, "--uem", bad],
+        "weights": ["fuse", feats_path, bad, tmp_path / "fused.sslf"],
+        "config": ["--config", bad, "score-der", rttm, rttm],
+    }[role]
+    code, out, err = run(capsys, *map(str, argv))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: \[Errno 5\] .*: '/proc/self/mem'\n", err)
+    assert not (tmp_path / "out.wav").exists() and not (tmp_path / "fused.sslf").exists()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_a_failed_read_in_a_pool_job_names_the_input(tmp_path, capsys, monkeypatch, n_cpus):
+    # the header reads, then a sample read fails inside a resample job
+    cpus(monkeypatch, n_cpus)
+    src = tmp_path / "in.wav"
+    write_wav(AudioBuffer(np.zeros(3 * BLOCK, np.float32), 8000), src)
+    pread = os.pread
+
+    def failing(fd, n, offset):
+        if offset >= 44:
+            raise OSError(5, "Input/output error")
+        return pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", failing)
+    code, out, err = run(capsys, "resample", str(src), str(tmp_path / "out.wav"), "--rate", "16000")
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 5] Input/output error: {str(src)!r}\n"
+    assert not (tmp_path / "out.wav").exists()
+
+
+@pytest.mark.parametrize("role", ["ref", "hyp", "uem"])
+def test_a_parse_error_names_the_file(tmp_path, capsys, role):
+    rttm = tmp_path / "ok.rttm"
+    rttm.write_text("SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>\n")
+    bad = tmp_path / f"bad-{role}.txt"
+    if role == "uem":
+        bad.write_text("rec 1 0.0\n")
+        error = "UEM line 1: expected 4 fields, got 3"
+    else:
+        bad.write_text("SPEAKER rec 1 0.000 1.000 <NA> <NA> A <NA> <NA>\nSPEAKER rec 1 x 1 <NA> <NA> A <NA> <NA>\n")
+        error = "RTTM line 2: non-numeric onset or duration"
+    argv = {
+        "ref": ["score-der", bad, rttm],
+        "hyp": ["score-der", rttm, bad],
+        "uem": ["score-der", rttm, rttm, "--uem", bad],
+    }[role]
+    code, out, err = run(capsys, *map(str, argv))
+    assert (code, out, err) == (1, "", f"error: {bad}: {error}\n")
+
+
+def test_text_inputs_and_stdout_are_utf8_in_any_locale(tmp_path):
+    # in the C locale, with neither UTF-8 mode nor locale coercion, Python's
+    # default text encoding is ASCII, for files and for stdout alike
+    rttm = tmp_path / "u8.rttm"
+    rttm.write_text("SPEAKER réc 1 0.000 10.000 <NA> <NA> éa <NA> <NA>\n", encoding="utf-8")
+    argv = ["score-der", str(rttm), str(rttm)]
+    utf8 = cli_child(argv, env={"LC_ALL": "C.UTF-8"})
+    plain_c = cli_child(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+    assert utf8.returncode == 0 and "réc DER 0.000%" in utf8.stdout
+    assert (plain_c.returncode, plain_c.stdout, plain_c.stderr) == (utf8.returncode, utf8.stdout, utf8.stderr)
 
 
 def test_diarize_output_overwrites_a_longer_file(tmp_path, capsys):
@@ -1409,7 +1488,7 @@ def test_every_subcommand_writes_the_same_bytes_on_one_and_two_cpus(tmp_path):
     inputs.mkdir()
     scores_path, feats_path = diarize_fixtures(inputs)
     rng = np.random.default_rng(24)
-    # 9 s at 8 kHz: 4 resample jobs, 9 blocks of frames, 2 score blocks
+    # 9 s at 8 kHz: 4 resample jobs up, 2 at the identity, 9 blocks of frames, 2 score blocks
     wavs = [inputs / f"s{k}.wav" for k in range(2)]
     for path in wavs:
         write_wav(AudioBuffer(rng.uniform(-0.4, 0.4, 9 * 8000).astype(np.float32), 8000), path)
@@ -1421,6 +1500,7 @@ def test_every_subcommand_writes_the_same_bytes_on_one_and_two_cpus(tmp_path):
         ["version"],
         ["resample", str(wavs[0]), "up.wav", "--rate", "16000"],
         ["resample", "up.wav", "back.wav", "--rate", "8000"],
+        ["resample", "back.wav", "same.wav", "--rate", "8000"],
         ["powerset", "--num-speakers", "3"],
         ["fuse", str(feats_path), str(inputs / "weights.txt"), "fused.sslf"],
         ["separate-oracle", "--sources", *map(str, wavs), "--output-dir", "est", "--seed", "7",
@@ -1451,6 +1531,6 @@ def test_every_subcommand_writes_the_same_bytes_on_one_and_two_cpus(tmp_path):
             stdout.append(result.stdout)
         files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.rglob("*")) if p.is_file()}
         assert sorted(files) == ["back.wav", "est/est0.wav", "est/est1.wav", "fused.sslf", "masks.sslf",
-                                 "out.rttm", "up.wav"]
+                                 "out.rttm", "same.wav", "up.wav"]
         results[n_cpus] = stdout, files
     assert all(result == results[1] for result in results.values())

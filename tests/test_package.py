@@ -201,6 +201,31 @@ def imports_numpy(module: str, seen: set[str]) -> bool:
     )
 
 
+def text_reads_without_encoding(source: str) -> list[int]:
+    """Line numbers of every read_text() call, and every builtin open() in text mode, that names no encoding."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or any(k.arg == "encoding" for k in node.keywords):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "read_text":
+            lines.append(node.lineno)
+        elif isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and "b" in mode.value):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_read_names_its_encoding():
+    # the locale's encoding would decode an RTTM, UEM, weights or config file
+    # differently from one machine to the next
+    sample = "Path(p).read_text()\nopen(p)\nopen(p, 'r')\nopen(p, 'rb')\nopen(p, encoding='utf-8')\n"
+    assert text_reads_without_encoding(sample) == [1, 2, 3]  # the check sees both kinds of read
+    modules = sorted(PACKAGE.rglob("*.py"))
+    found = {str(path.relative_to(PACKAGE)): text_reads_without_encoding(path.read_text()) for path in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_package_and_cli_import_no_numpy_at_module_level():
     # a CLI child imports __init__ and cli.py before argparse runs; numpy and the
     # modules that need it load inside the subcommand that calls them

@@ -419,22 +419,28 @@ def count_checks(monkeypatch):
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_resample_checks_each_output_sample_once_and_pcm16_input_never(tmp_path, monkeypatch, capsys, n_cpus):
-    # 11 jobs of 574 rows up and 13 of 252 down, the last overlapping the one before:
-    # a job checks the outputs it hands on, not the rows it shares with the one before
+    # 11 jobs of 574 rows up, 13 of 252 down and 2 of 682 at the identity, the last
+    # overlapping the one before: a job checks the outputs it hands on, not the rows
+    # it shares with the one before
     cpus(monkeypatch, n_cpus)
     rng = np.random.default_rng(14)
-    for fs_in, fs_out, n in ((8000, 16000, 3 * BLOCK + 17), (16000, 8000, 6 * BLOCK + 35)):
+    for fs_in, fs_out, n in ((8000, 16000, 3 * BLOCK + 17), (16000, 8000, 6 * BLOCK + 35), (16000, 16000, BLOCK - 5)):
         buf = AudioBuffer(rng.uniform(-0.9, 0.9, n).astype(np.float32), fs_in)
-        fir = design_kaiser_sinc(fs_in, fs_out)
+        fir = None if fs_in == fs_out else design_kaiser_sinc(fs_in, fs_out)
         seen = count_checks(monkeypatch)
         y = resample(buf, fs_out, fir)
-        assert seen == {"audio samples": len(y)}
-        np.testing.assert_array_equal(y.samples.view(np.int32), toeplitz_oracle(buf, fs_out, fir).samples.view(np.int32))
+        if fir is None:  # resample() returns its input, which AudioBuffer checked
+            assert y is buf and seen == {}
+        else:
+            assert seen == {"audio samples": len(y)}
+            want = toeplitz_oracle(buf, fs_out, fir).samples
+            np.testing.assert_array_equal(y.samples.view(np.int32), want.view(np.int32))
 
         write_wav(buf, tmp_path / "in.wav")
         seen.clear()
         assert main(["resample", str(tmp_path / "in.wav"), str(tmp_path / "out.wav"), "--rate", str(fs_out)]) == 0
-        assert seen == {"audio samples": len(y), "taps": fir.taps.size}  # the file's filter, designed in the call
+        designed = {} if fir is None else {"taps": fir.taps.size}  # the file's filter, designed in the call
+        assert seen == {"audio samples": len(y), **designed}
     capsys.readouterr()
 
 
@@ -448,7 +454,8 @@ def test_resample_of_a_wav_file_holds_neither_the_input_nor_the_output(tmp_path,
     bound = n_cpus * 3 * SCRATCH_BYTES
     assert bound < 2 * n  # below the input's int16 bytes, and a quarter of the output's as float32
     write_wav(AudioBuffer(np.random.default_rng(15).uniform(-0.9, 0.9, n).astype(np.float32), 8000), tmp_path / "8k.wav")
-    for source, target, rate in (("8k.wav", "16k.wav", "16000"), ("16k.wav", "back.wav", "8000")):
+    passes = (("8k.wav", "16k.wav", "16000"), ("16k.wav", "back.wav", "8000"), ("back.wav", "same.wav", "8000"))
+    for source, target, rate in passes:
         tracemalloc.start()
         try:
             code = main(["resample", str(tmp_path / source), str(tmp_path / target), "--rate", rate])
@@ -457,7 +464,7 @@ def test_resample_of_a_wav_file_holds_neither_the_input_nor_the_output(tmp_path,
             tracemalloc.stop()
         assert code == 0
         assert peak < bound, (rate, peak)
-    assert capsys.readouterr().out.count("resampled") == 2
+    assert capsys.readouterr().out.count("resampled") == 3
 
 
 def test_cpu_count_is_used_without_sched_getaffinity(monkeypatch):
