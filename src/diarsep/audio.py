@@ -1,7 +1,6 @@
 """Mono waveform buffer and 16-bit PCM WAV file I/O: a block source that reads, a block writer that writes."""
 
 import os
-import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -9,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import check_finite, names_file, output_file
+from .features import check_finite, input_file, output_file
 from .workers import BLOCK, Scratch, run_blocks
 
 WAVE_FORMAT_PCM = 0x0001
@@ -70,17 +69,19 @@ class WavSource:
     ``read(lo, hi)`` gives the int16 samples as stored; times ``scale``,
     1/32768, they are the signal, the int16 range mapped into [-1, 1). The
     scale is a power of two, so that product is exact in float32 and in
-    float64. ``read_at(n, offset)`` returns the file's bytes [offset,
-    offset + n), fewer at its end, ``size`` is its length in bytes, and
-    ``inode`` its (st_dev, st_ino), None for a pipe read whole. The
-    constructor walks the chunks and reads no sample; every ``read`` is one
-    ``read_at`` of its span, so threads that read disjoint blocks share no
-    file position.
+    float64. ``read_at``, ``size`` and ``inode`` are what
+    ``features.input_file`` yields. The constructor walks the chunks and
+    reads no sample; every ``read`` is one ``read_at`` of its span. It
+    raises ValueError with a distinct message for malformed headers, an
+    odd-sized data chunk, multichannel audio, non-PCM16 encodings and a
+    repeated fmt or data chunk. WAVE_FORMAT_EXTENSIBLE counts as PCM when
+    its fmt chunk has the full 40 bytes and its SubFormat GUID is
+    KSDATAFORMAT_SUBTYPE_PCM.
     """
 
     scale = 1 / 32768
 
-    def __init__(self, path, read_at, size: int, inode: tuple[int, int] | None = None):
+    def __init__(self, path, read_at, size: int, inode: tuple[int, int] | None):
         self._path, self._read_at, self._inode = path, read_at, inode
         head = read_at(12, 0)
         if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
@@ -151,42 +152,16 @@ class WavSource:
 
 @contextmanager
 def wav_source(path: str | Path):
-    """Open ``path`` and check its WAV header; yield a WavSource that reads it while the block runs.
-
-    A regular file is read by ``os.pread``, block by block. Any other input
-    (a pipe, such as /dev/stdin fed by ``cat``) cannot be read at an offset:
-    it is read whole first, and its bytes are the file. Raises ValueError
-    with a distinct message for malformed headers, an odd-sized data chunk,
-    multichannel audio, non-PCM16 encodings and a repeated fmt or data
-    chunk; a failed read is an OSError naming ``path``. WAVE_FORMAT_EXTENSIBLE
-    counts as PCM when its fmt chunk has the full 40 bytes and its SubFormat
-    GUID is KSDATAFORMAT_SUBTYPE_PCM.
-    """
-    with open(path, "rb", buffering=0) as file:
-        fd = file.fileno()
-        info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode):
-
-            def read_at(n: int, offset: int) -> bytes:
-                parts = []
-                with names_file(path):  # in a pool job too
-                    while n > 0 and (part := os.pread(fd, min(n, 1 << 30), offset)):  # Linux: under 2 GiB a call
-                        parts.append(part)
-                        n, offset = n - len(part), offset + len(part)
-                return b"".join(parts)
-
-            yield WavSource(path, read_at, info.st_size, (info.st_dev, info.st_ino))
-        else:
-            with names_file(path):
-                raw = memoryview(file.read())  # slices are views, not copies
-            yield WavSource(path, lambda n, offset: raw[offset : offset + n], len(raw))
+    """Open ``path`` by ``features.input_file``; yield a WavSource that reads it, its header checked."""
+    with input_file(path) as opened:
+        yield WavSource(path, *opened)
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a mono 16-bit PCM RIFF/WAVE file whole: ``wav_source``, then ``collect``.
 
     Samples are scaled by 1/32768, so the int16 range maps into [-1, 1).
-    Raises ValueError as ``wav_source`` does.
+    Raises ValueError as WavSource does.
     """
     with wav_source(path) as source:
         return source.collect()

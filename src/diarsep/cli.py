@@ -69,11 +69,10 @@ def _cmd_resample(args) -> int:
     # pool jobs read the input and write the output block by block; an output that
     # is the input would overwrite samples that later jobs read, so it is read whole first
     with wav_source(args.input) as source:
+        # designed at the identity too, which runs without it, so the flags are checked at every rate
+        fir = design_kaiser_sinc(source.sample_rate, args.rate, args.stopband_db, args.transition_frac)
         if source.same_file(args.output):
             source = source.collect()
-        fir = None
-        if source.sample_rate != args.rate:
-            fir = design_kaiser_sinc(source.sample_rate, args.rate, args.stopband_db, args.transition_frac)
         n_out = resampled_length(len(source), source.sample_rate, args.rate)
         with wav_writer(args.output, n_out, args.rate) as write:
             resample_blocks(source, args.rate, fir, write)
@@ -477,15 +476,16 @@ def run() -> None:
     starting a thread pool that diarsep never uses: the parallel passes run on
     workers.run_blocks, and an idle pool thread spins beside them. It also fixes
     how a long dot product is split, so the output bits do not depend on the
-    CPU count or on the caller's environment. Stdout is UTF-8 whatever the
-    locale, as the text inputs are; a file name that does not decode is
-    written back as its bytes. gc.freeze() after main() moves every object
-    still alive, the subcommand's modules included, into the permanent
-    generation, so the collections at exit do not walk them. main() itself
-    stays free of these side effects for in-process callers.
+    CPU count or on the caller's environment. Stdout and stderr are UTF-8
+    whatever the locale, as the text inputs are; a file name that does not
+    decode is written back as its bytes. gc.freeze() after main() moves
+    every object still alive, the subcommand's modules included, into the
+    permanent generation, so the collections at exit do not walk them.
+    main() itself stays free of these side effects for in-process callers.
     """
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    sys.stderr.reconfigure(encoding="utf-8", errors="surrogateescape")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -110,6 +110,42 @@ def names_file(path: str | Path):
 
 
 @contextmanager
+def input_file(path: str | Path):
+    """Open ``path`` for input; yield ``(read, size, inode)``: the one way diarsep reads a binary file.
+
+    ``read(n, offset)`` returns a writable memoryview of the input's bytes
+    [offset, offset + n), fewer at its end; ``inode`` is (st_dev, st_ino). A
+    regular file is read by ``os.preadv`` into a new buffer per call, so
+    threads share no file position. Any other input (a pipe) cannot be read
+    at an offset: it is read whole as it is opened, into one buffer that
+    grows by an eighth, and its ``inode`` is None. A read's OSError names
+    ``path``; errors raised in the caller's block are left alone.
+    """
+    with open(path, "rb", buffering=0) as file:
+        info = os.fstat(file.fileno())
+        if stat.S_ISREG(info.st_mode):
+
+            def read(n: int, offset: int) -> memoryview:
+                buffer, done = memoryview(np.empty(n, np.uint8)), 0
+                with names_file(path):  # in a pool job too
+                    while done < n and (got := os.preadv(file.fileno(), [buffer[done:]], offset + done)):
+                        done += got  # Linux reads under 2 GiB a call
+                return buffer[:done]
+
+            yield read, info.st_size, (info.st_dev, info.st_ino)
+        else:
+            whole, size = np.empty(1 << 16, np.uint8), 0
+            with names_file(path):
+                while got := file.readinto(whole[size:]):
+                    size += got
+                    if size == whole.size:
+                        whole.resize(size + max(size >> 3, 1 << 16), refcheck=False)
+            whole.resize(size, refcheck=False)
+            view = memoryview(whole)
+            yield lambda n, offset: view[offset : offset + n], size, None
+
+
+@contextmanager
 def output_file(path: str | Path, size: int):
     """Open ``path`` for ``size`` bytes of output; yield ``write(offset, buffer)``.
 
@@ -193,16 +229,14 @@ def write_feature_stack(stack: FeatureStack, path: str | Path) -> None:
 
 
 def read_feature_stack(path: str | Path) -> FeatureStack:
-    """Read an SSLF file into one writable array, validating magic, version and declared sizes.
+    """Read an SSLF file through ``input_file`` into one writable array, validating magic, version and sizes.
 
-    The header is read first, then the payload straight into the float32
-    array, so a pipe (``cat x.sslf | diarsep diarize /dev/stdin``) reads as
-    a file does. A regular file's size is checked against its header before
-    the array is allocated. FeatureStack checks the values; every error, an
-    OSError too, names the file.
+    The header is read first and the input's size checked against it, then
+    the payload straight into the float32 array. FeatureStack checks the
+    values; every error, an OSError too, names the file.
     """
-    with names_file(path), open(path, "rb") as file:
-        header = file.read(_HEADER.size)
+    with input_file(path) as (read, size, _):
+        header = read(_HEADER.size, 0)
         if len(header) < _HEADER.size:
             raise ValueError(f"{path}: truncated SSLF header")
         magic, version, n_layers, n_frames, dim, frame_rate = _HEADER.unpack(header)
@@ -212,25 +246,15 @@ def read_feature_stack(path: str | Path) -> FeatureStack:
             raise ValueError(f"{path}: unsupported SSLF version {version}")
         if min(n_layers, n_frames, dim) < 1:
             raise ValueError(f"{path}: sizes must be positive, got {n_layers}x{n_frames}x{dim}")
-        expected = n_layers * n_frames * dim * 4
-        info = os.fstat(file.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size != expected:
-            actual = info.st_size - _HEADER.size  # known before any allocation
-        else:
-            try:  # a pipe's size is unknown until it is read
-                data = np.empty((n_layers, n_frames, dim), "<f4")
-            except MemoryError:
-                raise ValueError(
-                    f"{path}: header declares {expected} payload bytes, more than memory holds"
-                ) from None
-            # a buffered readinto fills the buffer unless the input ends first, so a
-            # pipe's payload comes in one call; read() then counts any bytes beyond it
-            actual = file.readinto(memoryview(data).cast("B")) + len(file.read())
+        expected, actual = n_layers * n_frames * dim * 4, size - _HEADER.size
+        if actual == expected:  # else known before any allocation
+            payload = read(expected, _HEADER.size)
+            actual = len(payload)  # fewer if the file was cut after it was opened
     if actual != expected:
         raise ValueError(
             f"{path}: size mismatch, header declares {expected} payload bytes but file has {actual}"
         )
     try:
-        return FeatureStack(data, frame_rate)
+        return FeatureStack(np.frombuffer(payload, "<f4").reshape(n_layers, n_frames, dim), frame_rate)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

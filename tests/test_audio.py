@@ -159,8 +159,8 @@ def test_source_checks_the_header_without_reading_samples_and_reads_blocks_exact
     raw[4:8] = struct.pack("<I", len(raw) - 8)
     path.write_bytes(raw)
     sizes = []
-    pread = os.pread
-    monkeypatch.setattr(os, "pread", lambda fd, n, offset: sizes.append(n) or pread(fd, n, offset))
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: sizes.append(len(buffers[0])) or preadv(fd, buffers, offset))
     with wav_source(path) as source:
         assert (len(source), source.sample_rate) == (pcm.size, 16000)
         assert max(sizes) <= 40  # RIFF header, chunk headers and the fmt body

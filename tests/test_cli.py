@@ -291,6 +291,21 @@ def test_resample_rejects_oversized_filter_designs(tmp_path, capsys):
     assert not (tmp_path / "out.wav").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("stopband-db", "nan"), ("transition-frac", "7")])
+def test_resample_checks_the_filter_flags_at_the_input_rate_too(tmp_path, capsys, flag, value):
+    # the identity runs without a filter, yet a bad flag is the error it is at 8 -> 16 kHz
+    src = tmp_path / "in.wav"
+    write_sine(src, 1000, rate=8000, seconds=0.1)
+    config = tmp_path / "resample.cfg"
+    config.write_text(f"{flag}={value}\n")
+    argv = ["resample", str(src), str(tmp_path / "out.wav")]
+    want = run(capsys, *argv, "--rate", "16000", f"--{flag}", value)
+    assert want[:2] == (1, "") and want[2].startswith(f"error: {flag.replace('-', '_')} must be ")
+    assert run(capsys, *argv, "--rate", "8000", f"--{flag}", value) == want
+    assert run(capsys, "--config", str(config), *argv, "--rate", "8000") == want
+    assert not (tmp_path / "out.wav").exists()
+
+
 def cli_child(argv, stdin=None, env=None):
     """Run ``diarsep *argv`` in a child process that imports this checkout's diarsep.
 
@@ -316,16 +331,42 @@ def piped_cli_child(path, argv):
     return child
 
 
-def test_resample_reads_a_pipe_whole(tmp_path, capsys):
-    # /dev/stdin fed by cat cannot be read at an offset: its bytes are read first
-    src = tmp_path / "in.wav"
-    write_wav(AudioBuffer(np.random.default_rng(20).uniform(-0.9, 0.9, 3 * BLOCK).astype(np.float32), 8000), src)
-    code, out, _ = run(capsys, "resample", str(src), str(tmp_path / "want.wav"), "--rate", "16000")
-    assert code == 0
-    child = piped_cli_child(src, ["resample", "/dev/stdin", str(tmp_path / "got.wav"), "--rate", "16000"])
+def assert_a_pipe_reads_as_the_file(tmp_path, path, argv):
+    """``diarsep argv(src, out)`` gives the same stdout and output files with ``path`` as src and with a pipe of it.
+
+    ``out`` is a new directory for the output files of each run; the piped run
+    reads /dev/stdin, fed by ``cat path``.
+    """
+    want, got = tmp_path / "want", tmp_path / "got"
+    want.mkdir()
+    got.mkdir()
+    child = cli_child([str(arg) for arg in argv(path, want)])
     assert (child.returncode, child.stderr) == (0, "")
-    assert child.stdout == out.replace(str(tmp_path / "want.wav"), str(tmp_path / "got.wav"))
-    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+    piped = piped_cli_child(path, [str(arg) for arg in argv("/dev/stdin", got)])
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert piped.stdout == child.stdout.replace(str(want), str(got))
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want))
+    for name in os.listdir(want):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("role", ["resample", "refs", "ests", "mix", "sources"])
+def test_resample_reads_a_pipe_whole(tmp_path, role):
+    # /dev/stdin fed by cat cannot be read at an offset: its bytes are read first;
+    # the piped input is in0.wav, in every WAV input of every subcommand
+    rng = np.random.default_rng(20)
+    paths = [tmp_path / f"in{k}.wav" for k in range(3)]
+    for path in paths:
+        write_wav(AudioBuffer(rng.uniform(-0.9, 0.9, 3 * BLOCK).astype(np.float32), 8000), path)
+    _, b, c = paths
+    argv = {
+        "resample": lambda src, out: ["resample", src, out / "out.wav", "--rate", "16000"],
+        "refs": lambda src, out: ["score-sdr", "--refs", src, b, "--ests", b, c, "--mix", c],
+        "ests": lambda src, out: ["score-sdr", "--refs", b, c, "--ests", c, src, "--mix", c],
+        "mix": lambda src, out: ["score-sdr", "--refs", b, c, "--ests", c, b, "--mix", src],
+        "sources": lambda src, out: ["separate-oracle", "--sources", src, b, "--output-dir", out, "--seed", "3"],
+    }[role]
+    assert_a_pipe_reads_as_the_file(tmp_path, paths[0], argv)
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2])
@@ -832,36 +873,45 @@ def test_diarize_checks_embedding_flags_before_reading_scores(tmp_path, capsys):
     assert code == 1 and "size mismatch" in err
 
 
-def test_sslf_inputs_read_from_a_pipe_as_from_a_file(tmp_path, capsys):
+@pytest.mark.parametrize("role", ["scores", "stack", "basis", "embeddings"])
+def test_sslf_inputs_read_from_a_pipe_as_from_a_file(tmp_path, role):
     # /dev/stdin fed by cat has no size and cannot seek: its bytes come in order, once
     scores_path, feats_path = diarize_fixtures(tmp_path)
-    code, want, _ = run(capsys, "diarize", str(scores_path), "--features", str(feats_path), "--uri", "rec")
-    assert code == 0
-    child = piped_cli_child(scores_path, ["diarize", "/dev/stdin", "--features", str(feats_path), "--uri", "rec"])
-    assert (child.returncode, child.stdout, child.stderr) == (0, want, "")
-
     weights = tmp_path / "weights.txt"
     weights.write_text("0.5\n-1.0\n")
-    code, out, _ = run(capsys, "fuse", str(feats_path), str(weights), str(tmp_path / "want.sslf"))
-    assert code == 0
-    child = piped_cli_child(feats_path, ["fuse", "/dev/stdin", str(weights), str(tmp_path / "got.sslf")])
-    assert (child.returncode, child.stderr) == (0, "")
-    assert child.stdout == out.replace("want.sslf", "got.sslf")
-    assert (tmp_path / "got.sslf").read_bytes() == (tmp_path / "want.sslf").read_bytes()
+    basis_path, emb_path = tmp_path / "basis.sslf", tmp_path / "emb.sslf"
+    write_feature_stack(basis_to_stack(mirrored_dct_basis(16)), basis_path)
+    emb = np.zeros((2, 3, 4), np.float32)
+    emb[0, 0], emb[1, 0] = [1, 0, 0, 0], [0, 1, 0, 0]
+    write_feature_stack(FeatureStack(emb, 1.0), emb_path)
+    sources = [tmp_path / "s1.wav", tmp_path / "s2.wav"]
+    write_sine(sources[0], 440)
+    write_sine(sources[1], 660)
+    path, argv = {
+        "scores": (scores_path, lambda src, out: ["diarize", src, "--features", feats_path, "--uri", "rec"]),
+        "stack": (feats_path, lambda src, out: ["fuse", src, weights, out / "fused.sslf"]),
+        "basis": (basis_path, lambda src, out: [
+            "separate-oracle", "--sources", *sources, "--output-dir", out, "--basis", src, "--stride", "16",
+            "--save-masks", out / "masks.sslf",
+        ]),
+        "embeddings": (emb_path, lambda src, out: [
+            "diarize", scores_path, "--embeddings", src, "--uri", "rec", "--output", out / "out.rttm",
+        ]),
+    }[role]
+    assert_a_pipe_reads_as_the_file(tmp_path, path, argv)
+    if role != "scores":
+        return
 
     child = piped_cli_child(scores_path, ["diarize", "/dev/stdin", "--embeddings", "/dev/stdin"])
     assert (child.returncode, child.stdout) == (1, "")  # the pipe is spent: its second reading has no header
     assert child.stderr == "error: /dev/stdin: truncated SSLF header\n"
 
-    # a pipe's payload is read into an array of the size its header declares
-    cases = [
-        ((10**5, 10**5, 10**5), "header declares 4000000000000000 payload bytes, more than memory holds"),
-        ((100, 100, 100), "size mismatch, header declares 4000000 payload bytes but file has 8"),
-    ]
-    for sizes, error in cases:
+    # a pipe's size is known once it has been read, and checked against its header
+    for sizes, expected in (((10**5, 10**5, 10**5), 4 * 10**15), ((100, 100, 100), 4 * 10**6)):
         short = tmp_path / "short.sslf"
         short.write_bytes(struct.pack("<4sIIIIf", b"SSLF", 1, *sizes, 50.0) + bytes(8))
         child = piped_cli_child(short, ["fuse", "/dev/stdin", str(weights), str(tmp_path / "fused.sslf")])
+        error = f"size mismatch, header declares {expected} payload bytes but file has 8"
         assert (child.returncode, child.stdout, child.stderr) == (1, "", f"error: /dev/stdin: {error}\n")
 
 
@@ -914,14 +964,14 @@ def test_a_failed_read_in_a_pool_job_names_the_input(tmp_path, capsys, monkeypat
     cpus(monkeypatch, n_cpus)
     src = tmp_path / "in.wav"
     write_wav(AudioBuffer(np.zeros(3 * BLOCK, np.float32), 8000), src)
-    pread = os.pread
+    preadv = os.preadv
 
-    def failing(fd, n, offset):
+    def failing(fd, buffers, offset):
         if offset >= 44:
             raise OSError(5, "Input/output error")
-        return pread(fd, n, offset)
+        return preadv(fd, buffers, offset)
 
-    monkeypatch.setattr(os, "pread", failing)
+    monkeypatch.setattr(os, "preadv", failing)
     code, out, err = run(capsys, "resample", str(src), str(tmp_path / "out.wav"), "--rate", "16000")
     assert (code, out) == (1, "")
     assert err == f"error: [Errno 5] Input/output error: {str(src)!r}\n"
@@ -950,14 +1000,18 @@ def test_a_parse_error_names_the_file(tmp_path, capsys, role):
 
 def test_text_inputs_and_stdout_are_utf8_in_any_locale(tmp_path):
     # in the C locale, with neither UTF-8 mode nor locale coercion, Python's
-    # default text encoding is ASCII, for files and for stdout alike
+    # default text encoding is ASCII, for files and for stdout and stderr alike;
+    # an error names a file by its name's own bytes
     rttm = tmp_path / "u8.rttm"
     rttm.write_text("SPEAKER réc 1 0.000 10.000 <NA> <NA> éa <NA> <NA>\n", encoding="utf-8")
-    argv = ["score-der", str(rttm), str(rttm)]
-    utf8 = cli_child(argv, env={"LC_ALL": "C.UTF-8"})
-    plain_c = cli_child(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
-    assert utf8.returncode == 0 and "réc DER 0.000%" in utf8.stdout
-    assert (plain_c.returncode, plain_c.stdout, plain_c.stderr) == (utf8.returncode, utf8.stdout, utf8.stderr)
+    bad = tmp_path / "bé.rttm"
+    bad.write_text("x\n")
+    for argv, want in (([rttm, rttm], "réc DER 0.000%"), ([bad, bad], f"error: {bad}: RTTM line 1: ")):
+        argv = ["score-der", *map(str, argv)]
+        utf8 = cli_child(argv, env={"LC_ALL": "C.UTF-8"})
+        plain_c = cli_child(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"})
+        assert want in utf8.stdout + utf8.stderr
+        assert (plain_c.returncode, plain_c.stdout, plain_c.stderr) == (utf8.returncode, utf8.stdout, utf8.stderr)
 
 
 def test_diarize_output_overwrites_a_longer_file(tmp_path, capsys):

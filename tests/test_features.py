@@ -3,6 +3,7 @@ import os
 import re
 import stat
 import struct
+import subprocess
 import tracemalloc
 from functools import partial
 
@@ -139,6 +140,27 @@ def test_read_holds_one_payload_buffer(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(stack.data, data)
     assert peak <= 1.4 * data.nbytes
+
+
+@pytest.mark.parametrize("piped", [False, True])
+def test_read_of_a_file_or_a_pipe_allocates_the_payload_once(tmp_path, piped):
+    """One payload-sized buffer plus under 1 MiB: the finite check's boolean mask, a quarter
+    of the 2 MB payload, and the eighth by which a pipe's buffer may outgrow it."""
+    data = np.random.default_rng(6).standard_normal((2, 500, 512)).astype(np.float32)
+    path = tmp_path / "big.sslf"
+    write_feature_stack(FeatureStack(data, 50.0), path)
+    cat = subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) if piped else None
+    tracemalloc.start()
+    try:
+        stack = read_feature_stack(f"/dev/fd/{cat.stdout.fileno()}" if piped else path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if piped:
+            cat.stdout.close()
+            assert cat.wait(timeout=120) == 0
+    assert np.array_equal(stack.data, data)
+    assert peak < data.nbytes + (1 << 20), peak
 
 
 @pytest.mark.parametrize("frame_rate", [float("nan"), 0.0, -50.0])

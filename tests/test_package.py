@@ -128,8 +128,8 @@ def reads_bytes(node: ast.AST) -> bool:
 
 
 def test_one_function_opens_and_reads_input_wav_files():
-    # audio.wav_source alone reads WAV bytes, so every input keeps its header
-    # checks and its block reads; read_feature_stack reads SSLF files
+    # features.input_file alone reads input bytes, so a WAV or SSLF input is read
+    # the same way whether it is a regular file or a pipe
     control = 'def f(p, fd):\n    open(p).read()\n    open(p, "rb").read()\n    os.read(fd, 9)\n    np.fromfile(p)\n'
     found = {}
     for top in ast.parse(control).body:
@@ -141,7 +141,7 @@ def test_one_function_opens_and_reads_input_wav_files():
             lines = sorted(node.lineno for node in ast.walk(top) if reads_bytes(node))
             if lines:
                 found[f"{path.stem}.{getattr(top, 'name', '<module>')}"] = lines
-    assert sorted(found) == ["audio.wav_source", "features.read_feature_stack"], found
+    assert sorted(found) == ["features.input_file"], found
 
 
 def proc_paths(source: str) -> list[int]:
