@@ -4,12 +4,13 @@
 A segmentation model that tracks K speakers and up to two simultaneous
 voices classifies each frame into one of 1 + K + K*(K-1)/2 classes:
 silence, each single speaker, each speaker pair. This script walks the
-codec between class indices and K-bit activity vectors.
+codec between class indices and the sets of active speakers:
+``space.index`` and its inverse ``space.members``.
 """
 
 import numpy as np
 
-from diarsep import build_space, decode_class, decode_frames, encode_label
+from diarsep import build_space, decode_frames
 
 # -- the classes ------------------------------------------------------------
 
@@ -23,21 +24,22 @@ for idx in range(space.n_classes):
 
 print()
 for bits in ([0, 0, 0], [0, 1, 0], [1, 0, 1]):
-    print(f"activity {bits} -> class {encode_label(space, bits)}")
+    active = [slot for slot, bit in enumerate(bits) if bit]
+    print(f"activity {bits} -> active slots {active} -> class {space.index(active)}")
 
 # Vectors with more than two active speakers are not classes; they project to
 # the nearest class by Hamming distance, lowest index on ties, which is the
-# pair of their first two active speakers:
-print(f"activity [1, 1, 1] -> class {encode_label(space, [1, 1, 1])} "
-      f"(= subset {space.members(encode_label(space, [1, 1, 1]))})")
+# pair of their first two active speakers. index reads only the first two
+# slots of its list, so it makes that projection:
+print(f"activity [1, 1, 1] -> class {space.index([0, 1, 2])} "
+      f"(= subset {space.members(space.index([0, 1, 2]))})")
 
-# -- decoding is the exact inverse on valid classes --------------------------
+# -- members is the exact inverse of index on valid classes ------------------
 
 print()
 for idx in range(space.n_classes):
-    bits = decode_class(space, idx)
-    assert encode_label(space, bits) == idx
-print("decode -> encode is the identity on all classes")
+    assert space.index(space.members(idx)) == idx
+print("members -> index is the identity on all classes")
 
 # -- per-frame decoding of score matrices ------------------------------------
 

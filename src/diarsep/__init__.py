@@ -24,7 +24,7 @@ _EXPORTS = {
     "diarize": ("ChunkSegmentation", "Embedding", "ahc_cluster", "diarize_file", "pooled_embeddings", "stitch"),
     "features": ("FeatureMatrix", "FeatureStack", "read_feature_stack", "write_feature_stack"),
     "fusion": ("align_frames", "concat_features", "normalize_weights", "weighted_sum"),
-    "powerset": ("PowersetSpace", "build_space", "decode_class", "decode_frames", "encode_label"),
+    "powerset": ("PowersetSpace", "build_space", "decode_frames"),
     "resample": ("FirFilter", "design_kaiser_sinc", "resample"),
     "sepmetrics": ("SepReport", "pit", "sdr", "sdr_improvement", "si_sdr"),
     "tasnet": (

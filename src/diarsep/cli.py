@@ -6,9 +6,10 @@ sets flag defaults; explicit flags override the file. A key must name an
 option of some subcommand, so one file can serve several, and its value is
 checked like that flag; a misspelt key or a bad value is an error.
 
-This module imports only the stdlib at module level; each ``_cmd_*`` imports
-what its subcommand runs, so a child loads no numpy for ``version``, ``--help``
-or a usage error, and no library module that its subcommand does not call.
+This module imports only the stdlib and the numpy-free ``defaults`` at module
+level; each ``_cmd_*`` imports what its subcommand runs, so a child loads no
+numpy for ``version``, ``--help`` or a usage error, and no library module that
+its subcommand does not call.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .defaults import DEFAULT_AHC_THRESHOLD, DEFAULT_HOP, DEFAULT_MIN_SEG
-from .defaults import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES
+from .defaults import DEFAULT_STOPBAND_DB, DEFAULT_TRANSITION_FRAC, SUPPORTED_RATES, names_file
 
 
 def _fmt_db(value: float, cap: float | None = None) -> str:
@@ -39,13 +40,10 @@ def _read_text(path: str) -> str:
     file (a failed read) is given ``path``.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with names_file(path):
+            return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except OSError as exc:
-        if exc.filename is None:
-            exc.filename = path
-        raise
 
 
 def _parse_file(parse, path: str):
@@ -84,7 +82,7 @@ def _cmd_resample(args) -> int:
 
 
 def _cmd_powerset(args) -> int:
-    from .powerset import build_space, decode_class, encode_label
+    from .powerset import build_space
 
     space = build_space(args.num_speakers)
     if args.encode is not None:
@@ -93,11 +91,16 @@ def _cmd_powerset(args) -> int:
             raise ValueError(
                 f"--encode expects {space.max_speakers} characters of 0/1, got {args.encode!r}"
             )
-        print(encode_label(space, [int(b) for b in bits]))
+        first = bits.find("1")  # index reads only the two lowest active slots
+        second = bits.find("1", first + 1)
+        print(space.index([slot for slot in (first, second) if slot >= 0]))
         return 0
     if args.decode is not None:
-        vec = decode_class(space, args.decode)  # int8 0/1, so + ord("0") is one ASCII byte per digit
-        print((vec + ord("0")).tobytes().decode())
+        members = space.members(args.decode)
+        vector = bytearray(b"0") * space.max_speakers
+        for slot in members:
+            vector[slot] = ord("1")
+        print(vector.decode())
         return 0
     for idx in range(space.n_classes):
         names = "+".join(f"s{k}" for k in space.members(idx)) or "-"

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .defaults import names_file
+
 SSLF_MAGIC = b"SSLF"
 SSLF_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIf")
@@ -96,17 +98,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-
-@contextmanager
-def names_file(path: str | Path):
-    """Give ``path`` as its file name to an OSError that leaves the block naming no file (a failed read or write)."""
-    try:
-        yield
-    except OSError as exc:
-        if exc.filename is None:
-            exc.filename = os.fspath(path)
-        raise
 
 
 @contextmanager

@@ -2,16 +2,13 @@
 
 Classes are ordered as the empty set, then singletons in speaker order, then
 speaker pairs in lexicographic order; speaker slots are 0-based. Indices are
-computed from that ordering, so nothing is stored per class.
+computed from that ordering, so nothing is stored per class. Only
+``decode_frames`` loads numpy, as it runs, so the codec alone loads none.
 """
 
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
-
-from .features import check_finite
 
 
 @dataclass(frozen=True)
@@ -67,39 +64,25 @@ def build_space(max_speakers: int) -> PowersetSpace:
     return PowersetSpace(max_speakers)
 
 
-def encode_label(space: PowersetSpace, multilabel) -> int:
-    """Map a K-bit activity vector to its class index.
-
-    Vectors whose active set is not a class (more than two active speakers)
-    project to the pair of their first two active speakers: the class at
-    minimum Hamming distance, ties broken by the lowest class index.
-    """
-    vec = np.asarray(multilabel).reshape(-1)
-    if vec.size != space.max_speakers:
-        raise ValueError(f"expected a vector of length {space.max_speakers}, got {vec.size}")
-    return space.index(np.flatnonzero(vec)[:2].tolist())
-
-
-def decode_class(space: PowersetSpace, index: int) -> np.ndarray:
-    """Return the K-bit indicator vector of class ``index``."""
-    vector = np.zeros(space.max_speakers, dtype=np.int8)
-    vector[list(space.members(index))] = 1
-    return vector
-
-
-def decode_frames(space: PowersetSpace, scores) -> np.ndarray:
-    """Decode a (T, n_classes) score matrix into (T, K) binary speaker activity.
+def decode_frames(space: PowersetSpace, scores):
+    """Decode a (T, n_classes) score matrix into (T, K) int8 binary speaker activity.
 
     Per frame: argmax over classes (ties resolve to the lowest class index),
-    then the class indicator vector (``decode_class``). Only the classes some
-    frame takes are decoded, so beyond the argmax the work and memory do not
-    grow with n_classes.
+    then the class's ``members`` set to 1. Only the classes some frame takes
+    are decoded, so beyond the argmax the work and memory do not grow with
+    n_classes.
     """
+    import numpy as np
+
+    from .features import check_finite
+
     mat = np.asarray(scores, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != space.n_classes:
         raise ValueError(f"expected scores of shape (T, {space.n_classes}), got {mat.shape}")
     check_finite(mat, "scores")
     labels = np.argmax(mat, axis=1)
     classes = sorted(set(labels.tolist()))  # not np.unique, which would load numpy.ma
-    table = np.array([decode_class(space, c) for c in classes], np.int8).reshape(len(classes), space.max_speakers)
+    table = np.zeros((len(classes), space.max_speakers), np.int8)
+    for row, index in zip(table, classes):
+        row[list(space.members(index))] = 1
     return table[np.searchsorted(classes, labels)]

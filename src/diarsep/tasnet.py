@@ -330,11 +330,13 @@ def random_basis(
 ) -> EncoderBasis:
     """Seeded Gaussian analysis with least-squares synthesis (pseudo-inverse).
 
-    Raises ValueError, naming the parameter, for a size below 1.
+    Raises ValueError, naming the parameter, for a size below 1 or a negative seed.
     """
     for name, size in (("n_filters", n_filters), ("kernel_len", kernel_len)):
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     analysis = rng.standard_normal((n_filters, kernel_len)) / np.sqrt(kernel_len)
     synthesis = np.linalg.pinv(analysis).T

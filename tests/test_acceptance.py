@@ -21,7 +21,6 @@ from diarsep import (
     align_frames,
     build_space,
     compute_der,
-    decode_class,
     diarize_file,
     emit_rttm,
     mirrored_dct_basis,
@@ -163,18 +162,17 @@ def test_criterion_6_powerset_codec():
     with criterion(6, "powerset codec", budget_s=1.0):
         import itertools
 
-        from diarsep import encode_label
-
         for k in range(1, 7):
             space = build_space(k)
             assert space.n_classes == 1 + k + k * (k - 1) // 2
             for idx in range(space.n_classes):
-                assert encode_label(space, decode_class(space, idx)) == idx
+                assert space.index(space.members(idx)) == idx
             for bits in itertools.product((0, 1), repeat=k):
-                assert decode_class(space, encode_label(space, bits)).sum() <= 2
+                active = [slot for slot, bit in enumerate(bits) if bit]
+                assert len(space.members(space.index(active))) <= 2
 
         space3 = build_space(3)
-        assert encode_label(space3, [1, 1, 1]) == 4
+        assert space3.index([0, 1, 2]) == 4  # the activity vector [1, 1, 1]
         assert space3.members(4) == (0, 1)
 
 

@@ -33,11 +33,11 @@ from diarsep import (
 from diarsep import Annotation, emit_rttm
 from diarsep.cli import main
 from diarsep.der import compute_der, total_der
-from diarsep.powerset import build_space, decode_class
+from diarsep.powerset import build_space
 from diarsep.audio import BLOCK
 from diarsep.tasnet import BLOCK_FRAMES, basis_to_stack
 from diarsep.workers import worker_count
-from oracles import perturbed_hypothesis, random_annotation, write_wav_oracle
+from oracles import perturbed_hypothesis, powerset_matrix_oracle, random_annotation, write_wav_oracle
 from test_resample import cpus
 
 
@@ -482,7 +482,7 @@ def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
     cases = [
         (["resample", str(wavs[0]), str(tmp_path / "up.wav"), "--rate", "16000"],
          ["audio", "defaults", "features", "resample", "workers"]),
-        (["powerset", "--num-speakers", "2"], ["features", "powerset"]),
+        (["powerset", "--num-speakers", "2"], ["powerset"]),
         (["fuse", str(feats_path), str(tmp_path / "weights.txt"), str(tmp_path / "fused.sslf")],
          ["features", "fusion"]),
         (["separate-oracle", "--sources", str(wavs[0]), str(wavs[1]), "--output-dir", str(tmp_path / "est"),
@@ -496,7 +496,9 @@ def test_each_subcommand_loads_only_the_modules_it_calls(tmp_path):
          ["assignment", "audio", "features", "sepmetrics", "workers"]),
     ]
     for argv, modules in cases:
-        expected = sorted({*CLI_MODULES, *(f"diarsep.{m}" for m in modules), "numpy"})
+        # every subcommand but powerset loads features, which imports numpy at module level
+        numpy = ["numpy"] if "features" in modules else []
+        expected = sorted({*CLI_MODULES, *(f"diarsep.{m}" for m in modules), *numpy})
         assert loaded_modules(*argv) == [0, expected], argv[0]
 
 
@@ -525,7 +527,11 @@ def test_powerset_decode_prints_the_class_indicator_vector(capsys):
         for index in indices:
             code, out, err = run(capsys, "powerset", "--num-speakers", str(k), "--decode", str(index))
             if 0 <= index < space.n_classes:
-                assert (code, out, err) == (0, "".join(map(str, decode_class(space, index))) + "\n", "")
+                if k <= 8:
+                    row = "".join(map(str, powerset_matrix_oracle(k)[index]))
+                else:
+                    row = "".join("1" if slot in space.members(index) else "0" for slot in range(k))
+                assert (code, out, err) == (0, row + "\n", "")
             else:
                 assert (code, out) == (1, "") and "out of range" in err
 
@@ -764,17 +770,22 @@ def test_failed_scoring_leaves_no_estimate_and_no_masks_file(tmp_path, capsys):
     assert not list(out_dir.glob("est*.wav")) and not (out_dir / "masks.sslf").exists()
 
 
-@pytest.mark.parametrize("flag, message", [("--kernel", "kernel_len must be >= 1, got 0"),
-                                           ("--filters", "n_filters must be >= 1, got 0")])
-def test_separate_oracle_rejects_a_zero_basis_size_naming_it(tmp_path, capsys, flag, message):
-    # they used to fail later, on what the size broke: "stride must be in [1, 0], got 8"
-    # and "analysis must be (n_filters, kernel_len), got (0, 16)"
+BASIS_ERRORS = [("--kernel", "0", "kernel_len must be >= 1, got 0"),
+                ("--filters", "0", "n_filters must be >= 1, got 0"),
+                ("--seed", "-1", "seed must be >= 0, got -1")]
+
+
+@pytest.mark.parametrize("flag, value, message", BASIS_ERRORS, ids=[f"{f}-{m}" for f, _, m in BASIS_ERRORS])
+def test_separate_oracle_rejects_a_zero_basis_size_naming_it(tmp_path, capsys, flag, value, message):
+    # they used to fail later, on what the value broke: "stride must be in [1, 0], got 8",
+    # "analysis must be (n_filters, kernel_len), got (0, 16)" and numpy's "expected
+    # non-negative integer", which names no parameter
     paths = [tmp_path / "a.wav", tmp_path / "b.wav"]
     write_sine(paths[0], 440)
     write_sine(paths[1], 660)
     code, out, err = run(
         capsys, "separate-oracle", "--sources", *map(str, paths), "--output-dir", str(tmp_path / "est"),
-        "--seed", "7", flag, "0",
+        "--seed", "7", flag, value,
     )
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "est").exists()

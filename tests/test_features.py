@@ -124,24 +124,6 @@ def test_matrix_allows_zero_width():
         FeatureMatrix(np.zeros((0, 3), np.float32), 50.0)
 
 
-def test_read_holds_one_payload_buffer(tmp_path):
-    """One payload-sized buffer plus the finite check's boolean mask (a quarter of it).
-
-    Holding the file bytes and a copy of the payload would take two payloads.
-    """
-    data = np.random.default_rng(4).standard_normal((4, 500, 512)).astype(np.float32)
-    path = tmp_path / "big.sslf"
-    write_feature_stack(FeatureStack(data, 50.0), path)
-    tracemalloc.start()
-    try:
-        stack = read_feature_stack(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(stack.data, data)
-    assert peak <= 1.4 * data.nbytes
-
-
 @pytest.mark.parametrize("piped", [False, True])
 def test_read_of_a_file_or_a_pipe_allocates_the_payload_once(tmp_path, piped):
     """One payload-sized buffer plus under 1 MiB: the finite check's boolean mask, a quarter

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diarsep import PowersetSpace, build_space, decode_class, decode_frames, encode_label
+from diarsep import PowersetSpace, build_space, decode_frames
 from diarsep.cli import main
 from oracles import powerset_classes_oracle, powerset_encode_oracle, powerset_matrix_oracle
 
@@ -73,58 +73,48 @@ def test_index_rejects_slots_that_are_not_ascending_or_in_range():
     assert space.index([1, 3, 0]) == space.index([1, 3])  # only the first two are read
 
 
+def active_slots(bits) -> list[int]:
+    return [slot for slot, bit in enumerate(bits) if bit]
+
+
 def test_encode_examples():
     space = build_space(3)
-    assert encode_label(space, [1, 0, 1]) == 5
-    assert encode_label(space, [0, 0, 0]) == 0
+    assert space.index(active_slots([1, 0, 1])) == 5
+    assert space.index(active_slots([0, 0, 0])) == 0
     # triple overlap: distance 1 to every pair, lowest index wins
-    assert encode_label(space, [1, 1, 1]) == 4
+    assert space.index(active_slots([1, 1, 1])) == 4
 
 
-def test_encode_matches_naive_oracle():
+def test_encode_matches_naive_oracle(capsys):
     for k in range(1, 9):
-        space = build_space(k)
         for bits in itertools.product((0, 1), repeat=k):
-            assert encode_label(space, bits) == powerset_encode_oracle(k, bits)
-
-
-def test_encode_wrong_length():
-    with pytest.raises(ValueError, match="length 3"):
-        encode_label(build_space(3), [1, 0])
+            code = main(["powerset", "--num-speakers", str(k), "--encode", "".join(map(str, bits))])
+            assert (code, capsys.readouterr()) == (0, (f"{powerset_encode_oracle(k, bits)}\n", "")), bits
 
 
 def test_decode_examples():
     space = build_space(3)
-    assert np.array_equal(decode_class(space, 0), [0, 0, 0])
-    assert np.array_equal(decode_class(space, 4), [1, 1, 0])
+    assert space.members(0) == ()
+    assert space.members(4) == (0, 1)
 
 
 def test_decode_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        decode_class(build_space(3), 7)
-
-
-def test_decode_class_equals_the_class_matrix_rows():
-    for k in range(1, 9):
-        space = build_space(k)
-        matrix = powerset_matrix_oracle(k)
-        for idx in range(space.n_classes):
-            row = decode_class(space, idx)
-            assert row.dtype == np.int8
-            assert np.array_equal(row, matrix[idx])
+    for index in (-1, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            build_space(3).members(index)
 
 
 def test_decode_class_builds_no_class_matrix():
-    # the dense class matrix at K = 200 is 20101 x 200 int8, about 4 MB; decode_frames
-    # of four frames decodes only the four classes they take, and its finite check
-    # holds one bool per score
+    # decoding a class builds no class matrix: the dense one at K = 200 is 20101 x 200
+    # int8, about 4 MB; decode_frames of four frames decodes only the four classes
+    # they take, and its finite check holds one bool per score
     space = build_space(200)
     indices = (0, 1, 200, space.n_classes - 1)
     scores = np.zeros((len(indices), space.n_classes))
     scores[range(len(indices)), indices] = 1.0
     decoders = (
-        (lambda: [decode_class(space, idx) for idx in indices], 64 * 1024),
-        (lambda: decode_frames(space, scores), 64 * 1024 + scores.size),
+        (lambda: [space.members(idx) for idx in indices], 64 * 1024),
+        (lambda: [np.flatnonzero(row).tolist() for row in decode_frames(space, scores)], 64 * 1024 + scores.size),
     )
     for decode, bound in decoders:
         tracemalloc.start()
@@ -134,7 +124,7 @@ def test_decode_class_builds_no_class_matrix():
         finally:
             tracemalloc.stop()
         assert peak < bound
-        assert [np.flatnonzero(row).tolist() for row in rows] == [[], [0], [199], [198, 199]]
+        assert [list(row) for row in rows] == [[], [0], [199], [198, 199]]
 
 
 def test_powerset_command_at_k1000_allocates_nothing_per_class(capsys):
@@ -153,15 +143,14 @@ def test_powerset_command_at_k1000_allocates_nothing_per_class(capsys):
 def test_decode_encode_identity():
     space = build_space(4)
     for idx in range(space.n_classes):
-        assert encode_label(space, decode_class(space, idx)) == idx
+        assert space.index(space.members(idx)) == idx
 
 
 def test_projection_caps_active_speakers():
     for k in range(1, 7):
         space = build_space(k)
         for bits in itertools.product((0, 1), repeat=k):
-            projected = decode_class(space, encode_label(space, bits))
-            assert projected.sum() <= 2
+            assert len(space.members(space.index(active_slots(bits)))) <= 2
 
 
 def test_decode_frames_one_hot():
@@ -183,12 +172,13 @@ def test_decode_frames_matches_loop_oracle():
     rng = np.random.default_rng(5)
     scores = rng.standard_normal((100, 7))
     out = decode_frames(space, scores)
+    matrix = powerset_matrix_oracle(3)
     for t in range(100):
         best, best_score = 0, scores[t, 0]
         for c in range(1, 7):
             if scores[t, c] > best_score:
                 best, best_score = c, scores[t, c]
-        assert np.array_equal(out[t], decode_class(space, best))
+        assert np.array_equal(out[t], matrix[best])
     assert out.sum(axis=1).max() <= 2
 
 
